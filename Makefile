@@ -1,6 +1,6 @@
 # CI and humans invoke identical commands: .github/workflows/ci.yml runs
 # `make lint build test race bench sweep-smoke serve-smoke coord-smoke
-# refine-smoke churn-smoke docs-check` in the main job, `make staticcheck vuln` for the deeper
+# refine-smoke churn-smoke docs-check e2ebench-check` in the main job, `make staticcheck vuln` for the deeper
 # static and vulnerability scans, and `make bench-json bench-compare`
 # in the bench-compare job — and nothing else.
 
@@ -9,7 +9,7 @@ GO ?= go
 # Steadier perf numbers: every bench entry runs 3x its base iterations.
 BENCH_ITERS_SCALE ?= 3
 
-.PHONY: build test race bench bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check
+.PHONY: build test race bench bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,14 @@ docs-check:
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "docs-check: OK"
 
+# The end-to-end benchmark (cmd/e2ebench) is its own Go module, so
+# `go test ./...` never compiles it, yet it imports internal/heuristics,
+# serve, churn and refine. This vets and tests it against the current
+# tree, so a change that breaks it fails here rather than when the
+# benchmark runs.
+e2ebench-check:
+	$(GO) vet -C cmd/e2ebench . && $(GO) test -C cmd/e2ebench .
+
 fmt:
 	gofmt -w .
 
@@ -138,4 +146,4 @@ staticcheck:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: lint build test race bench sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check
+ci: lint build test race bench sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check

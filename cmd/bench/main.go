@@ -264,22 +264,6 @@ func run(seeds, itersScale int) (*Report, error) {
 		}))
 	}
 
-	// Journal-on solve: the same subtree solve as solve/subtree/N=600
-	// with the move journal recording — its entry makes the journal's
-	// overhead an explicit, ns-gated number next to the journal-off one.
-	{
-		cell := cellItems(corpus, 600, 0.9)
-		i := 0
-		name := "solve/subtree/journal/N=600,alpha=0.9"
-		add(measure(name, solveIters(600)*itersScale, true, func() {
-			it := cell[i%len(cell)]
-			i++
-			if _, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed, Journal: true}); err != nil && !core.IsInfeasible(err) {
-				panic(fmt.Sprintf("%s: %v", name, err))
-			}
-		}))
-	}
-
 	// Exact: branch-and-bound on a pinned multi-processor CONSTR-HOM
 	// instance (slow CPU, 176 search nodes). The DFS backtracks through
 	// the move journal and no longer clones per leaf, so the entry
@@ -425,11 +409,11 @@ func run(seeds, itersScale int) (*Report, error) {
 	} {
 		sc, e := churnScenario(c.apps, c.ops, c.seed, c.policy)
 		name := fmt.Sprintf("churn/%s/N=%d", c.policy, c.apps*c.ops)
-		// The engine's arenas (builder pool, solve contexts, refiner
-		// buffers) take a few full scenario replays to reach their
-		// high-water marks; warm past them so allocs/op is the true
-		// steady state regardless of the iteration count.
-		for i := 0; i < 3; i++ {
+		// The engine's arenas (builder pool, solve context and its
+		// winner arena, refiner buffers) take many full scenario replays
+		// to reach their high-water marks; warm past them so allocs/op is
+		// the true steady state regardless of the iteration count.
+		for i := 0; i < 20; i++ {
 			if _, err := e.Run(context.Background(), sc); err != nil {
 				panic(fmt.Sprintf("%s: %v", name, err))
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/heuristics"
@@ -220,6 +221,57 @@ func TestStepContextCancel(t *testing.T) {
 	}
 	if len(res.Events) != 1 || res.Rejected != 1 {
 		t.Fatalf("cancelled RunScenario: want exactly one rejected event in the trace, got %+v", res)
+	}
+}
+
+// flipCtx is a context whose Err reports context.Canceled from its n-th
+// call on, so a test can cancel at an exact check point.
+type flipCtx struct {
+	context.Context
+	calls, n int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestResolveHonoursContext: the re-solve paths read the event's
+// context. Step checks it once on entry and the portfolio once before
+// each heuristic, so a context whose Err flips on its third call cancels
+// right after the first heuristic. The event must be rejected with the
+// context error and the incumbent left exactly as it was.
+func TestResolveHonoursContext(t *testing.T) {
+	sc := NewScenario(tightConfig(), 5)
+	e := NewEngine(Options{Policy: PolicyResolve, Seed: 5})
+	if err := e.Start(sc); err != nil {
+		t.Fatal(err)
+	}
+	var m mapping.Mapping
+	incumbent := func() (float64, []mapping.Proc, []int) {
+		t.Helper()
+		if err := e.IncumbentInto(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Cost(), slices.Clone(m.Procs), slices.Clone(m.Assign)
+	}
+	cost, procs, assign := incumbent()
+
+	ctx := &flipCtx{Context: context.Background(), n: 3}
+	er, err := e.Step(ctx, sc.Events[0])
+	if ctx.calls < ctx.n {
+		t.Fatalf("the context was read %d times; the cancellation never fired", ctx.calls)
+	}
+	if er.Outcome != Rejected || !errors.Is(err, context.Canceled) || !errors.Is(er.Err, context.Canceled) {
+		t.Fatalf("cancelled re-solve: got %v, err %v, er.Err %v; want a rejection with context.Canceled",
+			er.Outcome, err, er.Err)
+	}
+	gotCost, gotProcs, gotAssign := incumbent()
+	if gotCost != cost || !slices.Equal(gotProcs, procs) || !slices.Equal(gotAssign, assign) {
+		t.Fatal("cancelled re-solve changed the incumbent")
 	}
 }
 

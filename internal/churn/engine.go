@@ -163,7 +163,6 @@ type Engine struct {
 
 	combiner multiapp.Builder
 	sc       heuristics.SolveContext
-	all      []heuristics.Heuristic
 	work     mapping.Mapping
 	improveR *rand.Rand // refinement stream, reseeded per event
 	treeR    *rand.Rand // arrival-tree stream, reseeded per arrival
@@ -190,7 +189,7 @@ type Engine struct {
 // NewEngine returns an engine with a warmed, reusable solve arena; call
 // Start (or Run, which starts for you) before Step.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts, all: heuristics.All()}
+	e := &Engine{opts: opts}
 	e.sc.SetReuse(true)
 	return e
 }
@@ -292,7 +291,7 @@ func (e *Engine) Start(sc *Scenario) error {
 		return fmt.Errorf("churn: initial workload: %v", err)
 	}
 	e.fillOffsets(len(e.mapps))
-	if !e.resolveInto(in, rng.SeedFor(e.opts.Seed, "churn:init")) {
+	if out, _ := e.resolve(context.Background(), in, rng.SeedFor(e.opts.Seed, "churn:init"), math.Inf(1)); out == Rejected {
 		return fmt.Errorf("churn: initial workload infeasible: %w", heuristics.ErrInfeasible)
 	}
 	e.snap, e.next = e.next, e.snap
@@ -420,21 +419,19 @@ func (e *Engine) Step(ctx context.Context, ev Event) (EventResult, error) {
 	}
 	e.fillOffsets(len(e.mapps))
 
-	outcome := Rejected
+	var outcome Outcome
 	if e.opts.Policy == PolicyResolve {
-		if e.resolveInto(in, e.eventSeed(e.resSeed)) {
-			outcome = Resolved
-		}
+		outcome, err = e.fallback(ctx, in)
 	} else {
 		outcome, err = e.repair(ctx, in, ev)
-		if err != nil {
-			if arr.b != nil {
-				e.freeB = append(e.freeB, arr.b)
-			}
-			er.Err = err
-			er.Wall = time.Since(start)
-			return er, err
+	}
+	if err != nil {
+		if arr.b != nil {
+			e.freeB = append(e.freeB, arr.b)
 		}
+		er.Err = err
+		er.Wall = time.Since(start)
+		return er, err
 	}
 	if outcome == Rejected {
 		return reject(fmt.Errorf("%w: no feasible mapping for the post-event workload: %w", errRejected, heuristics.ErrInfeasible))
@@ -494,7 +491,7 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	if !refine.PlaceUnassigned(m) {
 		m.Rollback(mark)
 		m.SetJournal(false)
-		return e.fallback(in)
+		return e.fallback(ctx, in)
 	}
 	m.CommitJournal()
 	m.SetJournal(false)
@@ -521,13 +518,13 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	}); err != nil {
 		if errors.Is(err, heuristics.ErrInfeasible) {
 			// The repaired placement admits no server selection.
-			return e.fallback(in)
+			return e.fallback(ctx, in)
 		}
 		return Rejected, err // context cancellation
 	}
 
-	if !e.finish(m, in) {
-		return e.fallback(in)
+	if heuristics.Finish(m) != nil {
+		return e.fallback(ctx, in)
 	}
 	// Never regress: if repair somehow costs more than a still-valid
 	// incumbent, reinstall the incumbent (Improve's never-worse
@@ -535,8 +532,8 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	// guarantee structural rather than inherited).
 	if baselineValid && m.Cost() > e.snap.cost+mapping.Eps {
 		e.transplant(in, ev)
-		if !e.finish(m, in) {
-			return e.fallback(in)
+		if heuristics.Finish(m) != nil {
+			return e.fallback(ctx, in)
 		}
 	}
 	e.snapInto(&e.next, m)
@@ -546,19 +543,17 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	// expensive one. Repair wins ties, so migrations stay minimal; the
 	// guard runs only on cost-increasing events, so steady-state churn
 	// keeps repair's latency.
-	if m.Cost() > e.snap.cost+mapping.Eps &&
-		e.resolveBelow(in, e.eventSeed(e.resSeed), m.Cost()-mapping.Eps) {
-		return Resolved, nil
+	if m.Cost() > e.snap.cost+mapping.Eps {
+		if out, err := e.resolve(ctx, in, e.eventSeed(e.resSeed), m.Cost()-mapping.Eps); out == Resolved || err != nil {
+			return out, err
+		}
 	}
 	return Repaired, nil
 }
 
 // fallback answers the event with the constructive portfolio.
-func (e *Engine) fallback(in *instance.Instance) (Outcome, error) {
-	if e.resolveInto(in, e.eventSeed(e.resSeed)) {
-		return Resolved, nil
-	}
-	return Rejected, nil
+func (e *Engine) fallback(ctx context.Context, in *instance.Instance) (Outcome, error) {
+	return e.resolve(ctx, in, e.eventSeed(e.resSeed), math.Inf(1))
 }
 
 // transplant rebuilds the incumbent on the working mapping against the
@@ -595,46 +590,18 @@ func (e *Engine) transplant(in *instance.Instance, ev Event) bool {
 	return m.Complete()
 }
 
-// finish runs the solve pipeline's tail on a repaired placement: server
-// selection, configuration downgrade on heterogeneous catalogs, full
-// validation.
-func (e *Engine) finish(m *mapping.Mapping, in *instance.Instance) bool {
-	if heuristics.SelectServersThreeLoop(m) != nil {
-		return false
+// resolve runs the six-way constructive portfolio on the combined
+// instance and, when a result goes strictly below bar (+Inf for any
+// feasible one; the repaired cost for the portfolio guard), snapshots
+// the winner into e.next and reports Resolved. A cancelled ctx stops it
+// between heuristics: Rejected with the context error.
+func (e *Engine) resolve(ctx context.Context, in *instance.Instance, seed int64, bar float64) (Outcome, error) {
+	best, err := e.sc.Portfolio(ctx, in, nil, heuristics.Options{Seed: seed}, bar, nil)
+	if best == nil {
+		return Rejected, err
 	}
-	if !in.Platform.Catalog.Homogeneous() {
-		if heuristics.Downgrade(m) != nil {
-			return false
-		}
-	}
-	return m.Validate() == nil
-}
-
-// resolveInto runs the six-way constructive portfolio on the combined
-// instance and snapshots the cheapest feasible result into e.next.
-// Reports false when every heuristic fails.
-func (e *Engine) resolveInto(in *instance.Instance, seed int64) bool {
-	return e.resolveBelow(in, seed, math.Inf(1))
-}
-
-// resolveBelow is resolveInto with a bar: only results strictly cheaper
-// than bar are snapshotted into e.next (the portfolio guard's "beat the
-// repaired answer or leave it installed" comparison). Reports whether
-// any heuristic went below the bar.
-func (e *Engine) resolveBelow(in *instance.Instance, seed int64, bar float64) bool {
-	found := false
-	for _, h := range e.all {
-		res, err := e.sc.Solve(in, h, heuristics.Options{Seed: seed})
-		if err != nil {
-			continue
-		}
-		if res.Cost < bar-mapping.Eps {
-			bar = res.Cost
-			found = true
-			e.snapInto(&e.next, res.Mapping)
-		}
-	}
-	return found
+	e.snapInto(&e.next, best.Mapping)
+	return Resolved, nil
 }
 
 // snapInto captures m as a dense snapshot against the staged

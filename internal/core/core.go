@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bounds"
@@ -62,19 +63,36 @@ func (s *Solver) SolveAll(in *instance.Instance) []Outcome {
 // error wrapping ctx.Err(). Cancellation granularity is one heuristic —
 // in-flight solves run to completion.
 func (s *Solver) SolveAllCtx(ctx context.Context, in *instance.Instance) []Outcome {
-	hs := heuristics.All()
-	out := make([]Outcome, len(hs))
-	done, _ := par.ForEachDone(ctx, s.Workers, len(hs), func(i int) {
-		res, err := heuristics.Solve(in, hs[i], s.Options)
-		out[i] = Outcome{Name: hs[i].Name(), Result: res, Err: err}
-	})
-	for i, h := range hs {
-		if !done[i] {
-			out[i] = Outcome{Name: h.Name(),
-				Err: fmt.Errorf("core: %s skipped: %w", h.Name(), context.Cause(ctx))}
+	out := s.portfolio(ctx, in, math.Inf(-1))
+	for i := range out {
+		if o := &out[i]; o.Result == nil && o.Err == nil {
+			o.Err = fmt.Errorf("core: %s skipped: %w", o.Name, context.Cause(ctx))
 		}
 	}
 	sortOutcomes(out)
+	return out
+}
+
+// portfolio is the parallel fan-out behind SolveAllCtx and BestCtx: it
+// solves every paper heuristic on s.Workers goroutines and returns their
+// outcomes in paper order. Once a feasible result costs at most stopAt,
+// or ctx is cancelled, the heuristics not yet started are skipped and
+// keep a nil Result and Err.
+func (s *Solver) portfolio(ctx context.Context, in *instance.Instance, stopAt float64) []Outcome {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	hs := heuristics.All()
+	out := make([]Outcome, len(hs))
+	for i, h := range hs {
+		out[i].Name = h.Name()
+	}
+	par.ForEach(pctx, s.Workers, len(hs), func(i int) {
+		res, err := heuristics.Solve(in, hs[i], s.Options)
+		out[i].Result, out[i].Err = res, err
+		if err == nil && res.Cost <= stopAt {
+			cancel()
+		}
+	})
 	return out
 }
 
@@ -109,23 +127,9 @@ func (s *Solver) Best(in *instance.Instance) (*heuristics.Result, error) {
 // scheduling (every answer is provably optimal).
 func (s *Solver) BestCtx(ctx context.Context, in *instance.Instance) (*heuristics.Result, error) {
 	lb := bounds.CostLowerBound(in)
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hs := heuristics.All()
-	results := make([]*heuristics.Result, len(hs))
-	par.ForEach(pctx, s.Workers, len(hs), func(i int) {
-		res, err := heuristics.Solve(in, hs[i], s.Options)
-		if err != nil {
-			return
-		}
-		results[i] = res
-		if res.Cost <= lb+1e-9 {
-			cancel()
-		}
-	})
 	var best *heuristics.Result
-	for _, r := range results {
-		if r != nil && (best == nil || r.Cost < best.Cost) {
+	for _, o := range s.portfolio(ctx, in, lb+1e-9) {
+		if r := o.Result; r != nil && (best == nil || r.Cost < best.Cost) {
 			best = r
 		}
 	}

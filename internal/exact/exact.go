@@ -108,7 +108,7 @@ func Solve(in *instance.Instance, lim Limits) (*Result, error) {
 		}
 		if idx == len(order) {
 			mark := m.Checkpoint()
-			if heuristics.SelectServersThreeLoop(m) == nil && m.Validate() == nil {
+			if heuristics.Finish(m) == nil {
 				bestProcs = used
 				bestMapping = m.Clone() // strict improvement: snapshot
 			}

@@ -13,7 +13,10 @@
 //     configuration that still sustains its compute and NIC load.
 //
 // Solve runs the full pipeline and independently validates the result, so
-// a returned Result is always a feasible mapping.
+// a returned Result is always a feasible mapping. Finish is the same
+// pipeline tail (selection, downgrade, validation) for callers that
+// place operators themselves, and SolveContext.Portfolio runs several
+// heuristics and keeps the cheapest result.
 //
 // # Reusable solve scratch
 //

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -186,13 +187,6 @@ type Options struct {
 	Selection     ServerSelectionMode
 	SkipDowngrade bool  // A1 ablation: keep the most expensive configurations
 	Seed          int64 // randomness for Random placement / random selection
-
-	// Journal runs the solve with the mapping's move journal recording
-	// (mapping.SetJournal). Constructive placements never roll back
-	// through it, so this is off by default and exists for overhead
-	// measurement and for callers that refine the returned arena mapping
-	// in place; the solution is identical either way.
-	Journal bool
 }
 
 // Result is a validated solution.
@@ -219,6 +213,11 @@ type SolveContext struct {
 	arena        mapping.Mapping
 	res          Result
 	prand, srand *rand.Rand // placement / selection streams, reseeded per solve
+
+	// Portfolio's winner, copied off the arena before a later heuristic
+	// overwrites it.
+	best    mapping.Mapping
+	bestRes Result
 }
 
 // NewSolveContext returns an empty reusable solve context.
@@ -290,7 +289,7 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 		m = mapping.New(in)
 		r = rng.Derive(opts.Seed, "heuristic:"+h.Name())
 	}
-	m.SetJournal(opts.Journal)
+	m.SetJournal(false)
 	if err := h.Place(&c.place, m, r); err != nil {
 		return nil, fmt.Errorf("%s placement: %w", h.Name(), err)
 	}
@@ -299,36 +298,18 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 	}
 	sellEmpty(m)
 
-	selection := opts.Selection
-	if _, isRandom := h.(Random); isRandom {
+	var sr *rand.Rand // nil selects three-loop
+	if _, isRandom := h.(Random); isRandom || opts.Selection == SelectRandom {
 		// The paper pairs the Random placement with random selection.
-		selection = SelectRandom
-	}
-	var err error
-	switch selection {
-	case SelectRandom:
-		sr := c.srand
+		sr = c.srand
 		if c.reuse {
 			rng.Reseed2(sr, opts.Seed, "selection:", h.Name())
 		} else {
 			sr = rng.Derive(opts.Seed, "selection:"+h.Name())
 		}
-		err = c.sel.Random(m, sr)
-	default:
-		err = c.sel.ThreeLoop(m)
 	}
-	c.sel.release()
-	if err != nil {
-		return nil, fmt.Errorf("%s server selection: %w", h.Name(), err)
-	}
-
-	if !opts.SkipDowngrade && !in.Platform.Catalog.Homogeneous() {
-		if err := Downgrade(m); err != nil {
-			return nil, fmt.Errorf("%s downgrade: %w", h.Name(), err)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("%s produced an invalid mapping: %v", h.Name(), err)
+	if format, err := c.sel.finish(m, sr, opts.SkipDowngrade); err != nil {
+		return nil, fmt.Errorf(format, h.Name(), err)
 	}
 	res := &Result{}
 	if c.reuse {
@@ -341,6 +322,85 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 		Procs:     m.NumAlive(),
 	}
 	return res, nil
+}
+
+// finish is the pipeline tail: server selection on st (random under r,
+// three-loop when r is nil), Downgrade on heterogeneous catalogs unless
+// skipDowngrade, then Validate. A failing stage returns its error with
+// the format Solve reports it in (a validation error is not wrapped).
+func (st *Selector) finish(m *mapping.Mapping, r *rand.Rand, skipDowngrade bool) (string, error) {
+	var err error
+	if r != nil {
+		err = st.Random(m, r)
+	} else {
+		err = st.ThreeLoop(m)
+	}
+	st.release()
+	if err != nil {
+		return "%s server selection: %w", err
+	}
+	if !skipDowngrade && !m.Inst.Platform.Catalog.Homogeneous() {
+		if err := Downgrade(m); err != nil {
+			return "%s downgrade: %w", err
+		}
+	}
+	if err := m.Validate(); err != nil {
+		return "%s produced an invalid mapping: %v", err
+	}
+	return "", nil
+}
+
+// Finish runs the pipeline tail Solve runs after Place — three-loop
+// server selection on a pooled Selector, Downgrade on heterogeneous
+// catalogs, Validate — on a complete placement. The failing stage's
+// error comes back unwrapped, so callers probing many placements (exact's
+// leaves, churn repair) pay no allocation for a failure.
+func Finish(m *mapping.Mapping) error {
+	st := selectorPool.Get().(*Selector)
+	_, err := st.finish(m, nil, false)
+	selectorPool.Put(st)
+	return err
+}
+
+// paperOrder is All's list, shared read-only so Portfolio allocates none.
+var paperOrder = All()
+
+// Portfolio runs hs (nil: the six paper heuristics of All) through Solve
+// in order and returns the winner: the first result strictly cheaper
+// than bar and than every earlier one, so ties go to the earlier
+// heuristic. visit, when non-nil, sees every outcome; its Result is valid
+// only during the call. ctx is checked before each heuristic; a
+// cancellation returns nil and the context error, and nil with a nil
+// error means nothing beat bar. With SetReuse(true) the winner is
+// context-owned until the next Solve or Portfolio: one a later heuristic
+// would overwrite is first copied onto the context's second arena, so a
+// winner from the last heuristic costs no copy.
+func (c *SolveContext) Portfolio(ctx context.Context, in *instance.Instance, hs []Heuristic,
+	opts Options, bar float64, visit func(h Heuristic, res *Result, err error)) (*Result, error) {
+	if hs == nil {
+		hs = paperOrder
+	}
+	var best *Result
+	for i, h := range hs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := c.Solve(in, h, opts)
+		if visit != nil {
+			visit(h, res, err)
+		}
+		if err != nil || !(res.Cost < bar) {
+			continue
+		}
+		bar, best = res.Cost, res
+		if c.reuse && i < len(hs)-1 {
+			c.best.CopyFrom(res.Mapping)
+			c.bestRes = *res
+			c.bestRes.Mapping = &c.best
+			best = &c.bestRes
+		}
+	}
+	return best, nil
 }
 
 // Precheck fails fast on instances no allocation can satisfy: an operator

@@ -1,8 +1,10 @@
 package heuristics
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -410,33 +412,32 @@ func TestOneShotSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestJournaledSolveIdentical pins Options.Journal as pure observation:
-// recording the move journal during a solve must not change the solution
-// in any way.
-func TestJournaledSolveIdentical(t *testing.T) {
-	for _, n := range []int{20, 60} {
-		for seed := int64(0); seed < 3; seed++ {
-			in := instance.Generate(instance.Config{NumOps: n, Alpha: 0.9}, seed)
-			for _, h := range All() {
-				plain, perr := Solve(in, h, Options{Seed: seed})
-				logged, jerr := Solve(in, h, Options{Seed: seed, Journal: true})
-				if (perr == nil) != (jerr == nil) {
-					t.Fatalf("N=%d seed=%d %s: journal flipped feasibility: %v vs %v", n, seed, h.Name(), perr, jerr)
-				}
-				if perr != nil {
-					continue
-				}
-				if plain.Cost != logged.Cost || plain.Procs != logged.Procs {
-					t.Fatalf("N=%d seed=%d %s: journaled solve diverged: cost %v/%v procs %d/%d",
-						n, seed, h.Name(), plain.Cost, logged.Cost, plain.Procs, logged.Procs)
-				}
-				for op := range plain.Mapping.Assign {
-					if plain.Mapping.Assign[op] != logged.Mapping.Assign[op] {
-						t.Fatalf("N=%d seed=%d %s: journaled solve moved operator %d", n, seed, h.Name(), op)
-					}
-				}
-			}
+// TestPortfolioAllocs pins the portfolio's winner arena: a warmed
+// Portfolio over the six paper heuristics allocates no more than the six
+// SolveContext.Solve calls it makes, so keeping the winner (a CopyFrom
+// onto the recycled second arena) is free in steady state.
+func TestPortfolioAllocs(t *testing.T) {
+	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
+	c := NewSolveContext()
+	c.SetReuse(true)
+	ctx := context.Background()
+	best, err := c.Portfolio(ctx, in, nil, Options{Seed: 1}, math.Inf(1), nil)
+	if err != nil || best == nil {
+		t.Fatalf("warm-up portfolio: %v, %v", best, err)
+	}
+	if best.Mapping != &c.best {
+		t.Fatalf("winner %s is the last heuristic; pick an instance that exercises the copy", best.Heuristic)
+	}
+	six := testing.AllocsPerRun(20, func() {
+		for _, h := range All() {
+			c.Solve(in, h, Options{Seed: 1})
 		}
+	})
+	portfolio := testing.AllocsPerRun(20, func() {
+		c.Portfolio(ctx, in, nil, Options{Seed: 1}, math.Inf(1), nil)
+	})
+	if portfolio > six {
+		t.Fatalf("Portfolio allocates %.1f allocs/op, its six solves %.1f", portfolio, six)
 	}
 }
 

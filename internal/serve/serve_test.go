@@ -394,12 +394,15 @@ func TestStatszCounters(t *testing.T) {
 	if st.Latency.Count != 1 || st.Latency.P50MS <= 0 {
 		t.Fatalf("statsz latency: %+v", st.Latency)
 	}
-	var jobs, reuses int64
+	var jobs, solves, reuses int64
 	for _, w := range st.PerWorker {
 		jobs += w.Jobs
+		solves += w.Solves
 		reuses += w.ArenaReuses
 	}
-	if jobs != 1 || reuses < 1 {
+	// A feasible portfolio request solves each of the six heuristics
+	// once; the winner is kept, not solved again.
+	if jobs != 1 || solves != 6 || reuses < 1 {
 		t.Fatalf("statsz per-worker: %+v", st.PerWorker)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 
@@ -70,7 +71,6 @@ type solveRequest struct {
 	inst      *instance.Instance // inline instance, nil when ref-derived
 	ref       *CorpusRef
 	hs        []heuristics.Heuristic
-	portfolio bool // true when the full portfolio was requested
 	Seed      int64
 	TimeoutMS int64
 }
@@ -221,7 +221,6 @@ func parseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
 		inst:      wire.Instance,
 		ref:       wire.Ref,
 		hs:        hs,
-		portfolio: len(hs) > 1,
 		Seed:      wire.Seed,
 		TimeoutMS: wire.TimeoutMS,
 	}, nil
@@ -269,12 +268,16 @@ func newEnv() *env {
 }
 
 // warm exercises every arena once on a small pinned instance so the
-// first real request pays no cold-buffer growth: a generate, a full
-// solve and a short simulation.
+// first real request pays no cold-buffer growth: a generate, a
+// portfolio and a short simulation. The portfolio solves one heuristic
+// twice; the second run only ties the first, so the winner is copied
+// onto the solve context's best arena and that arena is warmed too.
 func (e *env) warm() {
 	in := e.gen.Generate(instance.Config{NumOps: 8, Alpha: 0.9}, 1)
-	res, err := e.sc.Solve(in, heuristics.SubtreeBottomUp{}, heuristics.Options{})
-	if err == nil {
+	h := heuristics.SubtreeBottomUp{}
+	res, _ := e.sc.Portfolio(context.Background(), in, []heuristics.Heuristic{h, h},
+		heuristics.Options{}, math.Inf(1), nil)
+	if res != nil {
 		e.runner.Simulate(res.Mapping, stream.Options{Results: 30})
 	}
 	e.warmed = true
@@ -335,19 +338,9 @@ func (e *env) instanceFor(ref *CorpusRef, inline *instance.Instance) *instance.I
 	return e.gen.Generate(instance.Config{NumOps: ref.N, Alpha: ref.Alpha}, ref.Seed)
 }
 
-// solveOnce runs one heuristic on the worker's arena, counting stats.
-func (e *env) solveOnce(ws *workerStats, in *instance.Instance, h heuristics.Heuristic, seed int64) (*heuristics.Result, error) {
-	ws.solves.Add(1)
-	if e.warmed {
-		ws.arenaReuses.Add(1)
-	}
-	return e.sc.Solve(in, h, heuristics.Options{Seed: seed})
-}
-
-// runSolve executes the portfolio serially on this worker's arena: one
-// pass over the requested heuristics for the breakdown, then a re-solve
-// of the winner to materialize its mapping for rendering (the arena
-// holds only the latest solution). Ties break in the paper's fixed
+// runSolve executes the requested heuristics serially on this worker's
+// arena through SolveContext.Portfolio, which keeps the winner on the
+// context's second arena for rendering. Ties break in the paper's fixed
 // heuristic order, so the response never depends on scheduling.
 func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) jobResult {
 	in := e.instanceFor(req.ref, req.inst)
@@ -355,35 +348,24 @@ func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) 
 		LowerBound: bounds.CostLowerBound(in),
 		Outcomes:   make([]OutcomeJSON, 0, len(req.hs)),
 	}
-	bestIdx, bestCost := -1, 0.0
-	var bestRes *heuristics.Result
-	for i, h := range req.hs {
-		if ctx.Err() != nil {
-			return errorResult(http.StatusGatewayTimeout, "deadline exceeded mid-portfolio")
-		}
-		res, err := e.solveOnce(ws, in, h, req.Seed)
-		if err != nil {
-			resp.Outcomes = append(resp.Outcomes, OutcomeJSON{Heuristic: h.Name(), Error: err.Error()})
-			continue
-		}
-		resp.Outcomes = append(resp.Outcomes, OutcomeJSON{
-			Heuristic: h.Name(), Cost: res.Cost, Procs: res.Procs,
-		})
-		if bestIdx < 0 || res.Cost < bestCost {
-			bestIdx, bestCost, bestRes = i, res.Cost, res
-		}
-	}
-	if bestIdx >= 0 {
-		if req.portfolio {
-			// The arena was overwritten by later heuristics; re-solving the
-			// winner is deterministic and allocation-free.
-			var err error
-			bestRes, err = e.solveOnce(ws, in, req.hs[bestIdx], req.Seed)
-			if err != nil {
-				return errorResult(http.StatusInternalServerError,
-					fmt.Sprintf("re-solving winner %s: %v", req.hs[bestIdx].Name(), err))
+	bestRes, err := e.sc.Portfolio(ctx, in, req.hs, heuristics.Options{Seed: req.Seed}, math.Inf(1),
+		func(h heuristics.Heuristic, res *heuristics.Result, err error) {
+			ws.solves.Add(1)
+			if e.warmed {
+				ws.arenaReuses.Add(1)
 			}
-		}
+			o := OutcomeJSON{Heuristic: h.Name()}
+			if err != nil {
+				o.Error = err.Error()
+			} else {
+				o.Cost, o.Procs = res.Cost, res.Procs
+			}
+			resp.Outcomes = append(resp.Outcomes, o)
+		})
+	if err != nil {
+		return errorResult(http.StatusGatewayTimeout, "deadline exceeded mid-portfolio")
+	}
+	if bestRes != nil {
 		resp.Feasible = true
 		resp.Best = &BestJSON{
 			Heuristic: bestRes.Heuristic,

@@ -56,14 +56,6 @@ func SweepFigureCtx(ctx context.Context, id string, cfg SweepConfig) (*SweepResu
 	return experiments.BuildFigure(ctx, id, cfg)
 }
 
-// SweepFigure is SweepFigureCtx without cancellation.
-//
-// Deprecated: use SweepFigureCtx, which threads a context.Context
-// through the sweep.
-func SweepFigure(id string, cfg SweepConfig) (*SweepResult, error) {
-	return SweepFigureCtx(context.Background(), id, cfg)
-}
-
 // FigureIDs lists the reproducible paper-figure ids.
 func FigureIDs() []string { return experiments.FigureIDs() }
 

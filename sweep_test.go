@@ -165,14 +165,14 @@ func TestSweepFigure(t *testing.T) {
 	if len(ids) < 8 {
 		t.Fatalf("FigureIDs = %v, want the 8 paper figures", ids)
 	}
-	fig, err := streamalloc.SweepFigure("fig2a", streamalloc.SweepConfig{Seeds: 2, BaseSeed: 1})
+	fig, err := streamalloc.SweepFigureCtx(context.Background(), "fig2a", streamalloc.SweepConfig{Seeds: 2, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) != 7 || fig.Dat() == "" {
 		t.Fatalf("fig2a has %d series", len(fig.Series))
 	}
-	if _, err := streamalloc.SweepFigure("fig9z", streamalloc.SweepConfig{}); err == nil {
+	if _, err := streamalloc.SweepFigureCtx(context.Background(), "fig9z", streamalloc.SweepConfig{}); err == nil {
 		t.Fatal("unknown figure id accepted")
 	}
 }
