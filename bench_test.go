@@ -227,44 +227,6 @@ func BenchmarkCompGreedyN60(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamEngineN20(b *testing.B) {
-	in := instance.Generate(instance.Config{NumOps: 20, Alpha: 1.1}, 1)
-	res, err := heuristics.Solve(in, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stream.Simulate(res.Mapping, stream.Options{Results: 60}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamEngineReusedN20 is BenchmarkStreamEngineN20 through an
-// explicitly held SimRunner: the steady-state zero-allocation path. The
-// allocs/op column should read 0 (the pooled package-level Simulate above
-// pays only the one *Report copy).
-func BenchmarkStreamEngineReusedN20(b *testing.B) {
-	in := instance.Generate(instance.Config{NumOps: 20, Alpha: 1.1}, 1)
-	res, err := heuristics.Solve(in, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := stream.NewRunner()
-	if _, err := r.Simulate(res.Mapping, stream.Options{Results: 60}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Simulate(res.Mapping, stream.Options{Results: 60}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkInstanceGenerationN140(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -322,6 +322,39 @@ func run(seeds, itersScale int) (*Report, error) {
 		}))
 	}
 
+	// Simulate on a transfer-heavy cell: Object-Availability at N=60
+	// spreads every corpus seed over 13-16 processors with 37-41
+	// operator outputs crossing a link, so the max-min bandwidth path
+	// runs on most events (the subtree entries above collapse onto one
+	// processor and never transfer).
+	{
+		var maps []*heuristics.Result
+		for _, it := range cellItems(corpus, 60, 0.9) {
+			res, err := heuristics.Solve(it.Inst, heuristics.ObjectAvailability{}, heuristics.Options{Seed: it.Seed})
+			if err != nil {
+				continue
+			}
+			maps = append(maps, res)
+		}
+		if len(maps) > 0 {
+			r := stream.NewRunner()
+			for _, res := range maps { // grow the engine to the largest mapping
+				if _, err := r.Simulate(res.Mapping, stream.Options{Results: 60}); err != nil {
+					return nil, err
+				}
+			}
+			i := 0
+			name := "simulate/object-availability/N=60,alpha=0.9"
+			add(measure(name, 10*itersScale, true, func() {
+				res := maps[i%len(maps)]
+				i++
+				if _, err := r.Simulate(res.Mapping, stream.Options{Results: 60}); err != nil {
+					panic(fmt.Sprintf("%s: %v", name, err))
+				}
+			}))
+		}
+	}
+
 	// Sweep: one figure-sized experiment, serial (alloc-gated now that
 	// the Grid engine's caller-owned mapping arena keeps the path
 	// allocation-light) and at four workers (throughput trend; goroutine

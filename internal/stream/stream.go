@@ -17,11 +17,18 @@
 // bottleneck stage rate); integration tests assert this on every
 // heuristic's output.
 //
+// The engine needs no event queue: at most one compute and one transfer
+// per operator are in flight, so each job in a fixed (kind, op) table
+// carries its own completion time, and every event is one pass over that
+// table — settle progress, set the new rate, compute the completion time
+// and track the earliest one (ties to the lowest slot). Max-min sharing
+// is recomputed only when the set of active transfers changes.
+//
 // The engine is built for sweep workloads (thousands of simulations per
 // experiment): a Runner owns every piece of run-time state — job table,
-// event pool, flow-network scratch — and rebinds it to each mapping with
-// grow-only buffers, so repeated Simulate calls on one goroutine perform
-// zero steady-state allocations. The package-level Simulate draws Runners
+// flow-network scratch — and rebinds it to each mapping with grow-only
+// buffers, so repeated Simulate calls on one goroutine perform zero
+// steady-state allocations. The package-level Simulate draws Runners
 // from a sync.Pool; hot loops can hold a Runner directly.
 package stream
 
@@ -32,7 +39,6 @@ import (
 	"sync"
 
 	"repro/internal/apptree"
-	"repro/internal/desim"
 	"repro/internal/flow"
 	"repro/internal/mapping"
 	"repro/internal/par"
@@ -192,7 +198,7 @@ type job struct {
 	remaining float64 // work-units or MB
 	rate      float64
 	updated   float64 // sim time of the last remaining-update
-	event     *desim.Event
+	due       float64 // completion time under the current rate
 	active    bool
 }
 
@@ -201,8 +207,11 @@ type job struct {
 // without reallocating.
 type engine struct {
 	m   *mapping.Mapping
-	sim desim.Sim
 	opt Options
+
+	now    float64 // virtual time of the last completion
+	events int64   // completions processed
+	next   int     // active job slot with the earliest due, -1 when none
 
 	// static structure, rebuilt per run
 	procOf   []int // operator -> processor
@@ -220,8 +229,6 @@ type engine struct {
 
 	// job table: [0, n) compute jobs, [n, 2n) transfer jobs.
 	jobs []job
-	fire []func() // cached completion closures, one per job slot
-	self *engine  // identity check: fire closures bind to this address
 
 	// dynamic per-operator state
 	nextCompute []int  // next result index the operator will compute
@@ -233,20 +240,21 @@ type engine struct {
 	completions []float64
 	err         error
 
-	alloc     flow.Allocator
-	flows     []flow.Flow
-	transfers []int // operators with an active transfer, ascending
-	cpuActive []int // per processor: active compute jobs
+	alloc      flow.Allocator
+	flows      []flow.Flow
+	transfers  []int     // operators with an active transfer at the last MaxMin, ascending
+	share      []float64 // operator -> max-min rate of its active transfer
+	flowsStale bool      // the active transfer set changed since the last MaxMin
+	cpuActive  []int     // per processor: active compute jobs
 }
 
 // Runner owns a reusable simulation engine. The zero value is ready to
-// use; a Runner must not be used concurrently (copying one is safe — the
-// next Simulate call re-anchors the engine's internal closures — but the
-// copies must still run one at a time). Each Simulate call rebinds
-// the engine to the given mapping (so mutating a mapping between calls is
-// safe) while reusing all internal buffers, giving zero steady-state
-// allocations on repeated calls. The Runner keeps references to the most
-// recently simulated mapping until the next call.
+// use; a Runner must not be used concurrently, and copies of one share
+// its buffers, so they must run one at a time too. Each Simulate call
+// rebinds the engine to the given mapping (so mutating a mapping between
+// calls is safe) while reusing all internal buffers, giving zero
+// steady-state allocations on repeated calls. The Runner keeps
+// references to the most recently simulated mapping until the next call.
 type Runner struct {
 	e engine
 }
@@ -311,12 +319,14 @@ func (r *Runner) Simulate(m *mapping.Mapping, opt Options) (Report, error) {
 	e.reflow()
 
 	for e.err == nil && len(e.completions) < opt.Results {
-		if e.sim.Processed() >= opt.MaxEvents {
+		if e.events >= opt.MaxEvents {
 			return Report{}, fmt.Errorf("stream: event budget exhausted after %d results", len(e.completions))
 		}
-		if !e.sim.Step() {
+		if e.next < 0 {
 			return Report{}, fmt.Errorf("stream: deadlock after %d results", len(e.completions))
 		}
+		e.events++
+		e.finish(e.next)
 	}
 	if e.err != nil {
 		return Report{}, e.err
@@ -331,22 +341,30 @@ func (r *Runner) Simulate(m *mapping.Mapping, opt Options) (Report, error) {
 		Throughput: measured,
 		Analytic:   AnalyticMaxThroughput(m),
 		Completed:  len(e.completions),
-		SimTime:    e.sim.Now(),
-		Events:     e.sim.Processed(),
+		SimTime:    e.now,
+		Events:     e.events,
 	}, nil
 }
 
 // bind points the engine at a mapping and resets all dynamic state. Every
-// buffer is grow-only, so rebinding is allocation-free once warmed.
+// buffer is grow-only, so rebinding is allocation-free once warmed. Work
+// and sizes must be finite and non-negative: completion times are derived
+// from them, and a NaN or infinite one has no place on the clock.
 func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	in := m.Inst
 	cat := in.Platform.Catalog
 	n := in.Tree.NumOps()
 	np := len(m.Procs)
+	for op := 0; op < n; op++ {
+		if w, d := in.W[op], in.Delta[op]; !(w >= 0 && w <= math.MaxFloat64 && d >= 0 && d <= math.MaxFloat64) {
+			return fmt.Errorf("stream: operator %d has work %v and size %v; both must be finite and non-negative", op, w, d)
+		}
+	}
 	e.m = m
 	e.opt = opt
 	e.err = nil
-	e.sim.Reset()
+	e.now, e.events, e.next = 0, 0, -1
+	e.flowsStale = false
 
 	e.procOf = xslice.Grow(e.procOf, n)
 	e.parentOf = xslice.Grow(e.parentOf, n)
@@ -357,6 +375,7 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	e.sendBusy = xslice.Grow(e.sendBusy, n)
 	e.sendQueue = xslice.Grow(e.sendQueue, n)
 	e.transRes = xslice.Grow(e.transRes, n)
+	e.share = xslice.Grow(e.share, n)
 	for op := 0; op < n; op++ {
 		e.procOf[op] = m.OpProc(op)
 		e.parentOf[op] = in.Tree.Ops[op].Parent
@@ -375,6 +394,7 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	e.caps = e.caps[:0]
 	for p := 0; p < np; p++ {
 		e.nicRes[p] = -1
+		e.cpuActive[p] = 0
 		if !m.Procs[p].Alive {
 			continue
 		}
@@ -411,28 +431,6 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	e.jobs = xslice.Grow(e.jobs, 2*n)
 	for i := range e.jobs {
 		e.jobs[i] = job{}
-	}
-	// The cached fire closures capture the engine's address; if the Runner
-	// was copied or moved, rebuild them so they drive this engine and not
-	// the original.
-	if e.self != e {
-		e.self = e
-		for i := range e.fire {
-			e.fire[i] = nil
-		}
-	}
-	if cap(e.fire) < 2*n {
-		fire := make([]func(), 2*n, 2*n+n)
-		copy(fire, e.fire)
-		e.fire = fire
-	} else {
-		e.fire = e.fire[:2*n]
-	}
-	for i := range e.fire {
-		if e.fire[i] == nil {
-			idx := i
-			e.fire[i] = func() { e.finish(idx) }
-		}
 	}
 
 	if cap(e.completions) < opt.Results {
@@ -475,10 +473,11 @@ func (e *engine) tryStartCompute(op int) {
 		return
 	}
 	e.computing[op] = true
+	e.cpuActive[e.procOf[op]]++
 	e.jobs[op] = job{
 		result:    e.nextCompute[op],
 		remaining: e.m.Inst.W[op],
-		updated:   e.sim.Now(),
+		updated:   e.now,
 		active:    true,
 	}
 }
@@ -489,7 +488,7 @@ func (e *engine) computeDone(op, t int) {
 	e.nextCompute[op] = t + 1
 	par := e.parentOf[op]
 	if par == apptree.NoParent {
-		e.completions = append(e.completions, e.sim.Now())
+		e.completions = append(e.completions, e.now)
 	} else if e.procOf[par] == e.procOf[op] {
 		e.recv[op] = t + 1
 		e.tryStartCompute(par)
@@ -518,9 +517,10 @@ func (e *engine) tryStartTransfer(op int) {
 	e.jobs[n+op] = job{
 		result:    t,
 		remaining: e.m.Inst.Delta[op],
-		updated:   e.sim.Now(),
+		updated:   e.now,
 		active:    true,
 	}
+	e.flowsStale = true
 }
 
 func (e *engine) transferDone(op, t int) {
@@ -532,15 +532,40 @@ func (e *engine) transferDone(op, t int) {
 	e.tryStartCompute(op)
 }
 
-// reflow recomputes every active job's progress and rate and reschedules
-// completion events. Called after any state change. Jobs are visited in
-// table order — computes by ascending operator, then transfers — which is
-// exactly the (kind, op) order the float accumulation and the event
-// tie-breaking were defined with.
+// reflow settles every active job's progress under its old rate, sets
+// its new rate and completion time, and picks the next job to finish.
+// Called after any state change. Jobs are visited in table order —
+// computes by ascending operator, then transfers — which is exactly the
+// (kind, op) order the float accumulation and the tie-breaking (the
+// earliest due wins, then the lowest slot) were defined with.
 func (e *engine) reflow() {
-	now := e.sim.Now()
 	n := len(e.nextCompute)
-	// Settle progress under the old rates.
+	// Transfer rates: max-min over the precomputed NIC and link
+	// resources, a pure function of the active transfer set.
+	if e.flowsStale {
+		e.flowsStale = false
+		e.transfers = e.transfers[:0]
+		e.flows = e.flows[:0]
+		for op := 0; op < n; op++ {
+			if e.jobs[n+op].active {
+				e.transfers = append(e.transfers, op)
+				e.flows = append(e.flows, flow.Flow{Resources: e.transRes[op][:]})
+			}
+		}
+		if len(e.flows) > 0 {
+			rates, err := e.alloc.MaxMin(e.caps, e.flows)
+			if err != nil {
+				e.err = fmt.Errorf("stream: %v", err)
+				return
+			}
+			for i, op := range e.transfers {
+				e.share[op] = rates[i]
+			}
+		}
+	}
+
+	now := e.now
+	e.next = -1
 	for i := range e.jobs {
 		j := &e.jobs[i]
 		if !j.active {
@@ -553,68 +578,43 @@ func (e *engine) reflow() {
 			}
 		}
 		j.updated = now
-		if j.event != nil {
-			e.sim.Cancel(j.event)
-			j.event = nil
-		}
-	}
-
-	// CPU rates: processor sharing per processor.
-	for p := range e.cpuActive {
-		e.cpuActive[p] = 0
-	}
-	for op := 0; op < n; op++ {
-		if e.jobs[op].active {
-			e.cpuActive[e.procOf[op]]++
-		}
-	}
-	// Transfer rates: max-min over the precomputed NIC and link resources.
-	e.transfers = e.transfers[:0]
-	e.flows = e.flows[:0]
-	for op := 0; op < n; op++ {
-		if e.jobs[n+op].active {
-			e.transfers = append(e.transfers, op)
-			e.flows = append(e.flows, flow.Flow{Resources: e.transRes[op][:]})
-		}
-	}
-	if len(e.flows) > 0 {
-		rates, err := e.alloc.MaxMin(e.caps, e.flows)
-		if err != nil {
-			e.err = fmt.Errorf("stream: %v", err)
-			return
-		}
-		for i, op := range e.transfers {
-			e.jobs[n+op].rate = rates[i]
-		}
-	}
-
-	for i := range e.jobs {
-		j := &e.jobs[i]
-		if !j.active {
-			continue
-		}
 		if i < n {
+			// CPU rates: processor sharing per processor.
 			p := e.procOf[i]
 			j.rate = e.speed[p] / float64(e.cpuActive[p])
+		} else {
+			j.rate = e.share[i-n]
 		}
 		if j.rate <= 0 {
 			e.err = fmt.Errorf("stream: job stalled at zero rate (op %d)", i%n)
 			return
 		}
-		j.event = e.sim.After(j.remaining/j.rate, e.fire[i])
+		j.due = now + j.remaining/j.rate
+		if j.due > math.MaxFloat64 {
+			e.err = fmt.Errorf("stream: op %d completion time overflows at %v", i%n, now)
+			return
+		}
+		if e.next < 0 || j.due < e.jobs[e.next].due {
+			e.next = i
+		}
 	}
 }
 
-// finish retires job slot idx and advances the pipeline.
+// finish advances the clock to job slot idx's completion, retires the
+// job and advances the pipeline.
 func (e *engine) finish(idx int) {
 	n := len(e.nextCompute)
 	j := &e.jobs[idx]
+	e.now = j.due
 	j.active = false
-	j.event = nil
 	if idx < n {
+		e.cpuActive[e.procOf[idx]]--
 		e.computeDone(idx, j.result)
 	} else {
 		e.transferDone(idx-n, j.result)
+		// transferDone starts no transfer but this edge's next one, so
+		// the active set changed exactly when that did not happen.
+		e.flowsStale = !j.active
 	}
 	e.reflow()
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apptree"
@@ -77,11 +78,9 @@ func TestSingleProcessorThroughput(t *testing.T) {
 	}
 }
 
-func TestTransferBottleneck(t *testing.T) {
-	// n3 alone on a second processor: the crossing edge carries delta=50 MB
-	// per result over a 1000 MB/s link, one transfer at a time, capping
-	// throughput at 20 results/s.
-	in := paperInstance()
+// twoProcPlacement puts n3 alone on a second processor, so operator 2's
+// output crosses a link on every result.
+func twoProcPlacement(in *instance.Instance) *mapping.Mapping {
 	m := mapping.New(in)
 	p := m.Buy(in.Platform.Catalog.MostExpensive())
 	q := m.Buy(in.Platform.Catalog.MostExpensive())
@@ -94,6 +93,14 @@ func TestTransferBottleneck(t *testing.T) {
 			m.SelectServer(pp, k, in.Holders[k][0])
 		}
 	}
+	return m
+}
+
+func TestTransferBottleneck(t *testing.T) {
+	// n3 alone on a second processor: the crossing edge carries delta=50 MB
+	// per result over a 1000 MB/s link, one transfer at a time, capping
+	// throughput at 20 results/s.
+	m := twoProcPlacement(paperInstance())
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +281,9 @@ func TestRunnerMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestCopiedRunnerReanchors checks a copied Runner drives its own engine:
-// the cached completion closures re-anchor on the next bind instead of
-// firing into the original engine.
+// TestCopiedRunnerReanchors checks a copied Runner, which shares the
+// original's buffers, rebinds them on its next call and reproduces the
+// original's report exactly.
 func TestCopiedRunnerReanchors(t *testing.T) {
 	in := paperInstance()
 	m := onePlacement(in)
@@ -335,5 +342,78 @@ func TestThroughputScalesWithSpeed(t *testing.T) {
 	want := 11.72 / 46.88
 	if math.Abs(ratio-want)/want > 0.05 {
 		t.Fatalf("speed scaling ratio = %v, want ~%v", ratio, want)
+	}
+}
+
+// TestNonFiniteWorkOrSize pins the engine's input contract: an infinite,
+// NaN or negative operator work or output size, or a completion time
+// that overflows, is an error from Simulate and from every
+// SimulateBatch slot — never a panic, which inside the batch's
+// goroutines would kill the process — while a huge finite value still
+// simulates to its pinned report.
+func TestNonFiniteWorkOrSize(t *testing.T) {
+	cases := []struct {
+		name   string
+		place  func(*instance.Instance) *mapping.Mapping
+		mutate func(*instance.Instance)
+		want   *Report // nil: an error containing errSub is expected
+		errSub string
+	}{
+		{"W=+Inf", onePlacement, func(in *instance.Instance) { in.W[1] = math.Inf(1) }, nil, "must be finite and non-negative"},
+		{"W=NaN", onePlacement, func(in *instance.Instance) { in.W[1] = math.NaN() }, nil, "must be finite and non-negative"},
+		{"W=-1", onePlacement, func(in *instance.Instance) { in.W[1] = -1 }, nil, "must be finite and non-negative"},
+		{"Delta=+Inf", twoProcPlacement, func(in *instance.Instance) { in.Delta[2] = math.Inf(1) }, nil, "must be finite and non-negative"},
+		{"Delta=NaN", twoProcPlacement, func(in *instance.Instance) { in.Delta[2] = math.NaN() }, nil, "must be finite and non-negative"},
+		{"W=1e308 on a 1e-9 GHz CPU", onePlacement, func(in *instance.Instance) {
+			in.W[1] = 1e308 // finite, but 1e308 work units at this speed overflow the clock
+			cpus := in.Platform.Catalog.CPUs
+			cpus[len(cpus)-1].SpeedGHz = 1e-9
+		}, nil, "completion time overflows"},
+		{"W=1e308", onePlacement, func(in *instance.Instance) { in.W[1] = 1e308 }, &Report{
+			Throughput: math.Float64frombits(0x011edcdc7ff93404),
+			Analytic:   math.Float64frombits(0x011edcdc7ff93404),
+			Completed:  30,
+			SimTime:    math.Float64frombits(0x7f0f1b000a58bdd1),
+			Events:     165,
+		}, ""},
+		{"Delta=1e308", twoProcPlacement, func(in *instance.Instance) { in.Delta[2] = 1e308 }, &Report{
+			Throughput: math.Float64frombits(0x009c16c5c5253570),
+			Analytic:   math.Float64frombits(0x009c16c5c5253575),
+			Completed:  30,
+			SimTime:    math.Float64frombits(0x7f9116ac579aac20),
+			Events:     224,
+		}, ""},
+	}
+	opt := Options{Results: 30}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := paperInstance()
+			m := c.place(in)
+			c.mutate(in)
+			rep, err := Simulate(m, opt)
+			reps, errs := SimulateBatch(context.Background(), []*mapping.Mapping{m, m}, opt, 2)
+			if c.want == nil {
+				if err == nil || !strings.Contains(err.Error(), c.errSub) {
+					t.Fatalf("Simulate: %v, want an error containing %q", err, c.errSub)
+				}
+				for i := range errs {
+					if errs[i] == nil || !strings.Contains(errs[i].Error(), c.errSub) {
+						t.Fatalf("SimulateBatch slot %d: %v, want an error containing %q", i, errs[i], c.errSub)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *rep != *c.want {
+				t.Fatalf("report %+v, want %+v", *rep, *c.want)
+			}
+			for i := range errs {
+				if errs[i] != nil || *reps[i] != *c.want {
+					t.Fatalf("SimulateBatch slot %d: %v, %v", i, reps[i], errs[i])
+				}
+			}
+		})
 	}
 }
