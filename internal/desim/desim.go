@@ -1,6 +1,7 @@
 // Package desim is a minimal discrete-event simulation kernel: a virtual
-// clock and a priority queue of cancellable events. The stream engine
-// builds its fluid-flow execution model on top of it.
+// clock and a priority queue of cancellable events. Nothing in the module
+// imports it: the stream engine keeps one completion time per job in its
+// own table instead of an event queue.
 //
 // The simulator recycles Event objects through an internal free list, so
 // steady-state Schedule/Cancel/Step cycles perform zero allocations. The
