@@ -1,6 +1,7 @@
 # CI and humans invoke identical commands: .github/workflows/ci.yml runs
-# `make lint build test race bench sweep-smoke serve-smoke coord-smoke
-# refine-smoke churn-smoke docs-check e2ebench-check` in the main job, `make staticcheck vuln` for the deeper
+# `make lint build test race bench fuzz-smoke sweep-smoke serve-smoke
+# coord-smoke refine-smoke churn-smoke docs-check e2ebench-check` in the
+# main job, `make staticcheck vuln` for the deeper
 # static and vulnerability scans, and `make bench-json bench-compare`
 # in the bench-compare job — and nothing else.
 
@@ -9,7 +10,7 @@ GO ?= go
 # Steadier perf numbers: every bench entry runs 3x its base iterations.
 BENCH_ITERS_SCALE ?= 3
 
-.PHONY: build test race bench bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
+.PHONY: build test race bench fuzz-smoke bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -24,6 +25,15 @@ race:
 # real measurements (the Serial/Parallel pairs report the pool speedup).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Ten seconds of coverage-guided fuzzing per target: the solve/verify
+# request decoders (untrusted HTTP bodies, inline instances included)
+# and the two journals' rollback and decode paths. A failing input is
+# written under the package's testdata/fuzz for replay by `make test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord
 
 # The JSON perf harness over the canonical pinned-seed corpus; see
 # README "Performance" for the schema and the regression-gating rules.
@@ -146,4 +156,4 @@ staticcheck:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: lint build test race bench sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
+ci: lint build test race bench fuzz-smoke sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check

@@ -1,5 +1,5 @@
 // Command bench is the repository's perf harness: it times the solve,
-// sweep, simulate and serve (allocation-daemon request) hot paths over
+// validate, sweep, simulate and serve (allocation-daemon request) hot paths over
 // a canonical pinned-seed instance corpus (core.CanonicalCorpus: N in {20, 60, 140, 300, 600} x alpha in
 // {0.9, 1.7}) and emits a machine-readable JSON report — the artifact CI compares
 // against the committed BENCH_baseline.json to gate perf regressions.
@@ -50,6 +50,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
 	"repro/internal/instance"
+	"repro/internal/mapping"
 	"repro/internal/multiapp"
 	"repro/internal/platform"
 	"repro/internal/refine"
@@ -245,6 +246,36 @@ func run(seeds, itersScale int) (*Report, error) {
 				// large trees stress exactly that); the attempt is what is
 				// timed. Anything else is a harness bug.
 				if _, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed}); err != nil && !core.IsInfeasible(err) {
+					panic(fmt.Sprintf("%s: %v", name, err))
+				}
+			}))
+		}
+	}
+
+	// Validate: the constraint (1)-(5) and incremental-invariant check
+	// every production solve ends with, alone, on the finished
+	// Subtree-bottom-up mappings of the largest feasible cell (rotating
+	// seeds). Each mapping is validated once beforehand so its scratch is
+	// sized and allocs/op is the steady state.
+	{
+		var maps []*mapping.Mapping
+		for _, it := range cellItems(corpus, 600, 0.9) {
+			if res, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed}); err == nil {
+				maps = append(maps, res.Mapping)
+			}
+		}
+		name := "validate/subtree/N=600,alpha=0.9"
+		for _, m := range maps {
+			if err := m.Validate(); err != nil {
+				return nil, fmt.Errorf("%s: %v", name, err)
+			}
+		}
+		if len(maps) > 0 {
+			i := 0
+			add(measure(name, 100*itersScale, true, func() {
+				m := maps[i%len(maps)]
+				i++
+				if err := m.Validate(); err != nil {
 					panic(fmt.Sprintf("%s: %v", name, err))
 				}
 			}))

@@ -270,7 +270,11 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler and recomputes derived fields.
+// UnmarshalJSON implements json.Unmarshaler and recomputes derived fields
+// once the tree is structurally valid and every leaf names a sized object
+// type. Decoded input is untrusted, and deriving a malformed tree indexes
+// out of range or never terminates; such an instance is not derived, and
+// Validate reports its tree or leaf error.
 func (in *Instance) UnmarshalJSON(data []byte) error {
 	var aux instanceJSON
 	if err := json.Unmarshal(data, &aux); err != nil {
@@ -284,8 +288,18 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 	in.Platform = aux.Platform
 	in.Rho = aux.Rho
 	in.Alpha = aux.Alpha
-	if in.Tree != nil && len(in.Sizes) > 0 {
+	if in.Tree != nil && len(in.Sizes) > 0 && in.Tree.Validate() == nil && in.leavesSized() {
 		in.Refresh()
 	}
 	return nil
+}
+
+// leavesSized reports whether every leaf's object type indexes Sizes.
+func (in *Instance) leavesSized() bool {
+	for _, l := range in.Tree.Leaves {
+		if l.Object >= len(in.Sizes) {
+			return false
+		}
+	}
+	return true
 }

@@ -30,8 +30,8 @@
 // leaf refcount bumps. Every load query (ComputeLoad, DownloadLoad,
 // CommLoad, NICLoad, LinkTraffic, NeededObjects) then folds over this
 // per-processor state in O(|ops on p|) instead of O(N), and ProcFeasible
-// checks all (5)-links touching p in one pass over opsOn[p] instead of an
-// O(P·N) all-pairs scan.
+// sums p's communication load and checks all (5)-links touching p in one
+// pass over opsOn[p] instead of an O(P·N) all-pairs scan.
 //
 // The queries are deliberately NOT running float accumulators: they
 // re-fold the per-processor lists on every call, in exactly the ascending
@@ -47,11 +47,12 @@
 //
 // Validate doubles as the invariant checker for this contract: besides
 // re-checking constraints (1)-(5) and the download tables from scratch,
-// it re-derives opsOn/objRef from the Assign vector and re-sums every
-// per-processor load with the historical full-walk implementations,
-// failing on ANY divergence from the incremental state (load agreement is
-// exact — stronger than the Eps capacity tolerance — because the
-// summation orders match by construction).
+// it re-derives opsOn/objRef and every per-processor load from the
+// Assign vector in one ascending pass, O(N + P·K), failing on ANY
+// divergence from the incremental state (load agreement is exact —
+// stronger than the Eps capacity tolerance — because each processor's
+// fresh sum sees its operators in the same ascending order as the cached
+// queries).
 //
 // Assign and DL remain exported for cheap read access (the server
 // selector iterates Assign directly); mutate assignments only through

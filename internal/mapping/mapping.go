@@ -55,28 +55,41 @@ type Mapping struct {
 // all-false/empty between calls and methods can nest (TryPlace ->
 // ProcFeasible) as long as they use disjoint fields.
 type scratch struct {
-	objSeen  []bool    // per object type: dedup for Validate's fresh download sums
+	objSeen  []bool    // per object type: dedup in StaticNICReq
 	opSeen   []bool    // per operator: group membership in StaticNICReq
 	procSeen []bool    // per processor: dedup of affected procs in TryPlace
 	affected []int     // TryPlace: procs to re-check
 	prev     []int     // TryPlace: rollback assignments
 	ops      []int     // MoveAll: operator gather buffer
 	linkOn   []bool    // ProcFeasible: per processor, link accumulator active
-	linkAmt  []float64 // ProcFeasible: accumulated link traffic per processor
+	linkAmt  []float64 // ProcFeasible: link traffic per processor; CheckInvariants: fresh loads; Validate: server loads
 	linkTo   []int     // ProcFeasible: processors with accumulated traffic
-	refCnt   []int32   // Validate: fresh per-object leaf recount
+	refCnt   []int32   // CheckInvariants: fresh P×K leaf recount, Validate's needed objects
 }
 
-// scratchFor returns the mapping's scratch with the per-type and per-op
-// buffers sized (those never change size); per-proc buffers are sized at
-// the point of use because Buy grows the processor list.
+// scratchFor returns the mapping's scratch with every buffer sized. The
+// per-type and per-op buffers never change size; the per-processor ones
+// follow the capacity of the processor list, which Buy grows by
+// doubling, so a mapping that keeps buying processors reallocates them
+// only when it does.
 func (m *Mapping) scratchFor() *scratch {
 	if m.scr == nil {
 		m.scr = &scratch{}
 	}
 	s := m.scr
-	s.objSeen = xslice.Grow(s.objSeen, m.Inst.NumTypes)
+	K, pc := m.Inst.NumTypes, cap(m.Procs)
+	s.objSeen = xslice.Grow(s.objSeen, K)
 	s.opSeen = xslice.Grow(s.opSeen, m.Inst.Tree.NumOps())
+	if len(s.linkOn) < pc {
+		s.procSeen = make([]bool, pc)
+		s.linkOn = make([]bool, pc)
+	}
+	if n := max(2*pc, len(m.Inst.Platform.Servers)*(1+pc)); len(s.linkAmt) < n {
+		s.linkAmt = make([]float64, n)
+	}
+	if len(s.refCnt) < pc*K {
+		s.refCnt = make([]int32, pc*K)
+	}
 	return s
 }
 
@@ -349,25 +362,6 @@ func (m *Mapping) ComputeLoad(p int) float64 {
 	return load
 }
 
-// markNeeded sets objSeen for every object type the operators on p must
-// download and reports whether any was marked, re-walking every operator
-// from scratch — the reference implementation Validate checks the
-// incremental objRef counts against. Callers clear the marks.
-func (m *Mapping) markNeeded(p int, objSeen []bool) bool {
-	tree := m.Inst.Tree
-	any := false
-	for op, q := range m.Assign {
-		if q != p {
-			continue
-		}
-		for _, li := range tree.Ops[op].Leaves {
-			objSeen[tree.Leaves[li].Object] = true
-			any = true
-		}
-	}
-	return any
-}
-
 // NeededObjects returns the de-duplicated sorted object types the
 // operators on p must download (union of Leaf(i) over i in a¯(p)).
 func (m *Mapping) NeededObjects(p int) []int {
@@ -508,14 +502,14 @@ func (m *Mapping) LinkTraffic(p, q int) float64 {
 
 // gatherLinks accumulates the (5)-link traffic of every processor
 // adjacent to p into the link scratch and returns the touched processor
-// list (unsorted). Per-link sums accumulate in the same edge order
-// LinkTraffic uses — operators ascending, child edges then parent edge —
-// so each s.linkAmt[q] is bit-identical to LinkTraffic(p, q). The caller
-// clears s.linkOn for every returned q and truncates s.linkTo.
-func (m *Mapping) gatherLinks(p int, s *scratch) []int {
-	s.linkOn = xslice.Grow(s.linkOn, len(m.Procs))
-	s.linkAmt = xslice.Grow(s.linkAmt, len(m.Procs))
-	touched := s.linkTo[:0]
+// list (unsorted) together with p's communication total. It walks the
+// crossing edges CommLoad walks, under the same condition and in the
+// same order — operators ascending, child edges then parent edge — so
+// comm is bit-identical to CommLoad(p) and each s.linkAmt[q] to
+// LinkTraffic(p, q). The caller clears s.linkOn for every returned q and
+// truncates s.linkTo.
+func (m *Mapping) gatherLinks(p int, s *scratch) (touched []int, comm float64) {
+	touched = s.linkTo[:0]
 	tree := m.Inst.Tree
 	for _, op := range m.opsOn[p] {
 		for _, c := range tree.Ops[op].ChildOps {
@@ -526,6 +520,7 @@ func (m *Mapping) gatherLinks(p int, s *scratch) []int {
 					touched = append(touched, q)
 				}
 				s.linkAmt[q] += m.Inst.EdgeTraffic(c)
+				comm += m.Inst.EdgeTraffic(c)
 			}
 		}
 		if par := tree.Ops[op].Parent; par != apptree.NoParent {
@@ -536,36 +531,38 @@ func (m *Mapping) gatherLinks(p int, s *scratch) []int {
 					touched = append(touched, q)
 				}
 				s.linkAmt[q] += m.Inst.EdgeTraffic(op)
+				comm += m.Inst.EdgeTraffic(op)
 			}
 		}
 	}
-	return touched
+	return touched, comm
 }
 
 // ProcFeasible checks constraints (1), (2) and every (5)-link touching p
 // for the current (possibly partial) assignment. It returns nil or a
-// descriptive error. One pass over p's operators accumulates the traffic
-// of every touched link, so the cost is O(|ops on p|) rather than the
-// historical all-pairs O(P·N) scan; links are checked in ascending
-// processor order, so both the verdict and the reported violation are
-// identical to the historical implementation's.
+// descriptive error. One pass over p's operators accumulates both p's
+// communication load and the traffic of every touched link, so the cost
+// is O(|ops on p|) rather than the historical all-pairs O(P·N) scan;
+// links are checked in ascending processor order, so both the verdict
+// and the reported violation are identical to the historical
+// implementation's.
 func (m *Mapping) ProcFeasible(p int) error {
 	cat := m.Inst.Platform.Catalog
 	if load, cap := m.ComputeLoad(p), cat.SpeedUnits(m.Procs[p].Config); load > cap+eps {
 		return fmt.Errorf("mapping: processor %d compute overload %.3f > %.3f units/s", p, load, cap)
 	}
-	if load, cap := m.NICLoad(p), cat.BandwidthMBps(m.Procs[p].Config); load > cap+eps {
-		return fmt.Errorf("mapping: processor %d NIC overload %.3f > %.3f MB/s", p, load, cap)
-	}
 	s := m.scratchFor()
-	touched := m.gatherLinks(p, s)
+	touched, comm := m.gatherLinks(p, s)
+	var err error
+	if load, cap := m.DownloadLoad(p)+comm, cat.BandwidthMBps(m.Procs[p].Config); load > cap+eps {
+		err = fmt.Errorf("mapping: processor %d NIC overload %.3f > %.3f MB/s", p, load, cap)
+	}
 	// Ascending q, like the historical scan over all processor pairs.
 	for i := 1; i < len(touched); i++ {
 		for j := i; j > 0 && touched[j] < touched[j-1]; j-- {
 			touched[j], touched[j-1] = touched[j-1], touched[j]
 		}
 	}
-	var err error
 	for _, q := range touched {
 		if tr := s.linkAmt[q]; err == nil && tr > m.Inst.Platform.ProcLinkMBps+eps {
 			err = fmt.Errorf("mapping: link %d-%d overload %.3f > %.3f MB/s", p, q, tr, m.Inst.Platform.ProcLinkMBps)
@@ -576,21 +573,18 @@ func (m *Mapping) ProcFeasible(p int) error {
 	return err
 }
 
-// procFeasible is ProcFeasible as a bare verdict: the same checks in the
-// same order, without materializing the diagnostic error. TryPlace probes
-// candidate placements thousands of times per solve and discards the
-// reason, so formatting it dominated the probe cost.
+// procFeasible is ProcFeasible as a bare verdict: the same checks,
+// without materializing the diagnostic error. TryPlace probes candidate
+// placements thousands of times per solve and discards the reason, so
+// formatting it dominated the probe cost.
 func (m *Mapping) procFeasible(p int) bool {
 	cat := m.Inst.Platform.Catalog
 	if m.ComputeLoad(p) > cat.SpeedUnits(m.Procs[p].Config)+eps {
 		return false
 	}
-	if m.NICLoad(p) > cat.BandwidthMBps(m.Procs[p].Config)+eps {
-		return false
-	}
 	s := m.scratchFor()
-	touched := m.gatherLinks(p, s)
-	ok := true
+	touched, comm := m.gatherLinks(p, s)
+	ok := !(m.DownloadLoad(p)+comm > cat.BandwidthMBps(m.Procs[p].Config)+eps)
 	for _, q := range touched {
 		if s.linkAmt[q] > m.Inst.Platform.ProcLinkMBps+eps {
 			ok = false
@@ -618,7 +612,6 @@ const eps = Eps
 // ops, the placement is rolled back and false is returned.
 func (m *Mapping) TryPlace(p int, ops ...int) bool {
 	s := m.scratchFor()
-	s.procSeen = xslice.Grow(s.procSeen, len(m.Procs))
 	s.prev = xslice.Grow(s.prev, len(ops))
 	prev := s.prev
 	var mark Mark
@@ -768,64 +761,16 @@ func (m *Mapping) ServerLinkLoad(l, p int) float64 {
 	return load
 }
 
-// freshComputeLoad is ComputeLoad re-summed from the Assign vector — the
-// historical O(N) implementation, kept as Validate's reference.
-func (m *Mapping) freshComputeLoad(p int) float64 {
-	load := 0.0
-	for op, q := range m.Assign {
-		if q == p {
-			load += m.Inst.Rho * m.Inst.W[op]
-		}
-	}
-	return load
-}
-
-// freshCommLoad is CommLoad re-summed from the Assign vector.
-func (m *Mapping) freshCommLoad(p int) float64 {
-	load := 0.0
-	tree := m.Inst.Tree
-	for op, onP := range m.Assign {
-		if onP != p {
-			continue
-		}
-		for _, c := range tree.Ops[op].ChildOps {
-			if q := m.Assign[c]; q != p && q != Unassigned {
-				load += m.Inst.EdgeTraffic(c)
-			}
-		}
-		if par := tree.Ops[op].Parent; par != apptree.NoParent {
-			if q := m.Assign[par]; q != p && q != Unassigned {
-				load += m.Inst.EdgeTraffic(op)
-			}
-		}
-	}
-	return load
-}
-
-// freshDownloadLoad is DownloadLoad re-summed from the Assign vector.
-func (m *Mapping) freshDownloadLoad(p int) float64 {
-	s := m.scratchFor()
-	if !m.markNeeded(p, s.objSeen) {
-		return 0
-	}
-	load := 0.0
-	for k, seen := range s.objSeen {
-		if seen {
-			load += m.Inst.Rate(k)
-			s.objSeen[k] = false
-		}
-	}
-	return load
-}
-
 // CheckInvariants re-derives the incremental adjacency state (opsOn,
-// objRef) from the Assign vector and re-sums every per-processor load
-// with the historical full-walk implementations, failing on any
-// divergence. Load agreement is checked exactly (==, stronger than the
-// Eps capacity tolerance): the incremental queries fold in the same
-// canonical order as the fresh walks, so any difference at all is a
-// bookkeeping bug. Validate calls this on every complete mapping; the
-// differential property tests drive it after random mutation sequences.
+// objRef) and every per-processor load from the Assign vector, failing on
+// any divergence. One ascending walk of Assign accumulates each
+// processor's fresh compute and comm sums and a P×K leaf recount, so each
+// processor's sums see its operators in the same ascending order as the
+// cached queries: load agreement is checked exactly (==, stronger than
+// the Eps capacity tolerance), and any difference at all is a
+// bookkeeping bug. Validate calls this on
+// every complete mapping; the differential property tests drive it after
+// random mutation sequences.
 func (m *Mapping) CheckInvariants() error {
 	total := 0
 	for p := range m.Procs {
@@ -850,33 +795,55 @@ func (m *Mapping) CheckInvariants() error {
 	if assigned != total {
 		return fmt.Errorf("mapping: %d operators assigned but opsOn lists %d", assigned, total)
 	}
-	K := m.Inst.NumTypes
-	tree := m.Inst.Tree
+	// Every assigned operator is now listed exactly once, on the processor
+	// Assign names, so every Assign entry below indexes a real processor.
+	in, tree := m.Inst, m.Inst.Tree
+	P, K := len(m.Procs), in.NumTypes
 	s := m.scratchFor()
-	s.refCnt = xslice.Grow(s.refCnt, K)
+	cnt := s.refCnt[:P*K]
+	clear(cnt)
+	// The fresh sums borrow the link accumulator, idle outside
+	// ProcFeasible.
+	comp, comm := s.linkAmt[:P], s.linkAmt[P:2*P]
+	clear(comp)
+	clear(comm)
+	for op, p := range m.Assign {
+		if p == Unassigned {
+			continue
+		}
+		comp[p] += in.Rho * in.W[op]
+		for _, c := range tree.Ops[op].ChildOps {
+			if q := m.Assign[c]; q != p && q != Unassigned {
+				comm[p] += in.EdgeTraffic(c)
+			}
+		}
+		if par := tree.Ops[op].Parent; par != apptree.NoParent {
+			if q := m.Assign[par]; q != p && q != Unassigned {
+				comm[p] += in.EdgeTraffic(op)
+			}
+		}
+		for _, li := range tree.Ops[op].Leaves {
+			cnt[p*K+tree.Leaves[li].Object]++
+		}
+	}
 	for p := range m.Procs {
-		cnt := s.refCnt[:K]
-		for k := range cnt {
-			cnt[k] = 0
-		}
-		for _, op := range m.opsOn[p] {
-			for _, li := range tree.Ops[op].Leaves {
-				cnt[tree.Leaves[li].Object]++
-			}
-		}
 		base := p * K
+		download := 0.0
 		for k := 0; k < K; k++ {
-			if cnt[k] != m.objRef[base+k] {
-				return fmt.Errorf("mapping: processor %d object %d refcount %d, want %d", p, k, m.objRef[base+k], cnt[k])
+			if cnt[base+k] != m.objRef[base+k] {
+				return fmt.Errorf("mapping: processor %d object %d refcount %d, want %d", p, k, m.objRef[base+k], cnt[base+k])
+			}
+			if cnt[base+k] > 0 {
+				download += in.Rate(k)
 			}
 		}
-		if got, want := m.ComputeLoad(p), m.freshComputeLoad(p); got != want {
+		if got, want := m.ComputeLoad(p), comp[p]; got != want {
 			return fmt.Errorf("mapping: processor %d cached compute load %v, fresh %v", p, got, want)
 		}
-		if got, want := m.CommLoad(p), m.freshCommLoad(p); got != want {
+		if got, want := m.CommLoad(p), comm[p]; got != want {
 			return fmt.Errorf("mapping: processor %d cached comm load %v, fresh %v", p, got, want)
 		}
-		if got, want := m.DownloadLoad(p), m.freshDownloadLoad(p); got != want {
+		if got, want := m.DownloadLoad(p), download; got != want {
 			return fmt.Errorf("mapping: processor %d cached download load %v, fresh %v", p, got, want)
 		}
 	}
@@ -891,6 +858,10 @@ func (m *Mapping) CheckInvariants() error {
 //   - every needed object of every processor has a selected server that
 //     actually holds the object (and no spurious downloads),
 //   - constraints (1) through (5).
+//
+// The needed objects come from CheckInvariants' fresh recount, and one
+// range over every alive processor's download table fills the server NIC
+// and server-link loads, so the whole check is O(N + P·K + L·P).
 func (m *Mapping) Validate() error {
 	in := m.Inst
 	for op, p := range m.Assign {
@@ -905,35 +876,31 @@ func (m *Mapping) Validate() error {
 		return err
 	}
 	s := m.scratchFor()
+	K := in.NumTypes
 	for p := range m.Procs {
 		if !m.Procs[p].Alive {
 			continue
 		}
+		need := s.refCnt[p*K : (p+1)*K]
 		needed := 0
-		m.markNeeded(p, s.objSeen)
-		for _, seen := range s.objSeen {
-			if seen {
+		for _, c := range need {
+			if c > 0 {
 				needed++
 			}
 		}
-		var verr error
 		if needed != len(m.DL[p]) {
-			verr = fmt.Errorf("mapping: processor %d needs %d objects but has %d downloads", p, needed, len(m.DL[p]))
+			return fmt.Errorf("mapping: processor %d needs %d objects but has %d downloads", p, needed, len(m.DL[p]))
 		}
-		for k, seen := range s.objSeen {
-			if !seen {
+		for k, c := range need {
+			if c == 0 {
 				continue
-			}
-			s.objSeen[k] = false
-			if verr != nil {
-				continue // keep clearing the marks before reporting
 			}
 			l, ok := m.DL[p][k]
 			switch {
 			case !ok:
-				verr = fmt.Errorf("mapping: processor %d missing download for object %d", p, k)
+				return fmt.Errorf("mapping: processor %d missing download for object %d", p, k)
 			case l == NoServer:
-				verr = fmt.Errorf("mapping: processor %d object %d has no server selected", p, k)
+				return fmt.Errorf("mapping: processor %d object %d has no server selected", p, k)
 			default:
 				holds := false
 				for _, h := range in.Holders[k] {
@@ -942,26 +909,41 @@ func (m *Mapping) Validate() error {
 					}
 				}
 				if !holds {
-					verr = fmt.Errorf("mapping: processor %d downloads object %d from server %d which does not hold it", p, k, l)
+					return fmt.Errorf("mapping: processor %d downloads object %d from server %d which does not hold it", p, k, l)
 				}
 			}
-		}
-		if verr != nil {
-			return verr
 		}
 		if err := m.ProcFeasible(p); err != nil {
 			return err
 		}
 	}
+	// Server loads: NIC per server (3) and per (server, processor) link
+	// (4), each summed over processors ascending like ServerLoad and
+	// ServerLinkLoad.
+	L, P := len(in.Platform.Servers), len(m.Procs)
+	nic, link := s.linkAmt[:L], s.linkAmt[L:L+L*P]
+	clear(nic)
+	clear(link)
+	for p := range m.Procs {
+		if !m.Procs[p].Alive {
+			continue
+		}
+		for k, l := range m.DL[p] {
+			if l >= 0 && l < L {
+				nic[l] += in.Rate(k)
+				link[l*P+p] += in.Rate(k)
+			}
+		}
+	}
 	for l := range in.Platform.Servers {
-		if load, cap := m.ServerLoad(l), in.Platform.Servers[l].NICMBps; load > cap+eps {
+		if load, cap := nic[l], in.Platform.Servers[l].NICMBps; load > cap+eps {
 			return fmt.Errorf("mapping: server %d NIC overload %.3f > %.3f MB/s", l, load, cap)
 		}
 		for p := range m.Procs {
 			if !m.Procs[p].Alive {
 				continue
 			}
-			if load := m.ServerLinkLoad(l, p); load > in.Platform.ServerLinkMBps+eps {
+			if load := link[l*P+p]; load > in.Platform.ServerLinkMBps+eps {
 				return fmt.Errorf("mapping: server link %d->%d overload %.3f > %.3f MB/s", l, p, load, in.Platform.ServerLinkMBps)
 			}
 		}

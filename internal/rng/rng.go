@@ -75,6 +75,55 @@ func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// NewDeferred returns a *rand.Rand whose stream is New(seed)'s, draw for
+// draw, but whose seeding waits for the first draw: Seed, Reseed and
+// Reseed2 only record the seed, and math/rand's own source is seeded
+// (about 1,800 generator steps) when a value is first drawn after them.
+// Callers that reseed a stream per task and often draw nothing from it
+// (the placement stream of a heuristic that ignores it) skip that cost.
+// math/rand's source is allocated on the first draw, so the generator
+// costs as many allocations as New's once drawn from, one fewer if never.
+func NewDeferred(seed int64) *rand.Rand {
+	s := &deferredSource{seed: seed, pending: true}
+	s.r = *rand.New(s)
+	return &s.r
+}
+
+// deferredSource is a rand.Source64 that applies its last Seed to the
+// wrapped math/rand source on the next draw. It holds the generator that
+// reads it, so the two share one allocation.
+type deferredSource struct {
+	r       rand.Rand
+	src     rand.Source64 // nil until the first draw
+	seed    int64
+	pending bool // seed recorded but not yet applied to src
+}
+
+func (s *deferredSource) Seed(seed int64) { s.seed, s.pending = seed, true }
+
+func (s *deferredSource) sync() {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	} else {
+		s.src.Seed(s.seed)
+	}
+	s.pending = false
+}
+
+func (s *deferredSource) Int63() int64 {
+	if s.pending {
+		s.sync()
+	}
+	return s.src.Int63()
+}
+
+func (s *deferredSource) Uint64() uint64 {
+	if s.pending {
+		s.sync()
+	}
+	return s.src.Uint64()
+}
+
 // UniformIn returns a pseudo-random float64 in [lo, hi) drawn from r.
 func UniformIn(r *rand.Rand, lo, hi float64) float64 {
 	return lo + r.Float64()*(hi-lo)

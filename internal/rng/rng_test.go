@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,6 +179,67 @@ func TestSeedFor2MatchesConcat(t *testing.T) {
 			if got, want := SeedFor2(seed, c.a, c.b), SeedFor(seed, c.a+c.b); got != want {
 				t.Fatalf("SeedFor2(%d, %q, %q) = %d, want %d", seed, c.a, c.b, got, want)
 			}
+		}
+	}
+}
+
+// drawAll draws from r through every math/rand entry point the
+// repository's streams are read with and returns the values in order.
+func drawAll(r *rand.Rand) []uint64 {
+	var out []uint64
+	for i := 0; i < 8; i++ {
+		out = append(out, uint64(r.Int63()), r.Uint64(), uint64(r.Intn(1000+i)), math.Float64bits(r.Float64()))
+	}
+	sh := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	r.Shuffle(len(sh), func(i, j int) { sh[i], sh[j] = sh[j], sh[i] })
+	for _, v := range append(sh, r.Perm(12)...) {
+		out = append(out, uint64(v))
+	}
+	buf := make([]byte, 13)
+	r.Read(buf)
+	for _, b := range buf {
+		out = append(out, uint64(b))
+	}
+	return append(out, uint64(r.Int63()))
+}
+
+// TestDeferredMatchesDerive pins NewDeferred's lazily seeded stream to
+// Derive's, draw for draw, however many reseeds precede the first draw
+// and when a reseed lands in the middle of a stream (a partial Read
+// included).
+func TestDeferredMatchesDerive(t *testing.T) {
+	want := drawAll(Derive(5, "heuristic:Random"))
+	other := drawAll(Derive(9, "selection:Random"))
+	cases := map[string]func() *rand.Rand{
+		"0 reseeds": func() *rand.Rand { return NewDeferred(SeedFor(5, "heuristic:Random")) },
+		"1 reseed": func() *rand.Rand {
+			r := NewDeferred(0)
+			Reseed(r, 5, "heuristic:Random")
+			return r
+		},
+		"2 reseeds": func() *rand.Rand {
+			r := NewDeferred(3)
+			Reseed(r, 9, "selection:Random")
+			Reseed2(r, 5, "heuristic:", "Random")
+			return r
+		},
+		"mid-stream reseed": func() *rand.Rand {
+			r := NewDeferred(1)
+			r.Int63()
+			r.Read(make([]byte, 3))
+			Reseed(r, 5, "heuristic:Random")
+			return r
+		},
+	}
+	for name, mk := range cases {
+		r := mk()
+		if got := drawAll(r); !slices.Equal(got, want) {
+			t.Fatalf("%s: stream differs from Derive's", name)
+		}
+		// Reseeding a drawn stream rewinds it like Derive too.
+		Reseed(r, 9, "selection:Random")
+		if got := drawAll(r); !slices.Equal(got, other) {
+			t.Fatalf("%s: reseeded stream differs from Derive's", name)
 		}
 	}
 }

@@ -422,7 +422,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // genInstanceJSON produces the JSON form of the same generated
 // instance a {n, alpha, seed} ref resolves to on the server.
-func genInstanceJSON(t *testing.T, n int, alpha float64, seed int64) []byte {
+func genInstanceJSON(t testing.TB, n int, alpha float64, seed int64) []byte {
 	t.Helper()
 	var gen instance.Generator
 	in := gen.Generate(instance.Config{NumOps: n, Alpha: alpha}, seed)

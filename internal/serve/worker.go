@@ -198,9 +198,6 @@ func checkInstanceSpec(ref *CorpusRef, inst *instance.Instance, maxOps int) *htt
 			return &httpError{http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("instance has %d operators, exceeding the server's limit of %d", n, maxOps)}
 		}
-		// The derived per-operator tables are json:"-", so an inline
-		// instance arrives without them; rebuild before any solve.
-		inst.Refresh()
 	}
 	return nil
 }
