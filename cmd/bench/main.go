@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	bench [-o BENCH_results.json] [-seeds 3] [-iters-scale 1]
+//	bench [-o BENCH_results.json] [-seeds 3] [-iters-scale 1] [-cpuprofile FILE] [-memprofile FILE]
 //	bench -compare BENCH_baseline.json BENCH_results.json [-ns-threshold 0.20]
 //
 // Run mode measures every benchmark entry (warm-up run excluded, then a
@@ -28,18 +28,26 @@
 // both sides and fails when the baseline misses an entry or lacks a
 // newly added alloc-gated one — growing the corpus requires a
 // deliberate baseline refresh.
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole run (the
+// heap profile is taken at its end and carries the run's allocation
+// totals), for attaching evidence to a perf change; inspect them with
+// `go tool pprof`. Profiling perturbs timings, so a profiled report is
+// no baseline.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
@@ -100,6 +108,8 @@ func main() {
 		itersScale  = flag.Int("iters-scale", 1, "multiply every entry's iteration count (longer, steadier runs)")
 		compareMode = flag.Bool("compare", false, "compare two reports: bench -compare BASELINE RESULTS")
 		nsThreshold = flag.Float64("ns-threshold", 0.20, "max allowed calibration-normalized median-ns/op growth")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
 
@@ -115,7 +125,7 @@ func main() {
 		return
 	}
 
-	rep, err := run(*seeds, *itersScale)
+	rep, err := profiled(*cpuProfile, *memProfile, func() (*Report, error) { return run(*seeds, *itersScale) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
@@ -135,6 +145,35 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "bench: wrote %d entries to %s\n", len(rep.Entries), *out)
+}
+
+// profiled runs f under a CPU profile written to cpuPath and writes a
+// heap profile to memPath once f returns; an empty path skips that
+// profile.
+func profiled(cpuPath, memPath string, f func() (*Report, error)) (*Report, error) {
+	if cpuPath != "" {
+		out, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(out); err != nil {
+			out.Close()
+			return nil, err
+		}
+		rep, err := profiled("", memPath, f)
+		pprof.StopCPUProfile()
+		return rep, errors.Join(err, out.Close())
+	}
+	rep, err := f()
+	if err != nil || memPath == "" {
+		return rep, err
+	}
+	out, err := os.Create(memPath)
+	if err != nil {
+		return nil, err
+	}
+	runtime.GC() // the heap profile reports live data as of the last GC
+	return rep, errors.Join(pprof.WriteHeapProfile(out), out.Close())
 }
 
 // benchSamples is how many timing samples each entry's iteration budget
@@ -441,6 +480,44 @@ func run(seeds, itersScale int) (*Report, error) {
 			wg.Wait()
 		}))
 		srv4.Close()
+	}
+
+	// Verify: one /v1/verify request with an inline N=40 instance — the
+	// shape of e2ebench's solve-verify workload — through the real
+	// handler stack: the body and its instance decoded in one pass, the
+	// mapping rebuilt and a 60-result stream simulation on the worker's
+	// runner. Serial on one warmed worker, so alloc-gated.
+	{
+		srv := serve.New(serve.Config{Workers: 1, QueueDepth: 8})
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+			return rec
+		}
+		name := "serve/verify-inline/N=40"
+		inst, err := json.Marshal(instance.Generate(instance.Config{NumOps: 40, Alpha: 0.9}, 1))
+		if err != nil {
+			return nil, err
+		}
+		solved := post("/v1/solve", []byte(`{"instance":`+string(inst)+`,"heuristic":"Subtree-bottom-up"}`))
+		var sr serve.SolveResponse
+		if err := json.Unmarshal(solved.Body.Bytes(), &sr); err != nil || sr.Best == nil {
+			return nil, fmt.Errorf("%s: solve answered %d: %s", name, solved.Code, solved.Body.String())
+		}
+		body, err := json.Marshal(struct {
+			Instance json.RawMessage   `json:"instance"`
+			Mapping  serve.MappingSpec `json:"mapping"`
+			Results  int               `json:"results"`
+		}{inst, sr.Best.Mapping, 60})
+		if err != nil {
+			return nil, err
+		}
+		add(measure(name, 30*itersScale, true, func() {
+			if rec := post("/v1/verify", body); rec.Code != 200 {
+				panic(fmt.Sprintf("%s: status %d: %s", name, rec.Code, rec.Body.String()))
+			}
+		}))
+		srv.Close()
 	}
 
 	// Multi-tenant sweep: the Grid engine over multiapp.Combine

@@ -253,18 +253,24 @@ var solveCtxPool = sync.Pool{New: func() any {
 // lifetime caveats — and bit-for-bit identical to a non-arena solve.
 func Solve(in *instance.Instance, h Heuristic, opts Options) (*Result, error) {
 	c := solveCtxPool.Get().(*SolveContext)
-	res, err := c.Solve(in, h, opts)
-	var out *Result
-	if err == nil {
-		out = &Result{
-			Heuristic: res.Heuristic,
-			Mapping:   res.Mapping.Clone(),
-			Cost:      res.Cost,
-			Procs:     res.Procs,
-		}
-	}
+	out, err := c.solveCloned(in, h, opts)
 	solveCtxPool.Put(c)
 	return out, err
+}
+
+// solveCloned is the package-level Solve on an explicit context: solve
+// on its arena, then clone the winning mapping out.
+func (c *SolveContext) solveCloned(in *instance.Instance, h Heuristic, opts Options) (*Result, error) {
+	res, err := c.Solve(in, h, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Heuristic: res.Heuristic,
+		Mapping:   res.Mapping.Clone(),
+		Cost:      res.Cost,
+		Procs:     res.Procs,
+	}, nil
 }
 
 // Solve runs the full pipeline on the context's reusable scratch. With

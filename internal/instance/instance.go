@@ -247,51 +247,32 @@ func sortInts(a []int) {
 	}
 }
 
-// MarshalJSON / UnmarshalJSON round-trip an instance; derived fields are
-// recomputed on load.
+// instanceFields is Instance without its methods. Its default JSON
+// encoding is the instance's wire form: the exported fields in
+// declaration order, with the derived W and Delta left out.
+type instanceFields Instance
 
-type instanceJSON struct {
-	Tree     *apptree.Tree
-	NumTypes int
-	Sizes    []float64
-	Freqs    []float64
-	Holders  [][]int
-	Platform *platform.Platform
-	Rho      float64
-	Alpha    float64
-}
-
-// MarshalJSON implements json.Marshaler.
-func (in *Instance) MarshalJSON() ([]byte, error) {
-	return json.Marshal(instanceJSON{
-		Tree: in.Tree, NumTypes: in.NumTypes, Sizes: in.Sizes,
-		Freqs: in.Freqs, Holders: in.Holders, Platform: in.Platform,
-		Rho: in.Rho, Alpha: in.Alpha,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler and recomputes derived fields
-// once the tree is structurally valid and every leaf names a sized object
-// type. Decoded input is untrusted, and deriving a malformed tree indexes
-// out of range or never terminates; such an instance is not derived, and
-// Validate reports its tree or leaf error.
+// UnmarshalJSON implements json.Unmarshaler: it decodes the wire fields
+// over a zeroed instance, then derives W and Delta through
+// RefreshIfSound.
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var aux instanceJSON
-	if err := json.Unmarshal(data, &aux); err != nil {
+	*in = Instance{}
+	if err := json.Unmarshal(data, (*instanceFields)(in)); err != nil {
 		return err
 	}
-	in.Tree = aux.Tree
-	in.NumTypes = aux.NumTypes
-	in.Sizes = aux.Sizes
-	in.Freqs = aux.Freqs
-	in.Holders = aux.Holders
-	in.Platform = aux.Platform
-	in.Rho = aux.Rho
-	in.Alpha = aux.Alpha
+	in.RefreshIfSound()
+	return nil
+}
+
+// RefreshIfSound recomputes the derived fields once the tree is
+// structurally valid and every leaf names a sized object type. Decoded
+// input is untrusted, and deriving a malformed tree indexes out of range
+// or never terminates; such an instance is left underived, and Validate
+// reports its tree or leaf error.
+func (in *Instance) RefreshIfSound() {
 	if in.Tree != nil && len(in.Sizes) > 0 && in.Tree.Validate() == nil && in.leavesSized() {
 		in.Refresh()
 	}
-	return nil
 }
 
 // leavesSized reports whether every leaf's object type indexes Sizes.

@@ -137,6 +137,53 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// legacyJSON is the struct the removed Instance.MarshalJSON encoded
+// through; the default encoding must keep its bytes.
+type legacyJSON struct {
+	Tree     any
+	NumTypes int
+	Sizes    []float64
+	Freqs    []float64
+	Holders  [][]int
+	Platform *platform.Platform
+	Rho      float64
+	Alpha    float64
+}
+
+// TestMarshalMatchesLegacyEncoding pins the wire form: marshalling an
+// Instance (pointer or value) gives the bytes of its method-less
+// instanceFields alias and of the removed MarshalJSON's legacy struct,
+// across seeds and tree sizes; and decoding those bytes over a
+// previously used Instance gives what decoding into a zero one gives.
+func TestMarshalMatchesLegacyEncoding(t *testing.T) {
+	for _, n := range []int{1, 10, 60} {
+		for seed := int64(1); seed <= 29; seed++ {
+			in := Generate(Config{NumOps: n, Alpha: 1.3}, seed)
+			got, err := json.Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byValue, _ := json.Marshal(*in)
+			alias, _ := json.Marshal((*instanceFields)(in))
+			legacy, _ := json.Marshal(legacyJSON{in.Tree, in.NumTypes, in.Sizes, in.Freqs, in.Holders, in.Platform, in.Rho, in.Alpha})
+			if string(got) != string(legacy) || string(byValue) != string(legacy) || string(alias) != string(legacy) {
+				t.Fatalf("N=%d seed=%d: encoding differs from the legacy struct's:\n got: %s\nwant: %s", n, seed, got, legacy)
+			}
+			var fresh Instance
+			reused := *Generate(Config{NumOps: 5, Alpha: 2}, seed+100)
+			if err := json.Unmarshal(got, &fresh); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(got, &reused); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh, reused) || !reflect.DeepEqual(fresh.W, in.W) {
+				t.Fatalf("N=%d seed=%d: decoding over a used Instance differs from a fresh decode", n, seed)
+			}
+		}
+	}
+}
+
 func TestValidateCatchesProblems(t *testing.T) {
 	mk := func() *Instance { return Generate(Config{NumOps: 8}, 21) }
 

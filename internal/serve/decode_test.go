@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,23 +66,51 @@ func TestMalformedInlineInstanceIs400(t *testing.T) {
 	}
 }
 
+// nestedUnknownBodies are solve and verify bodies whose inline instance
+// carries a field Instance does not have, at its top level and inside
+// its tree. Request decoding rejects unknown fields at every depth, so
+// each answers 400.
+func nestedUnknownBodies(tb testing.TB) [][]byte {
+	inst := string(genInstanceJSON(tb, 3, 0.9, 1))
+	mapping := `,"mapping":{"procs":[{"cpu":0,"nic":0}],"assign":[0,0,0],"downloads":[]}`
+	var out [][]byte
+	for _, bad := range []string{
+		strings.Replace(inst, `{`, `{"Bogus":1,`, 1),
+		strings.Replace(inst, `{"Tree":{`, `{"Tree":{"Extra":true,`, 1),
+	} {
+		out = append(out, []byte(`{"instance":`+bad+`}`), []byte(`{"instance":`+bad+mapping+`}`))
+	}
+	return out
+}
+
+// fuzzSeeds is FuzzParseRequests' seed corpus: the committed request
+// testdata, the malformed and nested-unknown-field inline bodies, and
+// one small generated inline instance.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, name := range []string{"solve_request.json", "verify_request.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	for _, bodies := range malformedBodies() {
+		for _, body := range bodies {
+			out = append(out, []byte(body))
+		}
+	}
+	out = append(out, nestedUnknownBodies(tb)...)
+	return append(out, []byte(`{"instance":`+string(genInstanceJSON(tb, 3, 0.9, 1))+`}`))
+}
+
 // FuzzParseRequests drives the solve and verify request decoders with
 // arbitrary bodies. Each must answer a 4xx, or hand back a request whose
 // inline instance (if any) passes Validate — never panic.
 func FuzzParseRequests(f *testing.F) {
-	for _, name := range []string{"solve_request.json", "verify_request.json"} {
-		data, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	for _, body := range fuzzSeeds(f) {
+		f.Add(body)
 	}
-	for _, bodies := range malformedBodies() {
-		for _, body := range bodies {
-			f.Add([]byte(body))
-		}
-	}
-	f.Add([]byte(`{"instance":` + string(genInstanceJSON(f, 3, 0.9, 1)) + `}`))
 	const maxOps = 500
 	f.Fuzz(func(t *testing.T, body []byte) {
 		check := func(kind string, inst *instance.Instance, herr *httpError) {

@@ -139,6 +139,41 @@ type VerifyRequest struct {
 	TimeoutMS int64              `json:"timeout_ms,omitempty"`
 }
 
+// inlineInstance is instance.Instance without its UnmarshalJSON. The
+// wire structs below decode an inline instance straight into its fields,
+// in the one pass that decodes the whole body, with unknown fields
+// rejected at every depth; derive then fills in W and Delta.
+type inlineInstance instance.Instance
+
+// derive returns the decoded instance with W and Delta derived when its
+// tree is sound (see instance.RefreshIfSound), or nil when the body had
+// none.
+func (w *inlineInstance) derive() *instance.Instance {
+	in := (*instance.Instance)(w)
+	if in != nil {
+		in.RefreshIfSound()
+	}
+	return in
+}
+
+// solveWire and verifyWire are SolveRequest and VerifyRequest as
+// parsed: the same fields and tags, with the instance decoded inline.
+type solveWire struct {
+	Ref       *CorpusRef      `json:"ref,omitempty"`
+	Instance  *inlineInstance `json:"instance,omitempty"`
+	Heuristic string          `json:"heuristic,omitempty"`
+	Seed      int64           `json:"seed,omitempty"`
+	TimeoutMS int64           `json:"timeout_ms,omitempty"`
+}
+
+type verifyWire struct {
+	Ref       *CorpusRef      `json:"ref,omitempty"`
+	Instance  *inlineInstance `json:"instance,omitempty"`
+	Mapping   *MappingSpec    `json:"mapping"`
+	Results   int             `json:"results,omitempty"`
+	TimeoutMS int64           `json:"timeout_ms,omitempty"`
+}
+
 type verifyRequest struct {
 	inst      *instance.Instance
 	ref       *CorpusRef
@@ -161,8 +196,8 @@ type VerifyResponse struct {
 	Events     int64   `json:"events"`
 }
 
-// decodeStrict unmarshals JSON rejecting unknown top-level fields, so
-// typo'd requests fail loudly instead of solving with defaults.
+// decodeStrict unmarshals JSON rejecting unknown fields, so typo'd
+// requests fail loudly instead of solving with defaults.
 func decodeStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -203,11 +238,12 @@ func checkInstanceSpec(ref *CorpusRef, inst *instance.Instance, maxOps int) *htt
 }
 
 func parseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
-	var wire SolveRequest
+	var wire solveWire
 	if err := decodeStrict(body, &wire); err != nil {
 		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err)}
 	}
-	if herr := checkInstanceSpec(wire.Ref, wire.Instance, maxOps); herr != nil {
+	inst := wire.Instance.derive()
+	if herr := checkInstanceSpec(wire.Ref, inst, maxOps); herr != nil {
 		return nil, herr
 	}
 	hs, herr := heuristicsFor(wire.Heuristic)
@@ -215,7 +251,7 @@ func parseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
 		return nil, herr
 	}
 	return &solveRequest{
-		inst:      wire.Instance,
+		inst:      inst,
 		ref:       wire.Ref,
 		hs:        hs,
 		Seed:      wire.Seed,
@@ -224,11 +260,12 @@ func parseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
 }
 
 func parseVerifyRequest(body []byte, maxOps int) (*verifyRequest, *httpError) {
-	var wire VerifyRequest
+	var wire verifyWire
 	if err := decodeStrict(body, &wire); err != nil {
 		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err)}
 	}
-	if herr := checkInstanceSpec(wire.Ref, wire.Instance, maxOps); herr != nil {
+	inst := wire.Instance.derive()
+	if herr := checkInstanceSpec(wire.Ref, inst, maxOps); herr != nil {
 		return nil, herr
 	}
 	if wire.Mapping == nil {
@@ -238,7 +275,7 @@ func parseVerifyRequest(body []byte, maxOps int) (*verifyRequest, *httpError) {
 		return nil, &httpError{http.StatusBadRequest, "results must be >= 0"}
 	}
 	return &verifyRequest{
-		inst:      wire.Instance,
+		inst:      inst,
 		ref:       wire.Ref,
 		spec:      *wire.Mapping,
 		Results:   wire.Results,

@@ -19,10 +19,13 @@
 //
 // The engine needs no event queue: at most one compute and one transfer
 // per operator are in flight, so each job in a fixed (kind, op) table
-// carries its own completion time, and every event is one pass over that
-// table — settle progress, set the new rate, compute the completion time
-// and track the earliest one (ties to the lowest slot). Max-min sharing
-// is recomputed only when the set of active transfers changes.
+// carries its own completion time, and every event is one pass over the
+// live slots of that table, found through a bitset in ascending order —
+// settle progress, set the new rate, compute the completion time and
+// track the earliest one (ties to the lowest slot). Each processor's CPU
+// share is cached and refreshed only when its active count changes, and
+// max-min sharing is recomputed only when the set of active transfers
+// changes.
 //
 // The engine is built for sweep workloads (thousands of simulations per
 // experiment): a Runner owns every piece of run-time state — job table,
@@ -36,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/apptree"
@@ -190,16 +194,16 @@ func linkAtUnitRho(m *mapping.Mapping, p, q int) float64 {
 // job is one unit of in-flight work: the compute of an operator's next
 // result, or the transfer of a finished result to a remote parent. Jobs
 // live in a fixed table indexed (kind, op) — at most one compute and one
-// transfer per operator are active at any instant — so iterating the
-// table visits active jobs in the deterministic (kind, op) order the
-// engine's float accumulation and event tie-breaking rely on.
+// transfer per operator are active at any instant — and the engine's
+// live bitset marks the active slots, so walking its set bits in
+// ascending order visits active jobs in the deterministic (kind, op)
+// order the engine's float accumulation and event tie-breaking rely on.
 type job struct {
 	result    int     // result index
 	remaining float64 // work-units or MB
 	rate      float64
 	updated   float64 // sim time of the last remaining-update
 	due       float64 // completion time under the current rate
-	active    bool
 }
 
 // engine holds the run-time state of one simulation. All slices are
@@ -227,15 +231,16 @@ type engine struct {
 	linkRes  []int    // flattened (p*numProcs+q) -> resource index, -1 unset
 	transRes [][3]int // operator -> its transfer's (src NIC, dst NIC, link)
 
-	// job table: [0, n) compute jobs, [n, 2n) transfer jobs.
+	// job table: [0, n) compute jobs, [n, 2n) transfer jobs. Bit i of
+	// live is set exactly while slot i holds an active job, so it is
+	// also the record of which operators are computing or sending.
 	jobs []job
+	live []uint64
 
 	// dynamic per-operator state
-	nextCompute []int  // next result index the operator will compute
-	recv        []int  // results of this operator delivered to its parent
-	computing   []bool // a compute job is active
-	sendBusy    []bool // a transfer of its output is in flight
-	sendQueue   []int  // outputs produced but not yet transferred (remote parents only)
+	nextCompute []int // next result index the operator will compute
+	recv        []int // results of this operator delivered to its parent
+	sendQueue   []int // outputs produced but not yet transferred (remote parents only)
 
 	completions []float64
 	err         error
@@ -246,6 +251,7 @@ type engine struct {
 	share      []float64 // operator -> max-min rate of its active transfer
 	flowsStale bool      // the active transfer set changed since the last MaxMin
 	cpuActive  []int     // per processor: active compute jobs
+	cpuRate    []float64 // per processor: speed / cpuActive, refreshed when cpuActive changes
 }
 
 // Runner owns a reusable simulation engine. The zero value is ready to
@@ -371,8 +377,6 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	e.children = xslice.Grow(e.children, n)
 	e.nextCompute = xslice.Grow(e.nextCompute, n)
 	e.recv = xslice.Grow(e.recv, n)
-	e.computing = xslice.Grow(e.computing, n)
-	e.sendBusy = xslice.Grow(e.sendBusy, n)
 	e.sendQueue = xslice.Grow(e.sendQueue, n)
 	e.transRes = xslice.Grow(e.transRes, n)
 	e.share = xslice.Grow(e.share, n)
@@ -382,8 +386,6 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 		e.children[op] = in.Tree.Ops[op].ChildOps
 		e.nextCompute[op] = 0
 		e.recv[op] = 0
-		e.computing[op] = false
-		e.sendBusy[op] = false
 		e.sendQueue[op] = 0
 	}
 
@@ -391,6 +393,7 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 	e.nicFree = xslice.Grow(e.nicFree, np)
 	e.nicRes = xslice.Grow(e.nicRes, np)
 	e.cpuActive = xslice.Grow(e.cpuActive, np)
+	e.cpuRate = xslice.Grow(e.cpuRate, np)
 	e.caps = e.caps[:0]
 	for p := 0; p < np; p++ {
 		e.nicRes[p] = -1
@@ -428,9 +431,10 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 		e.transRes[op] = [3]int{e.nicRes[from], e.nicRes[to], e.linkRes[a*np+b]}
 	}
 
-	e.jobs = xslice.Grow(e.jobs, 2*n)
-	for i := range e.jobs {
-		e.jobs[i] = job{}
+	e.jobs = xslice.Grow(e.jobs, 2*n) // a slot is written whole when its job starts
+	e.live = xslice.Grow(e.live, (2*n+63)/64)
+	for i := range e.live {
+		e.live[i] = 0
 	}
 
 	if cap(e.completions) < opt.Results {
@@ -445,7 +449,7 @@ func (e *engine) bind(m *mapping.Mapping, opt Options) error {
 // result.
 func (e *engine) canCompute(op int) bool {
 	t := e.nextCompute[op]
-	if e.computing[op] {
+	if e.isLive(op) { // computing
 		return false
 	}
 	// Credit: do not run more than Credits results ahead of the parent.
@@ -472,19 +476,29 @@ func (e *engine) tryStartCompute(op int) {
 	if !e.canCompute(op) {
 		return
 	}
-	e.computing[op] = true
-	e.cpuActive[e.procOf[op]]++
+	e.addCPU(e.procOf[op], 1)
 	e.jobs[op] = job{
 		result:    e.nextCompute[op],
 		remaining: e.m.Inst.W[op],
 		updated:   e.now,
-		active:    true,
 	}
+	e.setLive(op)
 }
+
+// addCPU changes processor p's active compute count by d and refreshes
+// its cached processor-sharing rate from the same operands reflow used
+// to divide per job, so the rate keeps its bits.
+func (e *engine) addCPU(p, d int) {
+	e.cpuActive[p] += d
+	e.cpuRate[p] = e.speed[p] / float64(e.cpuActive[p])
+}
+
+func (e *engine) setLive(i int)     { e.live[i>>6] |= 1 << (i & 63) }
+func (e *engine) clearLive(i int)   { e.live[i>>6] &^= 1 << (i & 63) }
+func (e *engine) isLive(i int) bool { return e.live[i>>6]&(1<<(i&63)) != 0 }
 
 // computeDone handles the completion of op's result t.
 func (e *engine) computeDone(op, t int) {
-	e.computing[op] = false
 	e.nextCompute[op] = t + 1
 	par := e.parentOf[op]
 	if par == apptree.NoParent {
@@ -507,24 +521,22 @@ func (e *engine) computeDone(op, t int) {
 // tryStartTransfer starts the next queued output transfer of op to its
 // (remote) parent; one transfer per edge at a time.
 func (e *engine) tryStartTransfer(op int) {
-	if e.sendBusy[op] || e.sendQueue[op] == 0 {
+	n := len(e.nextCompute)
+	if e.isLive(n+op) || e.sendQueue[op] == 0 {
 		return
 	}
-	e.sendBusy[op] = true
 	e.sendQueue[op]--
 	t := e.nextCompute[op] - 1 - e.sendQueue[op] // oldest unsent result
-	n := len(e.nextCompute)
 	e.jobs[n+op] = job{
 		result:    t,
 		remaining: e.m.Inst.Delta[op],
 		updated:   e.now,
-		active:    true,
 	}
+	e.setLive(n + op)
 	e.flowsStale = true
 }
 
 func (e *engine) transferDone(op, t int) {
-	e.sendBusy[op] = false
 	par := e.parentOf[op]
 	e.recv[op] = t + 1
 	e.tryStartCompute(par)
@@ -534,10 +546,11 @@ func (e *engine) transferDone(op, t int) {
 
 // reflow settles every active job's progress under its old rate, sets
 // its new rate and completion time, and picks the next job to finish.
-// Called after any state change. Jobs are visited in table order —
-// computes by ascending operator, then transfers — which is exactly the
-// (kind, op) order the float accumulation and the tie-breaking (the
-// earliest due wins, then the lowest slot) were defined with.
+// Called after any state change. Only live slots are visited, in
+// ascending slot order — computes by ascending operator, then transfers
+// — which is exactly the (kind, op) order the float accumulation and
+// the tie-breaking (the earliest due wins, then the lowest slot) were
+// defined with.
 func (e *engine) reflow() {
 	n := len(e.nextCompute)
 	// Transfer rates: max-min over the precomputed NIC and link
@@ -546,8 +559,13 @@ func (e *engine) reflow() {
 		e.flowsStale = false
 		e.transfers = e.transfers[:0]
 		e.flows = e.flows[:0]
-		for op := 0; op < n; op++ {
-			if e.jobs[n+op].active {
+		for w := n >> 6; w < len(e.live); w++ {
+			word := e.live[w]
+			if w == n>>6 {
+				word &^= 1<<(n&63) - 1 // the compute slots below n
+			}
+			for ; word != 0; word &= word - 1 {
+				op := w<<6 + bits.TrailingZeros64(word) - n
 				e.transfers = append(e.transfers, op)
 				e.flows = append(e.flows, flow.Flow{Resources: e.transRes[op][:]})
 			}
@@ -566,36 +584,34 @@ func (e *engine) reflow() {
 
 	now := e.now
 	e.next = -1
-	for i := range e.jobs {
-		j := &e.jobs[i]
-		if !j.active {
-			continue
-		}
-		if j.rate > 0 {
-			j.remaining -= j.rate * (now - j.updated)
-			if j.remaining < 0 {
-				j.remaining = 0
+	for w, word := range e.live {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			j := &e.jobs[i]
+			if j.rate > 0 {
+				j.remaining -= j.rate * (now - j.updated)
+				if j.remaining < 0 {
+					j.remaining = 0
+				}
 			}
-		}
-		j.updated = now
-		if i < n {
-			// CPU rates: processor sharing per processor.
-			p := e.procOf[i]
-			j.rate = e.speed[p] / float64(e.cpuActive[p])
-		} else {
-			j.rate = e.share[i-n]
-		}
-		if j.rate <= 0 {
-			e.err = fmt.Errorf("stream: job stalled at zero rate (op %d)", i%n)
-			return
-		}
-		j.due = now + j.remaining/j.rate
-		if j.due > math.MaxFloat64 {
-			e.err = fmt.Errorf("stream: op %d completion time overflows at %v", i%n, now)
-			return
-		}
-		if e.next < 0 || j.due < e.jobs[e.next].due {
-			e.next = i
+			j.updated = now
+			if i < n {
+				j.rate = e.cpuRate[e.procOf[i]] // processor sharing
+			} else {
+				j.rate = e.share[i-n]
+			}
+			if j.rate <= 0 {
+				e.err = fmt.Errorf("stream: job stalled at zero rate (op %d)", i%n)
+				return
+			}
+			j.due = now + j.remaining/j.rate
+			if j.due > math.MaxFloat64 {
+				e.err = fmt.Errorf("stream: op %d completion time overflows at %v", i%n, now)
+				return
+			}
+			if e.next < 0 || j.due < e.jobs[e.next].due {
+				e.next = i
+			}
 		}
 	}
 }
@@ -606,15 +622,15 @@ func (e *engine) finish(idx int) {
 	n := len(e.nextCompute)
 	j := &e.jobs[idx]
 	e.now = j.due
-	j.active = false
+	e.clearLive(idx)
 	if idx < n {
-		e.cpuActive[e.procOf[idx]]--
+		e.addCPU(e.procOf[idx], -1)
 		e.computeDone(idx, j.result)
 	} else {
 		e.transferDone(idx-n, j.result)
 		// transferDone starts no transfer but this edge's next one, so
 		// the active set changed exactly when that did not happen.
-		e.flowsStale = !j.active
+		e.flowsStale = !e.isLive(idx)
 	}
 	e.reflow()
 }
