@@ -33,6 +33,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
+	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord
 
 # The JSON perf harness over the canonical pinned-seed corpus; see

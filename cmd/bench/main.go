@@ -273,11 +273,20 @@ func run(seeds, itersScale int) (*Report, error) {
 	// Solve: the best heuristic on every corpus cell, rotating seeds so
 	// one op is one full solve. Large cells get fewer iterations — one
 	// N=600 solve runs ~70ms, and the sample split keeps the gate robust.
+	// From N=140 up, every alpha=1.7 instance fails Precheck in about a
+	// microsecond; the N=140 cell times that fast-reject path as
+	// solve/precheck-reject, and the N=300/600 ones are not timed.
 	for _, n := range core.CorpusNs {
 		for _, alpha := range core.CorpusAlphas {
+			name := fmt.Sprintf("solve/subtree/N=%d,alpha=%g", n, alpha)
+			switch {
+			case n == 140 && alpha == 1.7:
+				name = "solve/precheck-reject"
+			case n > 140 && alpha == 1.7:
+				continue
+			}
 			cell := cellItems(corpus, n, alpha)
 			i := 0
-			name := fmt.Sprintf("solve/subtree/N=%d,alpha=%g", n, alpha)
 			add(measure(name, solveIters(n)*itersScale, true, func() {
 				it := cell[i%len(cell)]
 				i++
@@ -321,16 +330,29 @@ func run(seeds, itersScale int) (*Report, error) {
 		}
 	}
 
-	// Portfolio: all six heuristics, serial, on the medium cell.
-	{
-		cell := cellItems(corpus, 60, 0.9)
+	// Portfolio: all six heuristics, serial, on the medium and the
+	// largest feasible alpha=0.9 cell.
+	for _, n := range []int{60, 140} {
+		cell := cellItems(corpus, n, 0.9)
 		s := core.Solver{Workers: 1}
 		i := 0
-		add(measure("solve/portfolio/N=60,alpha=0.9", 10*itersScale, true, func() {
+		add(measure(fmt.Sprintf("solve/portfolio/N=%d,alpha=0.9", n), 10*itersScale, true, func() {
 			it := cell[i%len(cell)]
 			i++
 			s.Options.Seed = it.Seed
 			s.SolveAll(it.Inst)
+		}))
+	}
+
+	// Instance generation on a reusable Generator (the serve workers'
+	// and sweep environments' path), rotating seeds; steady state is
+	// allocation-free.
+	{
+		var g instance.Generator
+		seed := int64(0)
+		add(measure("instance/generate/N=140", 200*itersScale, true, func() {
+			seed = seed%int64(seeds) + 1
+			g.Generate(instance.Config{NumOps: 140, Alpha: 0.9}, seed)
 		}))
 	}
 

@@ -43,10 +43,11 @@
 // historical allocating implementations.
 //
 // The placement probes lean on package mapping's incremental load
-// tracking: TryPlace/ProcFeasible answer from per-processor adjacency
-// state in O(|ops on p|) rather than re-walking the whole tree, which is
-// what keeps large-N solves out of the historical O(N²) regime. See the
-// mapping package documentation for the invariants.
+// tracking: TryPlace decides most checks from per-processor running load
+// estimates in O(1) and the rest from per-processor adjacency state in
+// O(|ops on p|), never re-walking the whole tree, which is what keeps
+// large-N solves out of the historical O(N²) regime. See the mapping
+// package documentation for the invariants.
 //
 // None of SolveContext, PlaceContext or Selector is safe for concurrent
 // use. Sweep engines hold one SolveContext per worker goroutine; the

@@ -212,7 +212,7 @@ type SolveContext struct {
 	reuse        bool
 	arena        mapping.Mapping
 	res          Result
-	prand, srand *rand.Rand // placement / selection streams, reseeded per solve (applied on the first draw)
+	prand, srand *rand.Rand // placement / selection streams, reseeded per solve
 
 	// Portfolio's winner, copied off the arena before a later heuristic
 	// overwrites it.
@@ -287,7 +287,7 @@ func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (
 		m = &c.arena
 		m.Reset(in)
 		if c.prand == nil {
-			c.prand, c.srand = rng.NewDeferred(0), rng.NewDeferred(0)
+			c.prand, c.srand = rng.New(0), rng.New(0)
 		}
 		rng.Reseed2(c.prand, opts.Seed, "heuristic:", h.Name())
 		r = c.prand

@@ -54,6 +54,43 @@
 // fresh sum sees its operators in the same ascending order as the cached
 // queries).
 //
+// # Running load estimates
+//
+// A probe still needs a verdict for every affected processor, and the
+// exact walk behind it (procFeasible) re-folds each processor's
+// operators, crossing edges and K object refcounts. Most probes are
+// nowhere near a capacity, so TryPlace first asks a running estimate.
+// Each processor carries loadEst{comp, dl, comm, err}: attach and
+// detach update it in O(degree) (compute ± rho·w, download ± rate_k when
+// a refcount crosses zero, comm ± traffic on both endpoints of every
+// edge that starts or stops crossing), and every update adds 2⁻⁵² times
+// the magnitude of its result to err, a rigorous bound on the
+// estimate's drift from the exact real sum. The canonical ordered sum
+// differs from that exact sum by at most γ·(|est|+err), with
+// γ = (3·|opsOn|+K+4)·2⁻⁵², so a constraint is decided when its
+// estimate is farther than err + γ·(|est|+err) from capacity+Eps; every
+// other check falls back to procFeasible, which also resyncs the
+// estimate from the canonical sums it computes. Each link's traffic is a
+// subset of the processor's crossing edges, so comm fitting the link
+// capacity proves every link fits. The verdict is therefore always the
+// exact walk's: the estimates change no decision, only how it is
+// reached. On the cells of the paper's cost figures the estimate decides
+// about 95 % of checks; the rest fall back, all of them on the link test.
+//
+// Buy, Reset, CopyFrom and the journal's undo records maintain the
+// estimates through the same paths. Clone does not copy them (a clone
+// allocates nothing more), and a Buy past the estimates' capacity drops
+// them; the next TryPlace rebuilds them from the assignment. A negative
+// or NaN term, which Instance.Validate excludes, voids the estimate of
+// its processor, whose checks then always fall back. CheckInvariants
+// also requires every live estimate to lie within its bound of the
+// fresh sums, so the invariant and fuzz tests cover the estimates too.
+//
+// Precondition: the Instance a Mapping is bound to does not change
+// under it (its tree, rho, work, sizes and frequencies; capacities may).
+// Rebind a changed instance through Reset, as the churn engine does per
+// event, or hand it to a fresh Clone before the clone's first probe.
+//
 // Assign and DL remain exported for cheap read access (the server
 // selector iterates Assign directly); mutate assignments only through
 // Place/Unplace/TryPlace/MoveAll, or the adjacency state goes stale and

@@ -38,6 +38,14 @@ type Mapping struct {
 	opsOn  [][]int
 	objRef []int32
 
+	// Running load estimates (estimate.go): est[p] tracks p's compute,
+	// download and comm loads within a rigorous error bound, so TryPlace
+	// decides most probes without walking p's operators. The estimates
+	// are live while est covers every processor; Clone leaves them out
+	// and a Buy past len(est) drops them, and the next TryPlace rebuilds
+	// them.
+	est []loadEst
+
 	scr     *scratch      // lazily-allocated reusable buffers, never shared via Clone
 	dlFree  []map[int]int // cleared download tables recycled across Reset cycles
 	opsFree [][]int       // emptied opsOn lists recycled across Reset cycles
@@ -57,7 +65,7 @@ type Mapping struct {
 type scratch struct {
 	objSeen  []bool    // per object type: dedup in StaticNICReq
 	opSeen   []bool    // per operator: group membership in StaticNICReq
-	procSeen []bool    // per processor: dedup of affected procs in TryPlace
+	procSeen []bool    // per processor: dedup of affected procs in TryPlace (shares linkOn's allocation)
 	affected []int     // TryPlace: procs to re-check
 	prev     []int     // TryPlace: rollback assignments
 	ops      []int     // MoveAll: operator gather buffer
@@ -81,8 +89,8 @@ func (m *Mapping) scratchFor() *scratch {
 	s.objSeen = xslice.Grow(s.objSeen, K)
 	s.opSeen = xslice.Grow(s.opSeen, m.Inst.Tree.NumOps())
 	if len(s.linkOn) < pc {
-		s.procSeen = make([]bool, pc)
-		s.linkOn = make([]bool, pc)
+		b := make([]bool, 2*pc)
+		s.procSeen, s.linkOn = b[:pc:pc], b[pc:]
 	}
 	if n := max(2*pc, len(m.Inst.Platform.Servers)*(1+pc)); len(s.linkAmt) < n {
 		s.linkAmt = make([]float64, n)
@@ -214,6 +222,9 @@ func (m *Mapping) Buy(cfg platform.Config) int {
 		m.objRef = append(m.objRef, 0)
 	}
 	p := len(m.Procs) - 1
+	if p < len(m.est) {
+		m.est[p] = loadEst{}
+	}
 	if m.jon {
 		m.journal = append(m.journal, record{kind: recBuy, a: p})
 	}
@@ -255,10 +266,18 @@ func (m *Mapping) attach(op, p int) {
 	}
 	lst[i] = op
 	m.opsOn[p] = lst
-	tree := m.Inst.Tree
-	base := p * m.Inst.NumTypes
-	for _, li := range tree.Ops[op].Leaves {
-		m.objRef[base+tree.Leaves[li].Object]++
+	in := m.Inst
+	base := p * in.NumTypes
+	live := m.estLive()
+	for _, li := range in.Tree.Ops[op].Leaves {
+		k := in.Tree.Leaves[li].Object
+		if m.objRef[base+k]++; live && m.objRef[base+k] == 1 {
+			e := &m.est[p]
+			e.dl = e.add(e.dl, in.Rate(k), 1)
+		}
+	}
+	if live {
+		m.estMove(op, p, 1)
 	}
 }
 
@@ -273,10 +292,18 @@ func (m *Mapping) detach(op int) {
 	i := sort.SearchInts(lst, op)
 	copy(lst[i:], lst[i+1:])
 	m.opsOn[p] = lst[:len(lst)-1]
-	tree := m.Inst.Tree
-	base := p * m.Inst.NumTypes
-	for _, li := range tree.Ops[op].Leaves {
-		m.objRef[base+tree.Leaves[li].Object]--
+	in := m.Inst
+	base := p * in.NumTypes
+	live := m.estLive()
+	for _, li := range in.Tree.Ops[op].Leaves {
+		k := in.Tree.Leaves[li].Object
+		if m.objRef[base+k]--; live && m.objRef[base+k] == 0 {
+			e := &m.est[p]
+			e.dl = e.add(e.dl, in.Rate(k), -1)
+		}
+	}
+	if live {
+		m.estMove(op, p, -1)
 	}
 }
 
@@ -574,17 +601,17 @@ func (m *Mapping) ProcFeasible(p int) error {
 }
 
 // procFeasible is ProcFeasible as a bare verdict: the same checks,
-// without materializing the diagnostic error. TryPlace probes candidate
-// placements thousands of times per solve and discards the reason, so
-// formatting it dominated the probe cost.
+// without materializing the diagnostic error. It is the exact walk
+// behind TryPlace's probes that p's running estimate leaves undecided,
+// so it also resyncs that estimate from the canonical sums it computes.
 func (m *Mapping) procFeasible(p int) bool {
 	cat := m.Inst.Platform.Catalog
-	if m.ComputeLoad(p) > cat.SpeedUnits(m.Procs[p].Config)+eps {
-		return false
-	}
+	comp := m.ComputeLoad(p)
 	s := m.scratchFor()
 	touched, comm := m.gatherLinks(p, s)
-	ok := !(m.DownloadLoad(p)+comm > cat.BandwidthMBps(m.Procs[p].Config)+eps)
+	dl := m.DownloadLoad(p)
+	ok := !(comp > cat.SpeedUnits(m.Procs[p].Config)+eps) &&
+		!(dl+comm > cat.BandwidthMBps(m.Procs[p].Config)+eps)
 	for _, q := range touched {
 		if s.linkAmt[q] > m.Inst.Platform.ProcLinkMBps+eps {
 			ok = false
@@ -592,6 +619,7 @@ func (m *Mapping) procFeasible(p int) bool {
 		s.linkOn[q] = false
 	}
 	s.linkTo = touched[:0]
+	m.resyncEst(p, comp, dl, comm)
 	return ok
 }
 
@@ -609,8 +637,30 @@ const eps = Eps
 
 // TryPlace tentatively places ops on p; if any of constraints (1), (2),
 // (5) would be violated for p or for a processor hosting a neighbour of
-// ops, the placement is rolled back and false is returned.
+// ops, the placement is rolled back and false is returned. Each affected
+// processor is judged by its running load estimate where the estimate's
+// error bound decides every constraint, and by the exact walk of
+// procFeasible otherwise, so the verdict is always the exact walk's.
 func (m *Mapping) TryPlace(p int, ops ...int) bool {
+	if testHookTryPlace != nil {
+		// A copy, so that ops does not escape on the production path.
+		return testHookTryPlace(m, p, append([]int(nil), ops...))
+	}
+	return m.tryPlace(p, ops)
+}
+
+// Test hooks, nil outside tests: testHookTryPlace runs in place of
+// TryPlace, and testHookEstimate sees every estimate verdict a probe
+// reaches, with the processor it judged.
+var (
+	testHookTryPlace func(m *Mapping, p int, ops []int) bool
+	testHookEstimate func(m *Mapping, p int, v estVerdict)
+)
+
+func (m *Mapping) tryPlace(p int, ops []int) bool {
+	if !m.estLive() {
+		m.rebuildEst()
+	}
 	s := m.scratchFor()
 	s.prev = xslice.Grow(s.prev, len(ops))
 	prev := s.prev
@@ -645,7 +695,7 @@ func (m *Mapping) TryPlace(p int, ops ...int) bool {
 	}
 	ok := true
 	for _, q := range affected {
-		if !m.procFeasible(q) {
+		if !m.feasible(q) {
 			ok = false
 			break
 		}
@@ -768,9 +818,10 @@ func (m *Mapping) ServerLinkLoad(l, p int) float64 {
 // processor's sums see its operators in the same ascending order as the
 // cached queries: load agreement is checked exactly (==, stronger than
 // the Eps capacity tolerance), and any difference at all is a
-// bookkeeping bug. Validate calls this on
-// every complete mapping; the differential property tests drive it after
-// random mutation sequences.
+// bookkeeping bug. While the running load estimates are live, each
+// must also lie within its error bound of the fresh sums. Validate calls
+// this on every complete mapping; the differential property tests drive
+// it after random mutation sequences.
 func (m *Mapping) CheckInvariants() error {
 	total := 0
 	for p := range m.Procs {
@@ -845,6 +896,11 @@ func (m *Mapping) CheckInvariants() error {
 		}
 		if got, want := m.DownloadLoad(p), download; got != want {
 			return fmt.Errorf("mapping: processor %d cached download load %v, fresh %v", p, got, want)
+		}
+		if m.estLive() {
+			if err := m.checkEst(p, comp[p], download, comm[p]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -5,6 +5,15 @@
 // seed. Sub-streams are derived with SplitMix64 so that, e.g., the tree
 // shape, the object sizes, and the server placement of one instance are
 // decorrelated yet individually stable when other parameters change.
+//
+// New, Derive and the Reseed helpers hand out *rand.Rand generators whose
+// streams are math/rand's own (rand.New(rand.NewSource(seed))), draw for
+// draw, so every stream and output predating them is unchanged. They
+// read a lazily seeded copy of math/rand's source: seeding costs O(1)
+// instead of math/rand's ~1,800 generator steps, and each register word
+// is derived on its first read. A solve reseeds several streams per
+// request and draws only tens to hundreds of values from each, so
+// seeding no longer dominates them.
 package rng
 
 import "math/rand"
@@ -52,7 +61,7 @@ func SeedFor2(seed int64, a, b string) int64 {
 // Derive returns a new seeded *rand.Rand whose stream is a deterministic
 // function of (seed, label). Distinct labels give decorrelated streams.
 func Derive(seed int64, label string) *rand.Rand {
-	return rand.New(rand.NewSource(SeedFor(seed, label)))
+	return New(SeedFor(seed, label))
 }
 
 // Reseed rewinds an existing *rand.Rand to the exact stream Derive(seed,
@@ -70,59 +79,129 @@ func Reseed2(r *rand.Rand, seed int64, a, b string) {
 	r.Seed(SeedFor2(seed, a, b))
 }
 
-// New returns a seeded *rand.Rand.
+// New returns a seeded *rand.Rand. Its stream is
+// rand.New(rand.NewSource(seed))'s, draw for draw, but it is read from a
+// lazySource, so seeding and reseeding cost O(1).
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
-// NewDeferred returns a *rand.Rand whose stream is New(seed)'s, draw for
-// draw, but whose seeding waits for the first draw: Seed, Reseed and
-// Reseed2 only record the seed, and math/rand's own source is seeded
-// (about 1,800 generator steps) when a value is first drawn after them.
-// Callers that reseed a stream per task and often draw nothing from it
-// (the placement stream of a heuristic that ignores it) skip that cost.
-// math/rand's source is allocated on the first draw, so the generator
-// costs as many allocations as New's once drawn from, one fewer if never.
-func NewDeferred(seed int64) *rand.Rand {
-	s := &deferredSource{seed: seed, pending: true}
+	s := &lazySource{}
+	s.Seed(seed)
 	s.r = *rand.New(s)
 	return &s.r
 }
 
-// deferredSource is a rand.Source64 that applies its last Seed to the
-// wrapped math/rand source on the next draw. It holds the generator that
-// reads it, so the two share one allocation.
-type deferredSource struct {
-	r       rand.Rand
-	src     rand.Source64 // nil until the first draw
-	seed    int64
-	pending bool // seed recorded but not yet applied to src
+// math/rand's additive lagged-Fibonacci generator (rngSource): a
+// 607-word register, tapped 273 words back.
+const (
+	rngLen   = 607
+	rngTap   = 273
+	int32max = 1<<31 - 1
+	seedMul  = 48271 // the Lehmer multiplier math/rand seeds the register with
+)
+
+// lazySource is math/rand's rngSource, draw for draw, with lazy seeding.
+// rngSource.Seed runs a Lehmer generator x ← 48271·x mod (2³¹−1) for
+// 20 + 3·607 steps and XORs three consecutive states into each register
+// word; lazySource.Seed only records the starting state x0 and marks the
+// whole register unread. Register word i is derived on its first read in
+// O(1) from a power table, as (x0·48271^(21+3i) mod 2³¹−1)<<40 ^
+// (…^(22+3i)…)<<20 ^ (…^(23+3i)…) ^ cooked[i]: exactly the value
+// rngSource.Seed stores there. A stream that draws d values reads at most
+// 2d words, so seeding never pays for the register it does not use. The
+// source holds the generator that reads it, so New costs one allocation.
+type lazySource struct {
+	r         rand.Rand
+	x0        uint64
+	tap, feed int
+	have      [(rngLen + 63) / 64]uint64 // bit i: vec[i] is materialized
+	vec       [rngLen]int64
 }
 
-func (s *deferredSource) Seed(seed int64) { s.seed, s.pending = seed, true }
+var (
+	// seedPow[e] is 48271^e mod 2³¹−1.
+	seedPow [3*rngLen + 21]uint64
+	// cooked is math/rand's unexported rngCooked table, recovered at init.
+	cooked [rngLen]int64
+)
 
-func (s *deferredSource) sync() {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	} else {
-		s.src.Seed(s.seed)
+func init() {
+	seedPow[0] = 1
+	for e := 1; e < len(seedPow); e++ {
+		seedPow[e] = seedPow[e-1] * seedMul % int32max
 	}
-	s.pending = false
+	// rngSource seeded with 1 holds seedWord(1, i) ^ cooked[i] in word i.
+	// Its first 607 draws write every word once, at feed position
+	// 333−j (mod 607), as the sum of the old word and the word 273
+	// positions above it, so three loops invert them back to the seeded
+	// register.
+	src := rand.NewSource(1).(rand.Source64)
+	var out [rngLen]int64
+	for j := range out {
+		out[j] = int64(src.Uint64())
+	}
+	feed := func(j int) int { return (rngLen - rngTap - 1 - j + rngLen) % rngLen }
+	var reg [rngLen]int64
+	// Draw j ≥ 273 read a word draw j−273 had already rewritten.
+	for j := rngTap; j < rngLen; j++ {
+		reg[feed(j)] = out[j] - out[j-rngTap]
+	}
+	// Draw j < 273 read an original word, recovered by the loop above.
+	for j := 0; j < rngTap; j++ {
+		reg[feed(j)] = out[j] - reg[(feed(j)+rngTap)%rngLen]
+	}
+	for i := range cooked {
+		cooked[i] = reg[i] ^ seedWord(1, i)
+	}
 }
 
-func (s *deferredSource) Int63() int64 {
-	if s.pending {
-		s.sync()
-	}
-	return s.src.Int63()
+// seedWord is the Lehmer part of register word i for starting state x0.
+func seedWord(x0 uint64, i int) int64 {
+	e := 21 + 3*i
+	return int64(x0*seedPow[e]%int32max)<<40 ^
+		int64(x0*seedPow[e+1]%int32max)<<20 ^
+		int64(x0*seedPow[e+2]%int32max)
 }
 
-func (s *deferredSource) Uint64() uint64 {
-	if s.pending {
-		s.sync()
+// Seed maps seed to the Lehmer starting state exactly as rngSource.Seed
+// does and rewinds the register to unread.
+func (s *lazySource) Seed(seed int64) {
+	s.tap, s.feed = 0, rngLen-rngTap
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
 	}
-	return s.src.Uint64()
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0 = uint64(seed)
+	s.have = [len(s.have)]uint64{}
 }
+
+// word returns register word i, materializing it on its first read.
+func (s *lazySource) word(i int) int64 {
+	if s.have[i>>6]&(1<<(i&63)) == 0 {
+		s.have[i>>6] |= 1 << (i & 63)
+		s.vec[i] = seedWord(s.x0, i) ^ cooked[i]
+	}
+	return s.vec[i]
+}
+
+// Uint64 is rngSource.Uint64 over the lazily materialized register.
+func (s *lazySource) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.word(s.feed) + s.word(s.tap)
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// Int63 is rngSource.Int63: Uint64 without its top bit.
+func (s *lazySource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
 // UniformIn returns a pseudo-random float64 in [lo, hi) drawn from r.
 func UniformIn(r *rand.Rand, lo, hi float64) float64 {

@@ -203,28 +203,32 @@ func drawAll(r *rand.Rand) []uint64 {
 	return append(out, uint64(r.Int63()))
 }
 
-// TestDeferredMatchesDerive pins NewDeferred's lazily seeded stream to
-// Derive's, draw for draw, however many reseeds precede the first draw
-// and when a reseed lands in the middle of a stream (a partial Read
+// mathRand returns math/rand's own generator for seed: the stream every
+// generator of this package must reproduce.
+func mathRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestReseedScenariosMatchMathRand pins New's lazily seeded stream to
+// math/rand's, draw for draw, however many reseeds precede the first
+// draw and when a reseed lands in the middle of a stream (a partial Read
 // included).
-func TestDeferredMatchesDerive(t *testing.T) {
-	want := drawAll(Derive(5, "heuristic:Random"))
-	other := drawAll(Derive(9, "selection:Random"))
+func TestReseedScenariosMatchMathRand(t *testing.T) {
+	want := drawAll(mathRand(SeedFor(5, "heuristic:Random")))
+	other := drawAll(mathRand(SeedFor(9, "selection:Random")))
 	cases := map[string]func() *rand.Rand{
-		"0 reseeds": func() *rand.Rand { return NewDeferred(SeedFor(5, "heuristic:Random")) },
+		"0 reseeds": func() *rand.Rand { return New(SeedFor(5, "heuristic:Random")) },
 		"1 reseed": func() *rand.Rand {
-			r := NewDeferred(0)
+			r := New(0)
 			Reseed(r, 5, "heuristic:Random")
 			return r
 		},
 		"2 reseeds": func() *rand.Rand {
-			r := NewDeferred(3)
+			r := New(3)
 			Reseed(r, 9, "selection:Random")
 			Reseed2(r, 5, "heuristic:", "Random")
 			return r
 		},
 		"mid-stream reseed": func() *rand.Rand {
-			r := NewDeferred(1)
+			r := New(1)
 			r.Int63()
 			r.Read(make([]byte, 3))
 			Reseed(r, 5, "heuristic:Random")
@@ -234,12 +238,72 @@ func TestDeferredMatchesDerive(t *testing.T) {
 	for name, mk := range cases {
 		r := mk()
 		if got := drawAll(r); !slices.Equal(got, want) {
-			t.Fatalf("%s: stream differs from Derive's", name)
+			t.Fatalf("%s: stream differs from math/rand's", name)
 		}
-		// Reseeding a drawn stream rewinds it like Derive too.
+		// Reseeding a drawn stream rewinds it like math/rand's too.
 		Reseed(r, 9, "selection:Random")
 		if got := drawAll(r); !slices.Equal(got, other) {
-			t.Fatalf("%s: reseeded stream differs from Derive's", name)
+			t.Fatalf("%s: reseeded stream differs from math/rand's", name)
 		}
+	}
+}
+
+// TestLazySourceMatchesMathRand holds the lazily seeded source to
+// math/rand's over edge-case and random seeds: every seed draws more
+// than 2,000 values (past the 607-word register's wraparound) through a
+// rotating mix of entry points, reseeding twice mid-stream.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, -89482311,
+		int32max, 2 * int32max, -int32max, 1 << 31, -(1 << 31),
+		math.MinInt64, math.MaxInt64, math.MaxInt64 - 1, int32max * int32max}
+	r := New(20261017)
+	for i := 0; i < 300; i++ {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	for _, seed := range seeds {
+		got, want := New(seed), mathRand(seed)
+		for step := 0; step < 2100; step++ {
+			if step == 700 || step == 1500 {
+				s2 := seed ^ int64(step)
+				got.Seed(s2)
+				want.Seed(s2)
+			}
+			var a, b uint64
+			switch step % 6 {
+			case 0:
+				a, b = uint64(got.Int63()), uint64(want.Int63())
+			case 1:
+				a, b = got.Uint64(), want.Uint64()
+			case 2:
+				a, b = uint64(got.Intn(1000+step)), uint64(want.Intn(1000+step))
+			case 3:
+				a, b = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 4:
+				x, y := []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3, 4}
+				got.Shuffle(len(x), func(i, j int) { x[i], x[j] = x[j], x[i] })
+				want.Shuffle(len(y), func(i, j int) { y[i], y[j] = y[j], y[i] })
+				if !slices.Equal(x, y) {
+					t.Fatalf("seed %d step %d: Shuffle %v != %v", seed, step, x, y)
+				}
+			case 5:
+				x, y := make([]byte, 1+step%11), make([]byte, 1+step%11)
+				got.Read(x)
+				want.Read(y)
+				if !slices.Equal(x, y) {
+					t.Fatalf("seed %d step %d: Read %v != %v", seed, step, x, y)
+				}
+			}
+			if a != b {
+				t.Fatalf("seed %d step %d: %d != %d", seed, step, a, b)
+			}
+		}
+	}
+}
+
+// TestNewAllocs pins New at one allocation: the source holds the
+// generator that reads it.
+func TestNewAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { New(7).Int63() }); n != 1 {
+		t.Fatalf("New allocates %v times, want 1", n)
 	}
 }

@@ -452,7 +452,13 @@ func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("scenario session %q has an event in flight", ses.id))
 		return
 	}
-	er, err := ses.eng.Step(ctx, ev)
+	er, perr, err := s.step(ctx, ses, ev)
+	if perr != nil {
+		ses.mu.Unlock()
+		s.stats.churnPanics.Add(1)
+		s.clientError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", perr))
+		return
+	}
 	if err != nil {
 		ses.mu.Unlock()
 		// The engine rolled the event back; the incumbent is untouched
@@ -464,6 +470,21 @@ func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	s.noteEvent(ses, er)
 	ses.mu.Unlock()
 	s.writeSweepJSON(w, http.StatusOK, eventResultJSON(er))
+}
+
+// step runs one engine step for a handler holding ses.mu and recovers a
+// panic into perr, so a poisoned event answers 500 instead of killing
+// the daemon with the session mutex held. The engine commits an event
+// only after answering it, so a panicking step leaves the pre-event
+// incumbent as the session's state, and the next event proceeds from
+// it.
+func (s *Server) step(ctx context.Context, ses *scenarioSession, ev churn.Event) (er churn.EventResult, perr any, err error) {
+	defer func() { perr = recover() }()
+	if s.testHookEventStep != nil {
+		s.testHookEventStep()
+	}
+	er, err = ses.eng.Step(ctx, ev)
+	return er, nil, err
 }
 
 func (s *Server) handleScenarioStatus(w http.ResponseWriter, r *http.Request) {

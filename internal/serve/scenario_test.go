@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -217,6 +218,42 @@ func TestScenarioStatszCounters(t *testing.T) {
 	if sz.Churn.Events != 2 || sz.Churn.Rejected != 1 ||
 		sz.Churn.Repaired+sz.Churn.Resolved != 1 {
 		t.Fatalf("churn event counters: %+v", sz.Churn)
+	}
+}
+
+// TestScenarioEventPanicContained injects a panic into a session's
+// engine step: the event must answer 500 and count in /statsz, the
+// session mutex must be released (the next event is answered, not
+// 409), and the session must still show its pre-event snapshot.
+func TestScenarioEventPanicContained(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	st := scenarioStatus(t, do(t, s, "POST", "/v1/scenario",
+		[]byte(`{"scenario":{"min_ops":4,"max_ops":6},"seed":4}`)).Body.Bytes())
+	base := "/v1/scenario/" + st.ID
+	armed := true
+	s.testHookEventStep = func() {
+		if armed {
+			armed = false
+			panic("injected step failure")
+		}
+	}
+	rec := do(t, s, "POST", base+"/event", []byte(`{"kind":"drift","slot":0,"factor":1.3}`))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking event: %d (%s), want 500", rec.Code, rec.Body.String())
+	}
+	if after := scenarioStatus(t, do(t, s, "GET", base, nil).Body.Bytes()); !reflect.DeepEqual(after, st) {
+		t.Fatalf("status after the panic: %+v, want the pre-event %+v", after, st)
+	}
+	var sz statszResponse
+	if err := json.Unmarshal(do(t, s, "GET", "/statsz", nil).Body.Bytes(), &sz); err != nil {
+		t.Fatalf("statsz JSON: %v", err)
+	}
+	if sz.Churn.Panics != 1 || sz.ServerErrors != 1 || sz.Churn.Events != 0 {
+		t.Fatalf("statsz after the panic: server_errors %d, churn %+v", sz.ServerErrors, sz.Churn)
+	}
+	rec = do(t, s, "POST", base+"/event", []byte(`{"kind":"drift","slot":0,"factor":1.3}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("event after the panic: %d (%s), want 200", rec.Code, rec.Body.String())
 	}
 }
 

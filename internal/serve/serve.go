@@ -134,6 +134,10 @@ type Server struct {
 	// worker goroutine at the start of every job; tests use it to hold
 	// workers busy deterministically (queue-full and deadline paths).
 	testHookJobStart func()
+	// testHookEventStep, when set, runs on the HTTP goroutine just before
+	// every churn-session engine step, under the session mutex; tests use
+	// it to inject a panic into the step.
+	testHookEventStep func()
 }
 
 // New starts the worker pool and returns the ready-to-serve Server.

@@ -27,14 +27,16 @@ type counters struct {
 	inFlight      atomic.Int64
 
 	// Churn-session counters (see scenario.go): session creations,
-	// events answered, per-outcome splits and total operator
-	// migrations across every session's lifetime.
+	// events answered, per-outcome splits, total operator migrations
+	// and events whose engine step panicked, across every session's
+	// lifetime.
 	scenarioReqs   atomic.Int64
 	scenarioEvents atomic.Int64
 	churnRepaired  atomic.Int64
 	churnResolved  atomic.Int64
 	churnRejected  atomic.Int64
 	churnMoved     atomic.Int64
+	churnPanics    atomic.Int64
 }
 
 // workerStats are one worker's counters; each worker writes only its
@@ -124,8 +126,9 @@ type statszResponse struct {
 
 	// Churn carries the scenario sessions' lifetime counters: how many
 	// sessions were created and are live, events answered, the
-	// repair/re-solve/reject outcome split, and total surviving
-	// operators migrated — the number local repair exists to minimize.
+	// repair/re-solve/reject outcome split, total surviving operators
+	// migrated — the number local repair exists to minimize — and
+	// events whose engine step panicked (answered 500).
 	Churn struct {
 		Live     int   `json:"live"`
 		Created  int64 `json:"created"`
@@ -134,6 +137,7 @@ type statszResponse struct {
 		Resolved int64 `json:"resolved"`
 		Rejected int64 `json:"rejected"`
 		Moved    int64 `json:"operators_moved"`
+		Panics   int64 `json:"panics"`
 	} `json:"churn"`
 }
 
@@ -177,6 +181,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	resp.Churn.Resolved = s.stats.churnResolved.Load()
 	resp.Churn.Rejected = s.stats.churnRejected.Load()
 	resp.Churn.Moved = s.stats.churnMoved.Load()
+	resp.Churn.Panics = s.stats.churnPanics.Load()
 	for i := range s.workers {
 		ws := &s.workers[i]
 		resp.PerWorker = append(resp.PerWorker, workerStatsJSON{
