@@ -27,14 +27,17 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Ten seconds of coverage-guided fuzzing per target: the solve/verify
-# request decoders (untrusted HTTP bodies, inline instances included)
-# and the two journals' rollback and decode paths. A failing input is
-# written under the package's testdata/fuzz for replay by `make test`.
+# request decoders (untrusted HTTP bodies, inline instances included),
+# the two journals' rollback and decode paths, and the shard-cell
+# artifacts workers hand to the sweep coordinator's Complete. A failing
+# input is written under the package's testdata/fuzz for replay by
+# `make test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord
+	$(GO) test -run='^$$' -fuzz='^FuzzCompleteCells$$' -fuzztime=10s ./internal/coord
 
 # The JSON perf harness over the canonical pinned-seed corpus; see
 # README "Performance" for the schema and the regression-gating rules.

@@ -35,6 +35,16 @@ func logFigure(b *testing.B, fig *experiments.Figure) {
 	}
 }
 
+// buildFigure runs one registered figure at benchCfg.
+func buildFigure(b *testing.B, id string) *experiments.Figure {
+	b.Helper()
+	fig, err := experiments.BuildFigure(context.Background(), id, benchCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig
+}
+
 // BenchmarkFig2aCostVsN regenerates Figure 2(a): cost vs N at alpha=0.9,
 // high download frequency, small objects (experiment E1).
 func BenchmarkFig2aCostVsN(b *testing.B) {
@@ -61,7 +71,7 @@ func BenchmarkFig3CostVsAlpha(b *testing.B) {
 // sweep at N=20 (E3b).
 func BenchmarkFig3SmallTreeCostVsAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logFigure(b, experiments.Fig3SmallTree(benchCfg))
+		logFigure(b, buildFigure(b, "fig3n20"))
 	}
 }
 
@@ -69,7 +79,7 @@ func BenchmarkFig3SmallTreeCostVsAlpha(b *testing.B) {
 // (E4): feasibility collapses beyond a modest tree size.
 func BenchmarkLargeObjectsCostVsN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logFigure(b, experiments.LargeObjects(benchCfg))
+		logFigure(b, buildFigure(b, "large"))
 	}
 }
 
@@ -77,7 +87,7 @@ func BenchmarkLargeObjectsCostVsN(b *testing.B) {
 // costs plateau for update periods beyond ~10s.
 func BenchmarkFrequencySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logFigure(b, experiments.FrequencySweep(benchCfg))
+		logFigure(b, buildFigure(b, "freq"))
 	}
 }
 
@@ -112,7 +122,7 @@ func BenchmarkCatalogLookup(b *testing.B) {
 // BenchmarkAblationDowngrade regenerates ablation A1 (downgrade on/off).
 func BenchmarkAblationDowngrade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logFigure(b, experiments.AblationDowngrade(benchCfg))
+		logFigure(b, buildFigure(b, "abl-downgrade"))
 	}
 }
 
@@ -120,7 +130,7 @@ func BenchmarkAblationDowngrade(b *testing.B) {
 // random server selection).
 func BenchmarkAblationServerSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		logFigure(b, experiments.AblationSelection(benchCfg))
+		logFigure(b, buildFigure(b, "abl-selection"))
 	}
 }
 

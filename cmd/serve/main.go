@@ -44,7 +44,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
 		maxOps     = flag.Int("max-ops", 2000, "largest accepted instance, in operators")
-		sweepTTL   = flag.Duration("sweep-lease-ttl", 0, "default sweep shard lease deadline (0: coordinator default 30s)")
+		sweepTTL   = flag.Duration("sweep-lease-ttl", 0, "default sweep shard lease deadline, rounded up to whole milliseconds (0: coordinator default 30s)")
 		stateDir   = flag.String("coord-state-dir", "", "journal + snapshot sweep coordinator state here and recover it on restart (empty: in-memory only)")
 		portFile   = flag.String("port-file", "", "write the bound listen address to this file once serving")
 	)

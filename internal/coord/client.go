@@ -173,7 +173,7 @@ func (c *Client) Submit(ctx context.Context, job SweepJob) (string, error) {
 		}
 		job.JobKey = "ck-" + hex.EncodeToString(b[:])
 	}
-	var out submitResponse
+	var out SubmitResponse
 	if _, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep", job, &out); err != nil {
 		return "", err
 	}
@@ -202,7 +202,7 @@ func (c *Client) Claim(ctx context.Context, jobID, worker string) (*Lease, error
 		path = "/v1/sweep/" + jobID + "/lease"
 	}
 	var out Lease
-	status, err := c.doJSON(ctx, http.MethodPost, path, claimRequest{Worker: worker}, &out)
+	status, err := c.doJSON(ctx, http.MethodPost, path, ClaimRequest{Worker: worker}, &out)
 	switch status {
 	case http.StatusNoContent:
 		return nil, ErrNoWork
@@ -220,9 +220,9 @@ func (c *Client) Claim(ctx context.Context, jobID, worker string) (*Lease, error
 // Renew extends a lease, returning the fresh TTL. ErrLeaseLost means
 // the shard was re-leased or completed by someone else; abandon it.
 func (c *Client) Renew(ctx context.Context, l *Lease) (time.Duration, error) {
-	var out renewResponse
+	var out RenewResponse
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+l.Job+"/renew",
-		renewRequest{Shard: l.Shard, Token: l.Token}, &out)
+		RenewRequest{Shard: l.Shard, Token: l.Token}, &out)
 	switch status {
 	case http.StatusConflict:
 		return 0, ErrLeaseLost
@@ -240,9 +240,9 @@ func (c *Client) Renew(ctx context.Context, l *Lease) (time.Duration, error) {
 // ErrDuplicate; ErrLeaseLost means the lease was re-issued and the
 // result was refused.
 func (c *Client) Complete(ctx context.Context, l *Lease, worker string, cells []byte) error {
-	var out completeResponse
+	var out CompleteResponse
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+l.Job+"/complete",
-		completeRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(cells)}, &out)
+		CompleteRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(cells)}, &out)
 	switch status {
 	case http.StatusConflict:
 		return ErrLeaseLost

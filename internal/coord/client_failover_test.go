@@ -104,7 +104,7 @@ func TestClientSubmitIdempotentAcrossFailover(t *testing.T) {
 				// client, like a crashing primary.
 				panic(http.ErrAbortHandler)
 			}
-			json.NewEncoder(w).Encode(submitResponse{ID: id})
+			json.NewEncoder(w).Encode(SubmitResponse{ID: id})
 		}
 	}
 	killNext := true
@@ -146,7 +146,7 @@ func TestClientSubmitIdempotentAcrossFailover(t *testing.T) {
 func TestClientFailoverResendsBody(t *testing.T) {
 	var gotWorker string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req claimRequest
+		var req ClaimRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("decoding rotated body: %v", err)
 		}

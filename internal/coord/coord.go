@@ -66,6 +66,7 @@ var (
 // leases capped at 5m, at most 256 shards per job and 64 live jobs.
 type Config struct {
 	// DefaultLeaseTTL applies when a job's spec carries no lease_ttl_ms.
+	// Submit rounds a job's TTL up to whole milliseconds.
 	DefaultLeaseTTL time.Duration
 	// MaxLeaseTTL caps client-requested lease TTLs.
 	MaxLeaseTTL time.Duration
@@ -120,56 +121,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shardState is one shard's position in the lease state machine.
-type shardState int
-
+// Shard states of the lease state machine.
 const (
-	shardPending shardState = iota
-	shardLeased
-	shardDone
+	shardPending = "pending"
+	shardLeased  = "leased"
+	shardDone    = "done"
 )
 
-func (s shardState) String() string {
-	switch s {
-	case shardPending:
-		return "pending"
-	case shardLeased:
-		return "leased"
-	default:
-		return "done"
-	}
+func (j *job) finished() bool { return j.Merged || j.Failed != "" }
+
+func (j *job) ttl() time.Duration { return time.Duration(j.Spec.LeaseTTLMS) * time.Millisecond }
+
+func (j *job) config() experiments.Config {
+	return experiments.Config{Seeds: j.Spec.Seeds, BaseSeed: j.Spec.BaseSeed}
 }
-
-// shard is the coordinator-side record of one work unit.
-type shard struct {
-	state    shardState
-	token    string    // current lease token (shardLeased only)
-	worker   string    // current/last lessee
-	deadline time.Time // current lease deadline
-	leases   int       // leases ever granted (>1 means re-leased)
-	renewals int
-	cells    []byte // encoded ShardCells once done
-	doneBy   string // worker whose result was accepted
-}
-
-// job is one submitted sweep with its shard table.
-type job struct {
-	id     string
-	spec   SweepJob // normalized
-	ttl    time.Duration
-	shards []shard
-	done   int // shards in shardDone
-
-	merged   bool
-	dat      []byte // merged Figure.Dat bytes
-	failed   string // merge error (determinism bug — should never happen)
-	mergeDur time.Duration
-
-	releases   int // leases expired and made claimable again
-	duplicates int // completions discarded because the shard was done
-}
-
-func (j *job) finished() bool { return j.merged || j.failed != "" }
 
 // Coordinator schedules sweep jobs over leases. Safe for concurrent
 // use; create with New (in-memory) or Open (durable).
@@ -234,12 +199,15 @@ func (c *Coordinator) Submit(spec SweepJob) (string, error) {
 	}
 	ttl := c.cfg.DefaultLeaseTTL
 	if spec.LeaseTTLMS > 0 {
-		ttl = time.Duration(spec.LeaseTTLMS) * time.Millisecond
-		if ttl > c.cfg.MaxLeaseTTL {
-			ttl = c.cfg.MaxLeaseTTL
+		ttl = c.cfg.MaxLeaseTTL
+		if spec.LeaseTTLMS < ttl.Milliseconds() {
+			ttl = time.Duration(spec.LeaseTTLMS) * time.Millisecond
 		}
 	}
-	spec.LeaseTTLMS = ttl.Milliseconds()
+	// Leases travel and are journaled in whole milliseconds. Rounding up
+	// keeps a sub-millisecond TTL from collapsing to 0: a zero heartbeat
+	// period for workers, and leases that expire at once after a restart.
+	spec.LeaseTTLMS = int64((ttl + time.Millisecond - 1) / time.Millisecond)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,24 +222,10 @@ func (c *Coordinator) Submit(spec SweepJob) (string, error) {
 	}
 	seq := c.seq + 1
 	id := fmt.Sprintf("j%d", seq)
-	if err := c.logRecord(record{Type: recSubmit, Job: id, Spec: &spec, Seq: seq}); err != nil {
+	if err := c.commit(record{Type: recSubmit, Job: id, Spec: &spec, Seq: seq}); err != nil {
 		return "", err
 	}
-	c.seq = seq
-	j := &job{
-		id:     id,
-		spec:   spec,
-		ttl:    ttl,
-		shards: make([]shard, spec.Shards),
-	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	if spec.JobKey != "" {
-		c.byKey[spec.JobKey] = j.id
-	}
-	c.stats.JobsSubmitted++
-	c.maybeSnapshotLocked()
-	return j.id, nil
+	return id, nil
 }
 
 // validFigure rejects unknown figure ids before any worker burns a
@@ -289,15 +243,28 @@ func validFigure(id string) error {
 // pool. Called under mu with the current time; lazy expiry instead of
 // timers keeps the Coordinator goroutine-free.
 func (c *Coordinator) expireLeases(j *job, now time.Time) {
-	for i := range j.shards {
-		s := &j.shards[i]
-		if s.state == shardLeased && now.After(s.deadline) {
-			s.state = shardPending
-			s.token = ""
-			j.releases++
+	for i := range j.Shards {
+		s := &j.Shards[i]
+		if s.State == shardLeased && now.UnixNano() > s.Deadline {
+			s.State = shardPending
+			s.Token = ""
+			j.Releases++
 			c.stats.Releases++
 		}
 	}
+}
+
+// shardOf resolves a job id and shard index: ErrUnknownJob for an
+// unknown job, ErrLeaseLost for an index no lease can name.
+func (c *Coordinator) shardOf(jobID string, idx int) (*job, *shard, error) {
+	j, ok := c.jobs[jobID]
+	if !ok {
+		return nil, nil, ErrUnknownJob
+	}
+	if idx < 0 || idx >= len(j.Shards) {
+		return nil, nil, fmt.Errorf("coord: shard %d out of range [0, %d): %w", idx, len(j.Shards), ErrLeaseLost)
+	}
+	return j, &j.Shards[idx], nil
 }
 
 // Claim leases the lowest pending shard of jobID — or, with jobID
@@ -327,37 +294,27 @@ func (c *Coordinator) Claim(jobID, worker string) (*Lease, error) {
 		}
 		sawRunning = true
 		c.expireLeases(j, now)
-		for i := range j.shards {
-			s := &j.shards[i]
-			if s.state != shardPending {
+		for i := range j.Shards {
+			if j.Shards[i].State != shardPending {
 				continue
 			}
 			seq := c.seq + 1
-			token := c.leaseToken(seq)
-			deadline := now.Add(j.ttl)
-			if err := c.logRecord(record{
-				Type: recClaim, Job: j.id, Shard: i, Seq: seq,
-				Token: token, Worker: worker, Deadline: deadline.UnixNano(),
-			}); err != nil {
+			r := record{
+				Type: recClaim, Job: j.ID, Shard: i, Seq: seq,
+				Token: c.leaseToken(seq), Worker: worker, Deadline: now.Add(j.ttl()).UnixNano(),
+			}
+			if err := c.commit(r); err != nil {
 				return nil, err
 			}
-			c.seq = seq
-			s.state = shardLeased
-			s.token = token
-			s.worker = worker
-			s.deadline = deadline
-			s.leases++
-			c.stats.LeasesGranted++
-			c.maybeSnapshotLocked()
 			return &Lease{
-				Job:      j.id,
-				Figure:   j.spec.Figure,
-				Seeds:    j.spec.Seeds,
-				BaseSeed: j.spec.BaseSeed,
+				Job:      j.ID,
+				Figure:   j.Spec.Figure,
+				Seeds:    j.Spec.Seeds,
+				BaseSeed: j.Spec.BaseSeed,
 				Shard:    i,
-				Shards:   len(j.shards),
-				Token:    s.token,
-				TTLMS:    j.ttl.Milliseconds(),
+				Shards:   len(j.Shards),
+				Token:    r.Token,
+				TTLMS:    j.Spec.LeaseTTLMS,
 			}, nil
 		}
 	}
@@ -387,28 +344,19 @@ func (c *Coordinator) Renew(jobID string, shardIdx int, token string) (int64, er
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[jobID]
-	if !ok {
-		return 0, ErrUnknownJob
+	j, s, err := c.shardOf(jobID, shardIdx)
+	if err != nil {
+		return 0, err
 	}
-	if shardIdx < 0 || shardIdx >= len(j.shards) {
-		return 0, fmt.Errorf("coord: shard %d out of range [0, %d): %w", shardIdx, len(j.shards), ErrLeaseLost)
-	}
-	s := &j.shards[shardIdx]
-	if s.state != shardLeased || s.token != token {
+	if s.State != shardLeased || s.Token != token {
 		return 0, ErrLeaseLost
 	}
-	deadline := now.Add(j.ttl)
-	if err := c.logRecord(record{
-		Type: recRenew, Job: j.id, Shard: shardIdx, Token: token, Deadline: deadline.UnixNano(),
+	if err := c.commit(record{
+		Type: recRenew, Job: j.ID, Shard: shardIdx, Token: token, Deadline: now.Add(j.ttl()).UnixNano(),
 	}); err != nil {
 		return 0, err
 	}
-	s.deadline = deadline
-	s.renewals++
-	c.stats.Renewals++
-	c.maybeSnapshotLocked()
-	return j.ttl.Milliseconds(), nil
+	return j.Spec.LeaseTTLMS, nil
 }
 
 // Complete records one shard's encoded cells. The first result per
@@ -423,104 +371,72 @@ func (c *Coordinator) Renew(jobID string, shardIdx int, token string) (int64, er
 // the job transitions to done before Complete returns.
 func (c *Coordinator) Complete(jobID string, shardIdx int, token, worker string, cells []byte) error {
 	c.mu.Lock()
-	j, ok := c.jobs[jobID]
-	if !ok {
-		c.mu.Unlock()
-		return ErrUnknownJob
+	defer c.mu.Unlock()
+	j, s, err := c.shardOf(jobID, shardIdx)
+	if err != nil {
+		return err
 	}
-	if shardIdx < 0 || shardIdx >= len(j.shards) {
-		c.mu.Unlock()
-		return fmt.Errorf("coord: shard %d out of range [0, %d): %w", shardIdx, len(j.shards), ErrLeaseLost)
-	}
-	s := &j.shards[shardIdx]
-	if s.state == shardDone {
-		if err := c.logRecord(record{Type: recDuplicate, Job: j.id, Shard: shardIdx}); err != nil {
-			c.mu.Unlock()
+	if s.State == shardDone {
+		if err := c.commit(record{Type: recDuplicate, Job: j.ID, Shard: shardIdx}); err != nil {
 			return err
 		}
-		j.duplicates++
-		c.stats.Duplicates++
-		c.mu.Unlock()
 		return ErrDuplicate
 	}
-	if s.state != shardLeased || s.token != token {
-		c.mu.Unlock()
+	if s.State != shardLeased || s.Token != token {
 		return ErrLeaseLost
 	}
-
-	// Decode before accepting so a malformed or mismatched artifact
-	// fails the completing worker, not the eventual merge.
+	// Check before accepting so a malformed or mismatched artifact
+	// fails the completing worker and leaves the lease in place, instead
+	// of failing the eventual merge for good.
 	sc, err := experiments.DecodeShardCells(bytes.NewReader(cells))
+	if err == nil {
+		err = sc.Check(j.Spec.Figure, j.config(), experiments.Shard{Index: shardIdx, Count: len(j.Shards)})
+	}
 	if err != nil {
-		c.mu.Unlock()
 		return fmt.Errorf("coord: shard %d cells: %w", shardIdx, err)
 	}
-	switch {
-	case sc.FigID != j.spec.Figure:
-		err = fmt.Errorf("coord: cells belong to figure %q, job runs %q", sc.FigID, j.spec.Figure)
-	case sc.Shard.Index != shardIdx || sc.Shard.Count != len(j.shards):
-		err = fmt.Errorf("coord: cells cover shard %d/%d, lease was %d/%d",
-			sc.Shard.Index, sc.Shard.Count, shardIdx, len(j.shards))
-	case sc.Seeds != j.spec.Seeds || sc.BaseSeed != j.spec.BaseSeed:
-		err = fmt.Errorf("coord: cells ran with seeds=%d base=%d, job wants seeds=%d base=%d",
-			sc.Seeds, sc.BaseSeed, j.spec.Seeds, j.spec.BaseSeed)
-	}
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-
-	if err := c.logRecord(record{
-		Type: recComplete, Job: j.id, Shard: shardIdx, Worker: worker, Cells: cells,
+	if err := c.commit(record{
+		Type: recComplete, Job: j.ID, Shard: shardIdx, Worker: worker, Cells: cells,
 	}); err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	s.state = shardDone
-	s.token = ""
-	s.cells = cells
-	s.doneBy = worker
-	j.done++
-	c.stats.ShardsCompleted++
-	if j.done < len(j.shards) {
-		c.maybeSnapshotLocked()
-		c.mu.Unlock()
-		return nil
+	if j.Done == len(j.Shards) {
+		// Last shard: merge inline on this caller's goroutine. No other
+		// Complete can race in — every shard is done, so concurrent
+		// completions take the duplicate path above.
+		c.merge(j)
 	}
-	// Last shard: merge inline on this caller's goroutine. Decode and
-	// fold outside the lock (progress polls stay responsive); no other
-	// Complete can race in — every shard is shardDone, so concurrent
-	// completions take the duplicate path above.
-	parts := make([][]byte, len(j.shards))
-	for i := range j.shards {
-		parts[i] = j.shards[i].cells
+	return nil
+}
+
+// merge folds the cells of a job whose every shard is done and commits
+// the outcome. Called under mu, which it drops while folding so
+// progress polls stay responsive.
+func (c *Coordinator) merge(j *job) {
+	parts := make([][]byte, len(j.Shards))
+	for i := range j.Shards {
+		parts[i] = j.Shards[i].Cells
 	}
 	c.mu.Unlock()
-
 	start := c.cfg.Now()
-	dat, err := mergeParts(j.spec, parts)
-	dur := c.cfg.Now().Sub(start)
-
-	c.mu.Lock()
-	j.mergeDur = dur
-	failed := ""
+	dat, err := mergeParts(j, parts)
+	r := record{Type: recMerge, Job: j.ID, Dat: dat, MergeNS: int64(c.cfg.Now().Sub(start))}
 	if err != nil {
-		failed = err.Error()
+		r.Failed = err.Error()
 	}
-	c.recordMergeOutcome(j, dat, failed)
+	c.mu.Lock()
 	// The merge record is best-effort: every complete is already
 	// durable and the merge is a pure function of them, so a lost
 	// append merely means the next Open re-merges.
-	_ = c.logRecord(record{Type: recMerge, Job: j.id, Dat: dat, Failed: failed, MergeNS: int64(dur)})
-	c.maybeSnapshotLocked()
-	c.mu.Unlock()
-	return nil
+	if c.commit(r) != nil {
+		c.applyRecord(&r)
+	}
 }
 
 // mergeParts decodes every shard's cells and folds them into the
 // figure's .dat bytes — byte-identical to an unsharded BuildFigure run
 // by the MergeFigure contract.
-func mergeParts(spec SweepJob, parts [][]byte) ([]byte, error) {
+func mergeParts(j *job, parts [][]byte) ([]byte, error) {
 	decoded := make([]*experiments.ShardCells, len(parts))
 	for i, raw := range parts {
 		sc, err := experiments.DecodeShardCells(bytes.NewReader(raw))
@@ -529,8 +445,7 @@ func mergeParts(spec SweepJob, parts [][]byte) ([]byte, error) {
 		}
 		decoded[i] = sc
 	}
-	cfg := experiments.Config{Seeds: spec.Seeds, BaseSeed: spec.BaseSeed}
-	fig, err := experiments.MergeFigure(spec.Figure, cfg, decoded)
+	fig, err := experiments.MergeFigure(j.Spec.Figure, j.config(), decoded)
 	if err != nil {
 		return nil, err
 	}
@@ -553,32 +468,32 @@ func (c *Coordinator) Progress(jobID string) (*Progress, error) {
 		c.expireLeases(j, now)
 	}
 	p := &Progress{
-		ID:         j.id,
-		Figure:     j.spec.Figure,
-		Seeds:      j.spec.Seeds,
-		BaseSeed:   j.spec.BaseSeed,
+		ID:         j.ID,
+		Figure:     j.Spec.Figure,
+		Seeds:      j.Spec.Seeds,
+		BaseSeed:   j.Spec.BaseSeed,
 		State:      "running",
-		Done:       j.done,
-		Total:      len(j.shards),
-		Releases:   j.releases,
-		Duplicates: j.duplicates,
-		Error:      j.failed,
+		Done:       j.Done,
+		Total:      len(j.Shards),
+		Releases:   j.Releases,
+		Duplicates: j.Duplicates,
+		Error:      j.Failed,
 	}
-	if j.merged {
+	if j.Merged {
 		p.State = "done"
-		p.MergeMS = j.mergeDur.Seconds() * 1e3
-	} else if j.failed != "" {
+		p.MergeMS = time.Duration(j.MergeNS).Seconds() * 1e3
+	} else if j.Failed != "" {
 		p.State = "failed"
 	}
-	for i := range j.shards {
-		s := &j.shards[i]
+	for i := range j.Shards {
+		s := &j.Shards[i]
 		p.Shards = append(p.Shards, ShardProgress{
 			Shard:    i,
-			State:    s.state.String(),
-			Worker:   s.worker,
-			Leases:   s.leases,
-			Renewals: s.renewals,
-			DoneBy:   s.doneBy,
+			State:    s.State,
+			Worker:   s.Worker,
+			Leases:   s.Leases,
+			Renewals: s.Renewals,
+			DoneBy:   s.DoneBy,
 		})
 	}
 	return p, nil
@@ -593,13 +508,13 @@ func (c *Coordinator) Result(jobID string) ([]byte, error) {
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	if j.failed != "" {
-		return nil, fmt.Errorf("coord: job %s failed: %s", jobID, j.failed)
+	if j.Failed != "" {
+		return nil, fmt.Errorf("coord: job %s failed: %s", jobID, j.Failed)
 	}
-	if !j.merged {
+	if !j.Merged {
 		return nil, ErrNotDone
 	}
-	return j.dat, nil
+	return j.Dat, nil
 }
 
 // SweepStats are the coordinator's lifetime counters, exposed on the

@@ -3,6 +3,10 @@ package coord
 import (
 	"bytes"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +45,7 @@ func testJob(shards int) SweepJob {
 }
 
 // shardBytes computes one lease's cells exactly as a worker would.
-func shardBytes(t *testing.T, l *Lease) []byte {
+func shardBytes(t testing.TB, l *Lease) []byte {
 	t.Helper()
 	sc, err := experiments.RunFigureShard(t.Context(), l.Figure,
 		experiments.Config{Seeds: l.Seeds, BaseSeed: l.BaseSeed},
@@ -274,7 +278,7 @@ func TestCompleteRejectsMismatchedCells(t *testing.T) {
 	wrong := *l
 	wrong.Shard = 1 - l.Shard // cells for the other shard
 	if err := c.Complete(id, l.Shard, l.Token, "w", shardBytes(t, &wrong)); err == nil ||
-		!strings.Contains(err.Error(), "lease was") {
+		!strings.Contains(err.Error(), "cover shard") {
 		t.Fatalf("mismatched shard cells: %v", err)
 	}
 	if err := c.Complete(id, l.Shard, l.Token, "w", []byte("garbage")); err == nil {
@@ -283,6 +287,199 @@ func TestCompleteRejectsMismatchedCells(t *testing.T) {
 	// The lease survives a rejected completion; the real cells land.
 	if err := c.Complete(id, l.Shard, l.Token, "w", shardBytes(t, l)); err != nil {
 		t.Fatalf("correct Complete after rejects: %v", err)
+	}
+}
+
+// badCells is a header-valid artifact without a single cell.
+const badCells = "# streamalloc-cells/v1 fig=fig2a shard=0/1 seeds=2 baseseed=1 units=1\n"
+
+// FuzzCompleteCells feeds arbitrary shard artifacts through Complete
+// on a one-shard job. Nothing may panic, and either the call errors
+// with the shard still leased, or the job merges — it never turns
+// failed.
+func FuzzCompleteCells(f *testing.F) {
+	f.Add(shardBytes(f, &Lease{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shard: 0, Shards: 1}))
+	f.Add([]byte(badCells))
+	f.Fuzz(func(t *testing.T, cells []byte) {
+		c := New(Config{Now: newFakeClock().Now})
+		id, err := c.Submit(testJob(1))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		l, err := c.Claim(id, "w")
+		if err != nil {
+			t.Fatalf("Claim: %v", err)
+		}
+		err = c.Complete(id, l.Shard, l.Token, "w", cells)
+		p, perr := c.Progress(id)
+		if perr != nil {
+			t.Fatalf("Progress: %v", perr)
+		}
+		if err != nil && (p.State != "running" || p.Shards[0].State != "leased") {
+			t.Fatalf("refused artifact (%v) left job %s, shard %s", err, p.State, p.Shards[0].State)
+		}
+		if err == nil && p.State != "done" {
+			t.Fatalf("accepted artifact left job %s: %s", p.State, p.Error)
+		}
+	})
+}
+
+// TestLeaseTTLWholeMilliseconds: Submit resolves the lease TTL to whole
+// milliseconds, rounded up, so a sub-millisecond TTL never reaches a
+// worker as 0 (a zero heartbeat period) and a job keeps the same TTL
+// across a restart. An oversized request is capped, not overflowed.
+func TestLeaseTTLWholeMilliseconds(t *testing.T) {
+	// deadline reads a shard's lease deadline from the state capture.
+	deadline := func(c *Coordinator, shard int) int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.snapshotDocLocked().Jobs[0].Shards[shard].Deadline
+	}
+	for _, tc := range []struct {
+		ttl    time.Duration
+		wantMS int64
+	}{{500 * time.Microsecond, 1}, {1500 * time.Microsecond, 2}} {
+		dir := t.TempDir()
+		clk := newFakeClock()
+		c1 := openDurable(t, dir, clk, func(cfg *Config) { cfg.DefaultLeaseTTL = tc.ttl })
+		id, err := c1.Submit(testJob(2))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		l, err := c1.Claim(id, "w")
+		if err != nil {
+			t.Fatalf("Claim: %v", err)
+		}
+		if l.TTLMS != tc.wantMS {
+			t.Errorf("ttl %v: lease TTLMS = %d, want %d", tc.ttl, l.TTLMS, tc.wantMS)
+		}
+		live := deadline(c1, 0) - clk.Now().UnixNano()
+		if err := c1.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		c2 := openDurable(t, dir, clk, nil)
+		if _, err := c2.Claim(id, "w"); err != nil {
+			t.Fatalf("Claim after reopen: %v", err)
+		}
+		if got := deadline(c2, 1) - clk.Now().UnixNano(); got != live {
+			t.Errorf("ttl %v: lease lasts %v live, %v after reopen", tc.ttl, time.Duration(live), time.Duration(got))
+		}
+		c2.Close()
+	}
+
+	c := New(Config{MaxLeaseTTL: time.Minute, Now: newFakeClock().Now})
+	spec := testJob(1)
+	spec.LeaseTTLMS = math.MaxInt64
+	id, _ := c.Submit(spec)
+	if l, err := c.Claim(id, "w"); err != nil || l.TTLMS != time.Minute.Milliseconds() {
+		t.Fatalf("oversized lease_ttl_ms: lease %+v, err %v", l, err)
+	}
+}
+
+// TestScriptedHistoryCounters drives one job on a durable coordinator
+// through every transition — submit, claim, renew, expiry, re-claim,
+// lost lease, complete, duplicate, last complete and merge — and pins
+// the whole Progress and the scheduling counters after each step. Live
+// operations and replay share one transition function, so restart
+// equivalence alone cannot catch a wrong transition; this test does.
+// Each step is also recovered from the journal and compared with the
+// live state, which covers the replay-only paths (a re-claim record
+// over a still-leased shard is where replay counts the expiry). The
+// clock ticks 1ms per reading, so the merge takes exactly 1ms.
+func TestScriptedHistoryCounters(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	c := openDurable(t, dir, clk, func(cfg *Config) {
+		cfg.Now = func() time.Time {
+			clk.Advance(time.Millisecond)
+			return clk.Now()
+		}
+	})
+	id, err := c.Submit(testJob(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	p := Progress{ID: id, Figure: "fig2a", Seeds: 2, BaseSeed: 1, State: "running", Total: 2,
+		Shards: []ShardProgress{{Shard: 0, State: "pending"}, {Shard: 1, State: "pending"}}}
+	st := SweepStats{JobsSubmitted: 1, JobsActive: 1}
+	var a, b, last *Lease
+	steps := []struct {
+		name string
+		do   func() error
+		want error
+		edit func()
+	}{
+		{"claim", func() (err error) { a, err = c.Claim(id, "a"); return err }, nil, func() {
+			p.Shards[0] = ShardProgress{Shard: 0, State: "leased", Worker: "a", Leases: 1}
+			st.LeasesGranted++
+		}},
+		{"renew", func() error { clk.Advance(5 * time.Second); _, err := c.Renew(id, a.Shard, a.Token); return err }, nil, func() {
+			p.Shards[0].Renewals++
+			st.Renewals++
+		}},
+		{"renewed lease holds", func() error { clk.Advance(9 * time.Second); return nil }, nil, func() {}},
+		{"expiry", func() error { clk.Advance(2 * time.Second); return nil }, nil, func() {
+			p.Shards[0].State = "pending"
+			p.Releases++
+			st.Releases++
+		}},
+		{"re-claim", func() (err error) { b, err = c.Claim(id, "b"); return err }, nil, func() {
+			p.Shards[0].State, p.Shards[0].Worker = "leased", "b"
+			p.Shards[0].Leases++
+			st.LeasesGranted++
+		}},
+		{"stale renew", func() error { _, err := c.Renew(id, a.Shard, a.Token); return err }, ErrLeaseLost, func() {}},
+		{"complete", func() error { return c.Complete(id, b.Shard, b.Token, "b", shardBytes(t, b)) }, nil, func() {
+			p.Shards[0].State, p.Shards[0].DoneBy = "done", "b"
+			p.Done++
+			st.ShardsCompleted++
+		}},
+		{"duplicate", func() error { return c.Complete(id, a.Shard, a.Token, "a", shardBytes(t, a)) }, ErrDuplicate, func() {
+			p.Duplicates++
+			st.Duplicates++
+		}},
+		{"claim last", func() (err error) { last, err = c.Claim("", "c"); return err }, nil, func() {
+			p.Shards[1] = ShardProgress{Shard: 1, State: "leased", Worker: "c", Leases: 1}
+			st.LeasesGranted++
+		}},
+		{"complete and merge", func() error { return c.Complete(id, last.Shard, last.Token, "c", shardBytes(t, last)) }, nil, func() {
+			p.Shards[1].State, p.Shards[1].DoneBy = "done", "c"
+			p.Done++
+			p.State, p.MergeMS = "done", 1
+			st.ShardsCompleted++
+			st.JobsActive, st.JobsDone, st.Merges = 0, 1, 1
+			st.LastMergeMS, st.MaxMergeMS = 1, 1
+		}},
+	}
+	for _, s := range steps {
+		if err := s.do(); !errors.Is(err, s.want) {
+			t.Fatalf("%s: got %v, want %v", s.name, err, s.want)
+		}
+		s.edit()
+		got, err := c.Progress(id)
+		if err != nil {
+			t.Fatalf("%s: Progress: %v", s.name, err)
+		}
+		if !reflect.DeepEqual(*got, p) {
+			t.Fatalf("%s: progress\n got %+v\nwant %+v", s.name, *got, p)
+		}
+		gotSt := c.StatsSnapshot()
+		gotSt.JournalAppends, gotSt.JournalSyncs, gotSt.JournalBytes = 0, 0, 0
+		if gotSt != st {
+			t.Fatalf("%s: stats\n got %+v\nwant %+v", s.name, gotSt, st)
+		}
+		journal, err := os.ReadFile(filepath.Join(dir, journalFileName))
+		if err != nil {
+			t.Fatalf("read journal: %v", err)
+		}
+		rec := recoverPrefix(t, journal, nil, clk.Now())
+		observeExpiry(t, rec, []string{id})
+		if want, got := captureState(t, c), captureState(t, rec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: recovered state differs\n--- recovered ---\n%s\n--- live ---\n%s", s.name, got, want)
+		}
+	}
+	if dat, err := c.Result(id); err != nil || string(dat) != goldenDat(t) {
+		t.Fatalf("Result: %v", err)
 	}
 }
 

@@ -246,36 +246,40 @@ type snapshotDoc struct {
 	Epoch   int        `json:"epoch"`
 	Seq     int        `json:"seq"`
 	Stats   SweepStats `json:"stats"`
-	Jobs    []jobSnap  `json:"jobs"` // submission order
+	Jobs    []job      `json:"jobs"` // submission order
 }
 
 const snapshotVersion = 1
 
-// jobSnap is one job's row in a snapshot.
-type jobSnap struct {
-	ID         string      `json:"id"`
-	Spec       SweepJob    `json:"spec"`
-	Done       int         `json:"done"`
-	Merged     bool        `json:"merged,omitempty"`
-	Dat        []byte      `json:"dat,omitempty"`
-	Failed     string      `json:"failed,omitempty"`
-	MergeNS    int64       `json:"merge_ns,omitempty"`
-	Releases   int         `json:"releases,omitempty"`
-	Duplicates int         `json:"duplicates,omitempty"`
-	Shards     []shardSnap `json:"shards"`
+// job is one submitted sweep with its shard table. The live table
+// holds these and a snapshot stores them verbatim, so restoring one is
+// just registering it.
+type job struct {
+	ID         string   `json:"id"`
+	Spec       SweepJob `json:"spec"` // normalized: Seeds and LeaseTTLMS resolved
+	Done       int      `json:"done"` // shards in state "done"
+	Merged     bool     `json:"merged,omitempty"`
+	Dat        []byte   `json:"dat,omitempty"`    // merged Figure.Dat bytes
+	Failed     string   `json:"failed,omitempty"` // merge error (determinism bug — should never happen)
+	MergeNS    int64    `json:"merge_ns,omitempty"`
+	Releases   int      `json:"releases,omitempty"`   // leases expired and made claimable again
+	Duplicates int      `json:"duplicates,omitempty"` // completions discarded because the shard was done
+	Shards     []shard  `json:"shards"`
 }
 
-// shardSnap is one shard's row in a snapshot. Deadline is absolute
-// Unix nanoseconds, like in claim/renew records.
-type shardSnap struct {
+// shard is one work unit's row in a job's table. State is "pending",
+// "leased" or "done". Deadline is the current lease deadline in
+// absolute Unix nanoseconds, as in claim/renew records: leases expire
+// against the wall clock, live and after recovery alike.
+type shard struct {
 	State    string `json:"state"`
-	Token    string `json:"token,omitempty"`
-	Worker   string `json:"worker,omitempty"`
+	Token    string `json:"token,omitempty"`  // current lease token (leased only)
+	Worker   string `json:"worker,omitempty"` // current or last lessee
 	Deadline int64  `json:"deadline,omitempty"`
-	Leases   int    `json:"leases,omitempty"`
+	Leases   int    `json:"leases,omitempty"` // leases ever granted (>1 means re-leased)
 	Renewals int    `json:"renewals,omitempty"`
-	Cells    []byte `json:"cells,omitempty"`
-	DoneBy   string `json:"done_by,omitempty"`
+	Cells    []byte `json:"cells,omitempty"`   // encoded ShardCells once done
+	DoneBy   string `json:"done_by,omitempty"` // worker whose result was accepted
 }
 
 // writeSnapshot atomically replaces dir/snapshot.json with doc:

@@ -4,16 +4,21 @@ package coord
 // table the previous process had, then serves as if the restart never
 // happened. The equivalence argument, piece by piece:
 //
-//   - Submit/Claim/Renew/Complete each append their record under the
-//     same mutex hold that mutates the table, so the journal is a
-//     serialization of the live history.
-//   - Lease deadlines are journaled as absolute timestamps. Recovery
-//     does not expire anything itself: a lease whose deadline passed
-//     while the coordinator was down is restored as leased and expires
-//     lazily on the next Claim/Progress — the same code path, the same
-//     observable effect, as a lease that expired with the coordinator
-//     up. Stale Renew/Complete calls therefore keep mapping to
-//     ErrLeaseLost (409), never to a 500.
+//   - applyRecord is the only function that changes the shard table.
+//     Every live operation validates its input, builds its record,
+//     journals it and applies it through commit, under one mutex hold;
+//     replay applies the same records through the same function, so
+//     the journal is a serialization of the live history and replaying
+//     it cannot take a different transition. (Lazy lease expiry is the
+//     one state change outside it; see below.)
+//   - Lease deadlines are journaled, and held live, as absolute Unix
+//     nanoseconds compared against the wall clock. Recovery does not
+//     expire anything itself: a lease whose deadline passed while the
+//     coordinator was down is restored as leased and expires lazily on
+//     the next Claim/Progress — the same code path, the same observable
+//     effect, as a lease that expired with the coordinator up. Stale
+//     Renew/Complete calls therefore keep mapping to ErrLeaseLost
+//     (409), never to a 500.
 //   - Lease expiry itself is never journaled: a claim record over a
 //     shard the replay still sees as leased *is* the expiry, and replay
 //     counts the release exactly where the live path did.
@@ -22,18 +27,22 @@ package coord
 //     incarnation can never collide with one issued after recovery even
 //     if unsynced claim records were lost to a machine crash.
 //   - A crash after the last Complete but before its merge record is
-//     repaired at open: shard cells are durable, the merge is a pure
-//     function of them, so recovery just re-merges (byte-identical by
-//     the MergeFigure contract).
+//     repaired at open by the same merge the live Complete runs: shard
+//     cells are durable and the merge is a pure function of them
+//     (byte-identical by the MergeFigure contract).
 //
-// The restart-equivalence property test (recovery_test.go) checks all
-// of this mechanically at every journal prefix.
+// Sharing the transition means restart equivalence no longer checks
+// that a transition is right; the scripted-history test in
+// coord_test.go pins every counter for that. The restart-equivalence
+// property test (recovery_test.go) checks the rest mechanically at
+// every journal prefix.
 
 import (
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 )
 
@@ -54,9 +63,12 @@ func Open(cfg Config) (*Coordinator, error) {
 }
 
 // recover loads the snapshot, replays the journal tail, repairs any
-// missing merge, and marks the new epoch. Runs before the Coordinator
-// is published, so no locking is needed.
+// missing merge, and marks the new epoch. It runs before the
+// Coordinator is published but holds mu anyway: the repair merge drops
+// and retakes it.
 func (c *Coordinator) recover() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	dir := c.cfg.StateDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -111,9 +123,8 @@ func (c *Coordinator) recover() error {
 	// Crash between the last Complete and its merge record: cells are
 	// durable and the merge is deterministic, so finish it now.
 	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.done == len(j.shards) && !j.finished() {
-			c.mergeLocked(j)
+		if j := c.jobs[id]; j.Done == len(j.Shards) && !j.finished() {
+			c.merge(j)
 		}
 	}
 
@@ -122,203 +133,140 @@ func (c *Coordinator) recover() error {
 		if !j.finished() {
 			c.stats.JobsRecovered++
 		}
-		c.stats.ShardsRecovered += j.done
+		c.stats.ShardsRecovered += j.Done
 	}
 
 	// Mark the open. The epoch bump namespaces every future lease token
 	// away from any token the dead incarnation handed out.
-	c.epoch++
-	if err := c.logRecord(record{Type: recOpen, Epoch: c.epoch}); err != nil {
+	if err := c.commit(record{Type: recOpen, Epoch: c.epoch + 1}); err != nil {
 		f.Close()
 		return err
 	}
 	return nil
 }
 
-// applyRecord folds one journal record into the shard table — the
-// replay twin of the live Submit/Claim/Renew/Complete mutations.
-// Records that no longer make sense (unknown job, out-of-range shard,
-// completing a done shard) are skipped rather than trusted: the WAL
-// fuzz target guarantees we only see checksummed records, but replay
-// still refuses to let one bad record corrupt the table.
+// commit journals r and then applies it: the one way a live operation
+// changes coordinator state. Called under mu. A failed append refuses
+// the operation before anything changes (ErrJournal), so the on-disk
+// history never diverges from what clients observed.
+func (c *Coordinator) commit(r record) error {
+	if err := c.logRecord(&r); err != nil {
+		return err
+	}
+	c.applyRecord(&r)
+	c.maybeSnapshotLocked()
+	return nil
+}
+
+// applyRecord folds one record into the coordinator state — the only
+// function that does, for live operations (through commit) and replay
+// alike. Records that no longer make sense (unknown job, out-of-range
+// shard, completing a done shard) are skipped rather than trusted: the
+// WAL fuzz target guarantees replay only sees checksummed records, but
+// one bad record must still not corrupt the table.
 func (c *Coordinator) applyRecord(r *record) {
-	if r.Seq > c.seq {
-		c.seq = r.Seq
+	c.seq = max(c.seq, r.Seq)
+	j := c.jobs[r.Job]
+	var s *shard
+	if j != nil && r.Shard >= 0 && r.Shard < len(j.Shards) {
+		s = &j.Shards[r.Shard]
 	}
 	switch r.Type {
 	case recOpen:
-		if r.Epoch > c.epoch {
-			c.epoch = r.Epoch
-		}
+		c.epoch = max(c.epoch, r.Epoch)
 	case recSubmit:
-		if r.Spec == nil || r.Job == "" {
+		if j != nil || r.Spec == nil || r.Job == "" {
 			return
 		}
-		if _, ok := c.jobs[r.Job]; ok {
-			return
+		j = &job{ID: r.Job, Spec: *r.Spec, Shards: make([]shard, r.Spec.Shards)}
+		for i := range j.Shards {
+			j.Shards[i].State = shardPending
 		}
-		spec := *r.Spec
-		j := &job{
-			id:     r.Job,
-			spec:   spec,
-			ttl:    time.Duration(spec.LeaseTTLMS) * time.Millisecond,
-			shards: make([]shard, spec.Shards),
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if spec.JobKey != "" {
-			c.byKey[spec.JobKey] = j.id
-		}
+		c.addJob(j)
 		c.stats.JobsSubmitted++
 	case recClaim:
-		j, s := c.replayShard(r)
-		if s == nil || s.state == shardDone {
+		if s == nil || s.State == shardDone {
 			return
 		}
-		if s.state == shardLeased {
+		if s.State == shardLeased {
 			// The live path expired this lease (lazily) before re-leasing;
 			// the re-claim is where replay observes and counts it.
-			j.releases++
+			j.Releases++
 			c.stats.Releases++
 		}
-		s.state = shardLeased
-		s.token = r.Token
-		s.worker = r.Worker
-		s.deadline = time.Unix(0, r.Deadline)
-		s.leases++
+		s.State = shardLeased
+		s.Token = r.Token
+		s.Worker = r.Worker
+		s.Deadline = r.Deadline
+		s.Leases++
 		c.stats.LeasesGranted++
 	case recRenew:
-		_, s := c.replayShard(r)
-		if s == nil || s.state != shardLeased || s.token != r.Token {
+		if s == nil || s.State != shardLeased || s.Token != r.Token {
 			return
 		}
-		s.deadline = time.Unix(0, r.Deadline)
-		s.renewals++
+		s.Deadline = r.Deadline
+		s.Renewals++
 		c.stats.Renewals++
 	case recComplete:
-		j, s := c.replayShard(r)
-		if s == nil || s.state == shardDone {
+		if s == nil || s.State == shardDone {
 			return
 		}
-		s.state = shardDone
-		s.token = ""
-		s.cells = r.Cells
-		s.doneBy = r.Worker
-		j.done++
+		s.State = shardDone
+		s.Token = ""
+		s.Cells = r.Cells
+		s.DoneBy = r.Worker
+		j.Done++
 		c.stats.ShardsCompleted++
 	case recDuplicate:
-		j, s := c.replayShard(r)
 		if s == nil {
 			return
 		}
-		j.duplicates++
+		j.Duplicates++
 		c.stats.Duplicates++
 	case recMerge:
-		j, ok := c.jobs[r.Job]
-		if !ok || j.finished() {
+		if j == nil || j.finished() {
 			return
 		}
-		j.mergeDur = time.Duration(r.MergeNS)
-		c.recordMergeOutcome(j, r.Dat, r.Failed)
+		j.MergeNS = r.MergeNS
+		if r.Failed != "" {
+			j.Failed = r.Failed
+			c.stats.JobsFailed++
+			return
+		}
+		j.Dat = r.Dat
+		j.Merged = true
+		c.stats.JobsDone++
+		c.stats.Merges++
+		ms := time.Duration(r.MergeNS).Seconds() * 1e3
+		c.stats.LastMergeMS = ms
+		c.stats.MaxMergeMS = max(c.stats.MaxMergeMS, ms)
 	}
 }
 
-// replayShard resolves a record's (job, shard) pair, nil on anything
-// out of range.
-func (c *Coordinator) replayShard(r *record) (*job, *shard) {
-	j, ok := c.jobs[r.Job]
-	if !ok || r.Shard < 0 || r.Shard >= len(j.shards) {
-		return nil, nil
+// addJob registers a job: a fresh one from its submit record, or one
+// restored from a snapshot.
+func (c *Coordinator) addJob(j *job) {
+	c.jobs[j.ID] = j
+	c.order = append(c.order, j.ID)
+	if j.Spec.JobKey != "" {
+		c.byKey[j.Spec.JobKey] = j.ID
 	}
-	return j, &j.shards[r.Shard]
-}
-
-// recordMergeOutcome applies a merge result (live or replayed) to the
-// job and the lifetime counters.
-func (c *Coordinator) recordMergeOutcome(j *job, dat []byte, failed string) {
-	if failed != "" {
-		j.failed = failed
-		c.stats.JobsFailed++
-		return
-	}
-	j.dat = dat
-	j.merged = true
-	c.stats.JobsDone++
-	c.stats.Merges++
-	ms := j.mergeDur.Seconds() * 1e3
-	c.stats.LastMergeMS = ms
-	if ms > c.stats.MaxMergeMS {
-		c.stats.MaxMergeMS = ms
-	}
-}
-
-// mergeLocked runs a job's final merge inline (recovery path: nothing
-// is serving yet, so holding everything is fine), records the outcome
-// and journals it.
-func (c *Coordinator) mergeLocked(j *job) {
-	parts := make([][]byte, len(j.shards))
-	for i := range j.shards {
-		parts[i] = j.shards[i].cells
-	}
-	start := c.cfg.Now()
-	dat, err := mergeParts(j.spec, parts)
-	j.mergeDur = c.cfg.Now().Sub(start)
-	failed := ""
-	if err != nil {
-		failed = err.Error()
-	}
-	c.recordMergeOutcome(j, dat, failed)
-	// Journal append failures here are swallowed: the in-memory result
-	// is correct, completes are durable, and the next open re-merges.
-	_ = c.logRecord(record{Type: recMerge, Job: j.id, Dat: dat, Failed: failed, MergeNS: int64(j.mergeDur)})
 }
 
 // restoreSnapshot rebuilds the coordinator from a snapshot document.
+// A shard state this build does not know restores as pending.
 func (c *Coordinator) restoreSnapshot(doc *snapshotDoc) {
 	c.seq = doc.Seq
 	c.epoch = doc.Epoch
 	c.stats = doc.Stats
 	for i := range doc.Jobs {
-		js := &doc.Jobs[i]
-		j := &job{
-			id:         js.ID,
-			spec:       js.Spec,
-			ttl:        time.Duration(js.Spec.LeaseTTLMS) * time.Millisecond,
-			shards:     make([]shard, len(js.Shards)),
-			done:       js.Done,
-			merged:     js.Merged,
-			dat:        js.Dat,
-			failed:     js.Failed,
-			mergeDur:   time.Duration(js.MergeNS),
-			releases:   js.Releases,
-			duplicates: js.Duplicates,
-		}
-		for k := range js.Shards {
-			ss := &js.Shards[k]
-			s := &j.shards[k]
-			switch ss.State {
-			case "leased":
-				s.state = shardLeased
-			case "done":
-				s.state = shardDone
-			default:
-				s.state = shardPending
+		j := &doc.Jobs[i]
+		for k := range j.Shards {
+			if s := &j.Shards[k]; s.State != shardLeased && s.State != shardDone {
+				s.State = shardPending
 			}
-			s.token = ss.Token
-			s.worker = ss.Worker
-			if ss.Deadline != 0 {
-				s.deadline = time.Unix(0, ss.Deadline)
-			}
-			s.leases = ss.Leases
-			s.renewals = ss.Renewals
-			s.cells = ss.Cells
-			s.doneBy = ss.DoneBy
 		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if js.Spec.JobKey != "" {
-			c.byKey[js.Spec.JobKey] = j.id
-		}
+		c.addJob(j)
 	}
 }
 
@@ -336,33 +284,8 @@ func (c *Coordinator) snapshotDocLocked() *snapshotDoc {
 		doc.LSN = c.jnl.lsn
 	}
 	for _, id := range c.order {
-		j := c.jobs[id]
-		js := jobSnap{
-			ID:         j.id,
-			Spec:       j.spec,
-			Done:       j.done,
-			Merged:     j.merged,
-			Dat:        j.dat,
-			Failed:     j.failed,
-			MergeNS:    int64(j.mergeDur),
-			Releases:   j.releases,
-			Duplicates: j.duplicates,
-			Shards:     make([]shardSnap, len(j.shards)),
-		}
-		for i := range j.shards {
-			s := &j.shards[i]
-			ss := &js.Shards[i]
-			ss.State = s.state.String()
-			ss.Token = s.token
-			ss.Worker = s.worker
-			if !s.deadline.IsZero() {
-				ss.Deadline = s.deadline.UnixNano()
-			}
-			ss.Leases = s.leases
-			ss.Renewals = s.renewals
-			ss.Cells = s.cells
-			ss.DoneBy = s.doneBy
-		}
+		js := *c.jobs[id]
+		js.Shards = slices.Clone(js.Shards)
 		doc.Jobs = append(doc.Jobs, js)
 	}
 	return doc
@@ -428,11 +351,11 @@ func (c *Coordinator) Close() error {
 // coordinators. Called under mu. Errors wrap ErrJournal (the HTTP
 // layer maps it to 500): the mutation the record describes must not
 // proceed, or replay would diverge from the history a client observed.
-func (c *Coordinator) logRecord(r record) error {
+func (c *Coordinator) logRecord(r *record) error {
 	if c.jnl == nil {
 		return nil
 	}
-	n, synced, err := c.jnl.append(&r, c.cfg.SyncInterval, c.cfg.Now())
+	n, synced, err := c.jnl.append(r, c.cfg.SyncInterval, c.cfg.Now())
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}

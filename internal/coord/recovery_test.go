@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -237,6 +238,76 @@ func TestRecoveryRepairsMissingMerge(t *testing.T) {
 	}
 	if string(dat) != goldenDat(t) {
 		t.Fatal("repaired merge differs from unsharded golden")
+	}
+}
+
+// TestLostClaimTokenNeverReissued: a machine crash that loses an
+// unsynced claim record regresses the counter the token was drawn
+// from, yet the recovered coordinator's next lease still gets a fresh
+// token — tokens carry the state dir's open count — so the dead
+// incarnation's worker cannot complete under it.
+func TestLostClaimTokenNeverReissued(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	c1 := openDurable(t, dir, clk, nil)
+	id, err := c1.Submit(testJob(1))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	lost, err := c1.Claim(id, "w1")
+	if err != nil {
+		t.Fatalf("Claim: %v", err)
+	}
+	// Crash: drop the claim record, as if its fsync never happened.
+	path := filepath.Join(dir, journalFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	ends := journalFrameEnds(t, data)
+	if err := os.WriteFile(path, data[:ends[len(ends)-2]], 0o644); err != nil {
+		t.Fatalf("rewrite journal: %v", err)
+	}
+
+	c2 := openDurable(t, dir, clk, nil)
+	fresh, err := c2.Claim(id, "w2")
+	if err != nil {
+		t.Fatalf("Claim after recovery: %v", err)
+	}
+	if fresh.Token == lost.Token {
+		t.Fatalf("recovered coordinator re-issued the lost token %q", lost.Token)
+	}
+	if err := c2.Complete(id, lost.Shard, lost.Token, "w1", cachedCells(t, lost)); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("Complete under the lost token: got %v, want ErrLeaseLost", err)
+	}
+}
+
+// TestReplayFailedMerge: a journaled merge failure replays as a failed
+// job, counted once, whose Result reports the recorded error.
+func TestReplayFailedMerge(t *testing.T) {
+	dir := t.TempDir()
+	recs := []record{
+		{Type: recSubmit, Job: "j1", Seq: 1, Spec: &SweepJob{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shards: 1, LeaseTTLMS: 10_000}},
+		{Type: recClaim, Job: "j1", Seq: 2, Token: "t2", Worker: "w", Deadline: 1},
+		{Type: recComplete, Job: "j1", Worker: "w", Cells: []byte("cells")},
+		{Type: recMerge, Job: "j1", Failed: "boom", MergeNS: 3e6},
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFileName), frameRecords(t, recs), 0o644); err != nil {
+		t.Fatalf("write journal: %v", err)
+	}
+	c := openDurable(t, dir, newFakeClock(), nil)
+	p, err := c.Progress("j1")
+	if err != nil {
+		t.Fatalf("Progress: %v", err)
+	}
+	if p.State != "failed" || p.Error != "boom" {
+		t.Fatalf("replayed failed merge: state %q error %q", p.State, p.Error)
+	}
+	if st := c.StatsSnapshot(); st.JobsFailed != 1 || st.JobsDone != 0 || st.Merges != 0 {
+		t.Fatalf("stats after a replayed failure: %+v", st)
+	}
+	if _, err := c.Result("j1"); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Result: %v", err)
 	}
 }
 

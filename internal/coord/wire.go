@@ -1,8 +1,9 @@
 package coord
 
 // Wire types shared by the coordinator, the HTTP layer in
-// internal/serve, and Client. All JSON, all stable: these are the
-// public jobs surface re-exported at the repo root.
+// internal/serve, and Client: the one copy of every sweep message. All
+// JSON, all stable; SweepJob, Lease and Progress are re-exported at
+// the repo root as the public jobs surface.
 
 // SweepJob is a sweep submission: which figure to build, the
 // experiment parameters, and how many shards to decompose it into.
@@ -78,42 +79,42 @@ type Progress struct {
 	Error string `json:"error,omitempty"`
 }
 
-// submitResponse is POST /v1/sweep's reply.
-type submitResponse struct {
+// SubmitResponse is POST /v1/sweep's reply.
+type SubmitResponse struct {
 	ID string `json:"id"`
 }
 
-// claimRequest is the body of POST /v1/sweep/lease and
+// ClaimRequest is the body of POST /v1/sweep/lease and
 // POST /v1/sweep/{id}/lease.
-type claimRequest struct {
+type ClaimRequest struct {
 	Worker string `json:"worker,omitempty"`
 }
 
-// renewRequest is the body of POST /v1/sweep/{id}/renew.
-type renewRequest struct {
+// RenewRequest is the body of POST /v1/sweep/{id}/renew.
+type RenewRequest struct {
 	Shard  int    `json:"shard"`
 	Token  string `json:"token"`
 	Worker string `json:"worker,omitempty"`
 }
 
-// renewResponse is its reply.
-type renewResponse struct {
+// RenewResponse is its reply.
+type RenewResponse struct {
 	TTLMS int64 `json:"ttl_ms"`
 }
 
-// completeRequest is the body of POST /v1/sweep/{id}/complete. Cells
+// CompleteRequest is the body of POST /v1/sweep/{id}/complete. Cells
 // carries the shard's encoded cell artifact (the streamalloc-cells/v1
 // text format) verbatim.
-type completeRequest struct {
+type CompleteRequest struct {
 	Shard  int    `json:"shard"`
 	Token  string `json:"token"`
 	Worker string `json:"worker,omitempty"`
 	Cells  string `json:"cells"`
 }
 
-// completeResponse is its reply. Duplicate is set when the result was
+// CompleteResponse is its reply. Duplicate is set when the result was
 // discarded because the shard already completed — benign by the
-// determinism contract.
-type completeResponse struct {
-	Duplicate bool `json:"duplicate,omitempty"`
+// determinism contract. It is always sent, false included.
+type CompleteResponse struct {
+	Duplicate bool `json:"duplicate"`
 }

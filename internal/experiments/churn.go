@@ -169,6 +169,3 @@ func ChurnGate(ctx context.Context, cfg Config) (int, error) {
 	}
 	return checked, nil
 }
-
-// Churn builds the dynamic-workload figure (repair vs re-solve).
-func Churn(cfg Config) *Figure { return mustFigure("churn", cfg) }

@@ -420,12 +420,22 @@ func BuildFigure(ctx context.Context, id string, cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
+// grids builds the figure's sweep-unit grids under cfg.
+func (def figDef) grids(cfg Config) []*Grid {
+	gs := make([]*Grid, len(def.units))
+	for i, u := range def.units {
+		gs[i] = u.grid(cfg)
+	}
+	return gs
+}
+
 func (def figDef) newFigure() *Figure {
 	return &Figure{ID: def.id, Title: def.title, XLabel: def.xlabel, YLabel: def.ylabel}
 }
 
-// mustFigure backs the legacy figure wrappers, whose signatures predate
-// the error-returning Grid engine; their inputs are static and valid.
+// mustFigure backs the Fig2a/Fig2b/Fig3 wrappers, whose signatures
+// predate the error-returning Grid engine; their inputs are static and
+// valid.
 func mustFigure(id string, cfg Config) *Figure {
 	fig, err := BuildFigure(context.Background(), id, cfg)
 	if err != nil {
@@ -443,27 +453,6 @@ func Fig2b(cfg Config) *Figure { return mustFigure("fig2b", cfg) }
 
 // Fig3 reproduces Figure 3: cost versus alpha at N=60.
 func Fig3(cfg Config) *Figure { return mustFigure("fig3", cfg) }
-
-// Fig3SmallTree reproduces the Section 5 text companion of Figure 3 for
-// N=20 (thresholds around alpha=1.7 and 2.2).
-func Fig3SmallTree(cfg Config) *Figure { return mustFigure("fig3n20", cfg) }
-
-// LargeObjects reproduces the Section 5 text experiment with 450-530 MB
-// objects: feasibility collapses beyond a modest tree size.
-func LargeObjects(cfg Config) *Figure { return mustFigure("large", cfg) }
-
-// FrequencySweep reproduces the download-rate experiment: cost versus
-// update period (1/f from 2s to 50s) at N=60; below 1/10s the solutions
-// stop changing.
-func FrequencySweep(cfg Config) *Figure { return mustFigure("freq", cfg) }
-
-// AblationDowngrade (A1) isolates the paper's third pipeline step: the
-// same placements with and without the downgrade step.
-func AblationDowngrade(cfg Config) *Figure { return mustFigure("abl-downgrade", cfg) }
-
-// AblationSelection (A2) compares the paper's three-loop server selection
-// with the naive random selection on the same placements.
-func AblationSelection(cfg Config) *Figure { return mustFigure("abl-selection", cfg) }
 
 // Dat renders the figure as a gnuplot-style whitespace table: one x column
 // followed by one cost column per series ("nan" for infeasible points).

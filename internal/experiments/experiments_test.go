@@ -11,6 +11,16 @@ import (
 // fast config keeps test runtime reasonable.
 var fast = Config{Seeds: 3, BaseSeed: 1}
 
+// mustBuild runs one registered figure, failing the test on error.
+func mustBuild(t *testing.T, id string, cfg Config) *Figure {
+	t.Helper()
+	fig, err := BuildFigure(context.Background(), id, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 func TestFig2aShape(t *testing.T) {
 	fig := Fig2a(fast)
 	if len(fig.Series) != 7 {
@@ -72,7 +82,7 @@ func TestFig3Thresholds(t *testing.T) {
 }
 
 func TestLargeObjectsFeasibilityCliff(t *testing.T) {
-	fig := LargeObjects(Config{Seeds: 3, BaseSeed: 1})
+	fig := mustBuild(t, "large", Config{Seeds: 3, BaseSeed: 1})
 	sbu := fig.SeriesByLabel("Subtree-bottom-up")
 	small, large := -1, -1
 	for i, p := range sbu.Points {
@@ -92,7 +102,7 @@ func TestLargeObjectsFeasibilityCliff(t *testing.T) {
 }
 
 func TestFrequencyPlateau(t *testing.T) {
-	fig := FrequencySweep(Config{Seeds: 3, BaseSeed: 1})
+	fig := mustBuild(t, "freq", Config{Seeds: 3, BaseSeed: 1})
 	sbu := fig.SeriesByLabel("Subtree-bottom-up")
 	// The paper: periods beyond 10s change nothing. Compare 10s vs 50s.
 	var at10, at50 float64 = math.NaN(), math.NaN()
@@ -125,8 +135,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// Same contract for the selection ablation, which has its own fan-out.
-	serialAbl := AblationSelection(Config{Seeds: 2, BaseSeed: 1, Workers: 1}).Dat()
-	if got := AblationSelection(Config{Seeds: 2, BaseSeed: 1, Workers: 8}).Dat(); got != serialAbl {
+	serialAbl := mustBuild(t, "abl-selection", Config{Seeds: 2, BaseSeed: 1, Workers: 1}).Dat()
+	if got := mustBuild(t, "abl-selection", Config{Seeds: 2, BaseSeed: 1, Workers: 8}).Dat(); got != serialAbl {
 		t.Fatalf("ablation diverges:\n--- serial ---\n%s--- parallel ---\n%s", serialAbl, got)
 	}
 }

@@ -310,3 +310,43 @@ func TestDecodeRejectsBadShardHeader(t *testing.T) {
 		t.Fatalf("out-of-range shard part merged: %v", err)
 	}
 }
+
+// TestCheckShardCells: Check accepts a shard's own cells and rejects a
+// part that names another figure, shard or seed count, or whose units
+// miss, repeat, reorder or overrun the shard's cell indices — the cases
+// that would otherwise fail (or corrupt) a merge.
+func TestCheckShardCells(t *testing.T) {
+	cfg := Config{Seeds: 2, BaseSeed: 1}
+	sh := Shard{Index: 1, Count: 3}
+	good, err := RunFigureShard(context.Background(), "fig2a", cfg, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Check("fig2a", cfg, sh); err != nil {
+		t.Fatalf("own cells rejected: %v", err)
+	}
+	cells := good.Units[0]
+	for _, tc := range []struct {
+		name string
+		edit func(sc *ShardCells)
+		want string
+	}{
+		{"figure", func(sc *ShardCells) { sc.FigID = "fig2b" }, "belong to figure"},
+		{"shard", func(sc *ShardCells) { sc.Shard.Index = 2 }, "cover shard"},
+		{"seeds", func(sc *ShardCells) { sc.Seeds = 3 }, "ran with seeds"},
+		{"units", func(sc *ShardCells) { sc.Units = nil }, "sweep units"},
+		{"missing", func(sc *ShardCells) { sc.Units[0] = cells[:len(cells)-1] }, "lacks cell"},
+		{"repeated", func(sc *ShardCells) { sc.Units[0] = append(cells[:1:1], cells[:len(cells)-1]...) }, "holds cell"},
+		{"reordered", func(sc *ShardCells) { sc.Units[0] = append([]Cell{cells[1], cells[0]}, cells[2:]...) }, "holds cell"},
+		{"overrun", func(sc *ShardCells) {
+			sc.Units[0] = append(cells[:len(cells):len(cells)], Cell{Index: cells[len(cells)-1].Index + sh.Count})
+		}, "holds cell"},
+	} {
+		bad := *good
+		bad.Units = [][]Cell{cells}
+		tc.edit(&bad)
+		if err := bad.Check("fig2a", cfg, sh); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -62,8 +62,8 @@ func RunFigureShard(ctx context.Context, id string, cfg Config, sh Shard) (*Shar
 
 // MergeFigure reassembles the full cell grid from every shard's cells
 // and folds it into the Figure. The parts must cover every shard index
-// exactly once and agree on figure id, seeds and base seed; every cell
-// of every unit must be present exactly once. The result is
+// exactly once, and each must pass Check for its own shard, so every
+// cell of every unit is present exactly once. The result is
 // byte-identical (Figure.Dat) to an unsharded BuildFigure run.
 func MergeFigure(id string, cfg Config, parts []*ShardCells) (*Figure, error) {
 	def, err := figDefByID(id)
@@ -77,24 +77,17 @@ func MergeFigure(id string, cfg Config, parts []*ShardCells) (*Figure, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("experiments: merge %s: no shard parts", id)
 	}
+	grids := def.grids(cfg)
 	count := parts[0].Shard.normalized().Count
 	seenShard := make([]bool, count)
 	for _, p := range parts {
 		if err := p.Shard.validate(); err != nil {
 			return nil, fmt.Errorf("experiments: merge %s: %w", id, err)
 		}
-		switch {
-		case p.FigID != id:
-			return nil, fmt.Errorf("experiments: merge %s: part belongs to figure %q", id, p.FigID)
-		case p.Seeds != cfg.Seeds || p.BaseSeed != cfg.BaseSeed:
-			return nil, fmt.Errorf("experiments: merge %s: part ran with seeds=%d base=%d, want seeds=%d base=%d",
-				id, p.Seeds, p.BaseSeed, cfg.Seeds, cfg.BaseSeed)
-		case p.Shard.normalized().Count != count:
-			return nil, fmt.Errorf("experiments: merge %s: mixed shard counts %d and %d", id, p.Shard.normalized().Count, count)
-		case len(p.Units) != len(def.units):
-			return nil, fmt.Errorf("experiments: merge %s: part has %d sweep units, figure has %d", id, len(p.Units), len(def.units))
-		}
 		i := p.Shard.normalized().Index
+		if err := p.check(id, cfg, grids, Shard{Index: i, Count: count}); err != nil {
+			return nil, fmt.Errorf("experiments: merge %s: %w", id, err)
+		}
 		if seenShard[i] {
 			return nil, fmt.Errorf("experiments: merge %s: shard %d supplied twice", id, i)
 		}
@@ -108,30 +101,58 @@ func MergeFigure(id string, cfg Config, parts []*ShardCells) (*Figure, error) {
 
 	fig := def.newFigure()
 	for ui, u := range def.units {
-		g := u.grid(cfg)
-		full := make([]Cell, g.Size())
-		filled := make([]bool, g.Size())
+		full := make([]Cell, grids[ui].Size())
 		for _, p := range parts {
 			for _, c := range p.Units[ui] {
-				if c.Index < 0 || c.Index >= g.Size() {
-					return nil, fmt.Errorf("experiments: merge %s: unit %d cell index %d out of range [0, %d)",
-						id, ui, c.Index, g.Size())
-				}
-				if filled[c.Index] {
-					return nil, fmt.Errorf("experiments: merge %s: unit %d cell %d supplied twice", id, ui, c.Index)
-				}
-				filled[c.Index] = true
 				full[c.Index] = c
 			}
 		}
-		for i, ok := range filled {
-			if !ok {
-				return nil, fmt.Errorf("experiments: merge %s: unit %d cell %d missing", id, ui, i)
-			}
-		}
-		fig.Series = append(fig.Series, u.fold(g, full)...)
+		fig.Series = append(fig.Series, u.fold(grids[ui], full)...)
 	}
 	return fig, nil
+}
+
+// Check reports whether sc is exactly shard sh of figure id under cfg:
+// the figure, shard, seeds and base seed match, there is one cell list
+// per sweep unit, and each unit holds exactly the shard's cell indices
+// in increasing order. Shards that all pass Check cover the full grid,
+// every cell once, so their merge cannot fail.
+func (sc *ShardCells) Check(id string, cfg Config, sh Shard) error {
+	def, err := figDefByID(id)
+	if err != nil {
+		return err
+	}
+	cfg = cfg.withDefaults()
+	return sc.check(id, cfg, def.grids(cfg), sh)
+}
+
+// check is Check against the figure's already-built unit grids.
+func (sc *ShardCells) check(id string, cfg Config, grids []*Grid, sh Shard) error {
+	sh = sh.normalized()
+	switch {
+	case sc.FigID != id:
+		return fmt.Errorf("experiments: cells belong to figure %q, want %q", sc.FigID, id)
+	case sc.Shard.normalized() != sh:
+		return fmt.Errorf("experiments: cells cover shard %v, want %v", sc.Shard, sh)
+	case sc.Seeds != cfg.Seeds || sc.BaseSeed != cfg.BaseSeed:
+		return fmt.Errorf("experiments: cells ran with seeds=%d base=%d, want seeds=%d base=%d",
+			sc.Seeds, sc.BaseSeed, cfg.Seeds, cfg.BaseSeed)
+	case len(sc.Units) != len(grids):
+		return fmt.Errorf("experiments: cells have %d sweep units, figure %s has %d", len(sc.Units), id, len(grids))
+	}
+	for ui, g := range grids {
+		want := sh.Index // shard sh owns indices sh.Index, sh.Index+sh.Count, ...
+		for _, c := range sc.Units[ui] {
+			if c.Index != want || want >= g.Size() {
+				return fmt.Errorf("experiments: unit %d holds cell %d where shard %v of %d cells owns %d", ui, c.Index, sh, g.Size(), want)
+			}
+			want += sh.Count
+		}
+		if want < g.Size() {
+			return fmt.Errorf("experiments: unit %d lacks cell %d of shard %v", ui, want, sh)
+		}
+	}
+	return nil
 }
 
 // Encode writes the shard cells as a line-oriented text artifact. Costs

@@ -96,9 +96,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, struct {
-		ID string `json:"id"`
-	}{id})
+	s.writeSweepJSON(w, http.StatusOK, coord.SubmitResponse{ID: id})
 }
 
 func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
@@ -122,9 +120,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID string) {
-	var req struct {
-		Worker string `json:"worker"`
-	}
+	var req coord.ClaimRequest
 	if herr := readSweepBody(r, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
@@ -142,10 +138,7 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 }
 
 func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Shard int    `json:"shard"`
-		Token string `json:"token"`
-	}
+	var req coord.RenewRequest
 	if herr := readSweepBody(r, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
@@ -155,38 +148,24 @@ func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, struct {
-		TTLMS int64 `json:"ttl_ms"`
-	}{ttlMS})
+	s.writeSweepJSON(w, http.StatusOK, coord.RenewResponse{TTLMS: ttlMS})
 }
 
 func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Shard  int    `json:"shard"`
-		Token  string `json:"token"`
-		Worker string `json:"worker"`
-		Cells  string `json:"cells"`
-	}
+	var req coord.CompleteRequest
 	if herr := readSweepBody(r, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
 	err := s.coord.Complete(r.PathValue("id"), req.Shard, req.Token, req.Worker, []byte(req.Cells))
-	switch {
-	case errors.Is(err, coord.ErrDuplicate):
-		// Benign by the determinism contract: someone else's identical
-		// result was already accepted. 200 with a flag, not an error.
-		s.writeSweepJSON(w, http.StatusOK, struct {
-			Duplicate bool `json:"duplicate"`
-		}{true})
-		return
-	case err != nil:
+	// A duplicate is benign by the determinism contract: someone else's
+	// identical result was already accepted. 200 with a flag, not an error.
+	dup := errors.Is(err, coord.ErrDuplicate)
+	if err != nil && !dup {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, struct {
-		Duplicate bool `json:"duplicate"`
-	}{false})
+	s.writeSweepJSON(w, http.StatusOK, coord.CompleteResponse{Duplicate: dup})
 }
 
 // writeSweepJSON marshals and writes one OK sweep reply, counting it.

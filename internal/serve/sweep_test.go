@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/coord"
+	"repro/internal/experiments"
 )
 
 // TestSweepEndpointStatusMapping exercises the HTTP surface of the
@@ -109,5 +112,63 @@ func TestSweepEndpointStatusMapping(t *testing.T) {
 	}
 	if st.Sweep.JobsSubmitted != 1 || st.Sweep.JobsActive != 1 || st.Sweep.LeasesGranted != 1 || st.Sweep.Renewals != 1 {
 		t.Fatalf("statsz sweep section: %+v", st.Sweep)
+	}
+}
+
+// TestSweepCompleteRejectsIncompleteArtifact: a shard artifact with a
+// valid header but none of the shard's cells answers 400 and leaves
+// the job running with the lease intact; the real artifact then lands
+// and the merged result equals the unsharded golden.
+func TestSweepCompleteRejectsIncompleteArtifact(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	rec := do(t, s, "POST", "/v1/sweep", []byte(`{"figure":"fig2a","seeds":2,"base_seed":1,"shards":1}`))
+	var sub coord.SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+	}
+	rec = do(t, s, "POST", "/v1/sweep/"+sub.ID+"/lease", []byte(`{"worker":"a"}`))
+	var lease coord.Lease
+	if err := json.Unmarshal(rec.Body.Bytes(), &lease); err != nil || lease.Token == "" {
+		t.Fatalf("claim: %d %s", rec.Code, rec.Body.String())
+	}
+	complete := func(cells string) *httptest.ResponseRecorder {
+		body, err := json.Marshal(coord.CompleteRequest{Shard: lease.Shard, Token: lease.Token, Worker: "a", Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return do(t, s, "POST", "/v1/sweep/"+sub.ID+"/complete", body)
+	}
+
+	bad := "# streamalloc-cells/v1 fig=fig2a shard=0/1 seeds=2 baseseed=1 units=1\n"
+	if rec := complete(bad); rec.Code != http.StatusBadRequest {
+		t.Fatalf("incomplete artifact: %d %s, want 400", rec.Code, rec.Body.String())
+	}
+	rec = do(t, s, "GET", "/v1/sweep/"+sub.ID, nil)
+	var p coord.Progress
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+		t.Fatalf("progress body: %v", err)
+	}
+	if p.State != "running" || p.Shards[0].State != "leased" {
+		t.Fatalf("after a refused artifact: %+v", p)
+	}
+
+	cfg := experiments.Config{Seeds: 2, BaseSeed: 1}
+	sc, err := experiments.RunFigureShard(t.Context(), "fig2a", cfg, experiments.Shard{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells bytes.Buffer
+	if err := sc.Encode(&cells); err != nil {
+		t.Fatal(err)
+	}
+	if rec := complete(cells.String()); rec.Code != http.StatusOK || rec.Body.String() != "{\"duplicate\":false}\n" {
+		t.Fatalf("real artifact: %d %q", rec.Code, rec.Body.String())
+	}
+	full, err := experiments.BuildFigure(t.Context(), "fig2a", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "GET", "/v1/sweep/"+sub.ID+"/result", nil); rec.Code != http.StatusOK || rec.Body.String() != full.Dat() {
+		t.Fatalf("result: %d, merge differs from the unsharded golden", rec.Code)
 	}
 }
