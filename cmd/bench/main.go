@@ -588,7 +588,41 @@ func run(seeds, itersScale int) (*Report, error) {
 		}))
 	}
 
+	// Churn session: the end-to-end benchmark's churn-sessions workload
+	// (4 applications of 25 operators, alpha 1.5, drift both ways up to
+	// 1.6x, RhoMax 8, the default platform), one pinned 120-event
+	// scenario replayed in process. Unlike the slow-CPU scenarios
+	// above, its repairs run thousands of annealing steps per event.
+	{
+		sc, e := sessionScenario(rng.SeedFor(5, "e2ebench:churn:0:0"))
+		name := "churn/session/N=100"
+		for i := 0; i < 5; i++ {
+			if _, err := e.Run(context.Background(), sc); err != nil {
+				panic(fmt.Sprintf("%s: %v", name, err))
+			}
+		}
+		add(measure(name, 2*itersScale, true, func() {
+			if _, err := e.Run(context.Background(), sc); err != nil {
+				panic(fmt.Sprintf("%s: %v", name, err))
+			}
+		}))
+	}
+
 	return rep, nil
+}
+
+// sessionScenario is the scenario, and the repair engine answering it,
+// that a churn-sessions session of cmd/e2ebench replays for the given
+// scenario seed.
+func sessionScenario(seed int64) (*churn.Scenario, *churn.Engine) {
+	cfg := churn.ScenarioConfig{
+		InitialApps: 4, Events: 120,
+		MinOps: 25, MaxOps: 25,
+		Drift: churn.DriftBoth, DriftMax: 1.6, RhoMax: 8,
+	}
+	cfg.Base.Alpha = 1.5
+	sc := churn.NewScenario(cfg, seed)
+	return sc, churn.NewEngine(churn.Options{Policy: churn.PolicyRepair, Seed: seed})
 }
 
 // churnScenario is the pinned churn benchmark workload: apps

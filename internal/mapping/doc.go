@@ -77,6 +77,20 @@
 // reached. On the cells of the paper's cost figures the estimate decides
 // about 95 % of checks; the rest fall back, all of them on the link test.
 //
+// EvalMove puts a whole move to the same estimates without changing
+// the mapping: it replays the move's attach and detach updates (the
+// same estMove arithmetic and refcount crossings) on shadow copies of
+// the estimates and the assignment, and judges every processor
+// TryPlace would check by its shadow estimate. A split raises its
+// source's NIC load (edges to the operators left behind start
+// crossing), and most failing splits fail there. For a feasible move it
+// also decides the configuration Refit would give each touched
+// processor, when CheapestFitting agrees at the low and high corners of
+// the estimate's bounds, and sums Cost in its own order, so the
+// refinement layer prices a move bit for bit before applying it. Every
+// answer the estimates leave open is Undecided, and the caller falls
+// back to the exact path.
+//
 // Buy, Reset, CopyFrom and the journal's undo records maintain the
 // estimates through the same paths. Clone does not copy them (a clone
 // allocates nothing more), and a Buy past the estimates' capacity drops

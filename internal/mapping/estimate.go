@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"repro/internal/apptree"
+	"repro/internal/instance"
+	"repro/internal/platform"
 )
 
 // loadEst is a processor's running load estimate: its compute, download
@@ -40,28 +42,29 @@ func (e *loadEst) void() bool { return !(e.err < math.Inf(1)) }
 // estLive reports whether est covers every processor.
 func (m *Mapping) estLive() bool { return len(m.est) >= len(m.Procs) }
 
-// estMove charges op's compute term to processor p's estimate, and the
-// traffic of every tree edge op shares with an operator on another
-// processor q to both p's and q's comm estimates: attach passes sign +1
-// and detach −1. The crossing test is CommLoad's.
-func (m *Mapping) estMove(op, p int, sign float64) {
-	in := m.Inst
-	e := &m.est[p]
+// estMove charges op's compute term to processor p's estimate in est,
+// and the traffic of every tree edge op shares with an operator on
+// another processor q to both p's and q's comm estimates: attach passes
+// sign +1 and detach −1. The crossing test is CommLoad's, over the
+// assignment assign. attach and detach pass the mapping's own estimates
+// and assignment; EvalMove passes shadow copies of both.
+func estMove(in *instance.Instance, est []loadEst, assign []int, op, p int, sign float64) {
+	e := &est[p]
 	e.comp = e.add(e.comp, in.Rho*in.W[op], sign)
 	ops := in.Tree.Ops
 	for _, c := range ops[op].ChildOps {
-		if q := m.Assign[c]; q != p && q != Unassigned {
+		if q := assign[c]; q != p && q != Unassigned {
 			t := in.EdgeTraffic(c)
 			e.comm = e.add(e.comm, t, sign)
-			eq := &m.est[q]
+			eq := &est[q]
 			eq.comm = eq.add(eq.comm, t, sign)
 		}
 	}
 	if par := ops[op].Parent; par != apptree.NoParent {
-		if q := m.Assign[par]; q != p && q != Unassigned {
+		if q := assign[par]; q != p && q != Unassigned {
 			t := in.EdgeTraffic(op)
 			e.comm = e.add(e.comm, t, sign)
-			eq := &m.est[q]
+			eq := &est[q]
 			eq.comm = eq.add(eq.comm, t, sign)
 		}
 	}
@@ -103,14 +106,15 @@ func (m *Mapping) rebuildEst() {
 	}
 }
 
-// estGamma bounds the relative rounding error of p's canonical load
-// sums: a recursive float sum of n non-negative terms lies within
-// n·2⁻⁵³·(1+O(n·2⁻⁵³)) of the exact one, and the NIC check sums at most
-// K download terms, three crossing edges per operator and one more add.
-// The factor 2⁻⁵² per term leaves a margin for that second-order term
-// and for a contracted (fused) multiply-add in either sum.
-func (m *Mapping) estGamma(p int) float64 {
-	return float64(3*len(m.opsOn[p])+m.Inst.NumTypes+4) * ulp
+// gammaFor bounds the relative rounding error of the canonical load sums
+// of a processor hosting n operators: a recursive float sum of n
+// non-negative terms lies within n·2⁻⁵³·(1+O(n·2⁻⁵³)) of the exact one,
+// and the NIC check sums at most K download terms, three crossing edges
+// per operator and one more add. The factor 2⁻⁵² per term leaves a
+// margin for that second-order term and for a contracted (fused)
+// multiply-add in either sum.
+func (m *Mapping) gammaFor(n int) float64 {
+	return float64(3*n+m.Inst.NumTypes+4) * ulp
 }
 
 // slack bounds the distance between a canonical sum and an estimate v
@@ -143,22 +147,34 @@ func classify(est, slack, limit float64) estVerdict {
 }
 
 // estimate decides procFeasible(p) from p's running estimate where it
-// can. The NIC estimate dl+comm drifts by at most 2·err from its exact
-// sum, plus the rounding of its own add. Each (5)-link of p carries a
-// subset of p's crossing edges, so a comm estimate that fits the link
-// capacity proves every link does; an estimate alone never proves a
-// link overloaded.
+// can.
 func (m *Mapping) estimate(p int) estVerdict {
-	e := &m.est[p]
-	cat, cfg := m.Inst.Platform.Catalog, m.Procs[p].Config
-	g := m.estGamma(p)
+	return m.judge(&m.est[p], len(m.opsOn[p]), m.Procs[p].Config)
+}
+
+// nicBox bounds NICLoad for a processor whose running estimate is e and
+// whose canonical sums round within g (gammaFor): it lies within
+// nicSlack of nic. The NIC estimate dl+comm drifts by at most 2·err
+// from its exact sum, plus the rounding of its own add.
+func nicBox(e *loadEst, g float64) (nic, nicSlack float64) {
+	nic = e.dl + e.comm
+	return nic, slack(nic, 2*e.err+ulp*math.Abs(nic), g)
+}
+
+// judge decides procFeasible for a processor with configuration cfg,
+// hosting n operators, whose running estimate is e. Each (5)-link of
+// the processor carries a subset of its crossing edges, so a comm
+// estimate that fits the link capacity proves every link does; an
+// estimate alone never proves a link overloaded.
+func (m *Mapping) judge(e *loadEst, n int, cfg platform.Config) estVerdict {
+	cat := m.Inst.Platform.Catalog
+	g := m.gammaFor(n)
 	comp := classify(e.comp, slack(e.comp, e.err, g), cat.SpeedUnits(cfg)+eps)
 	if comp == overflows {
 		return overflows
 	}
-	nic := e.dl + e.comm
-	nerr := 2*e.err + ulp*math.Abs(nic)
-	switch classify(nic, slack(nic, nerr, g), cat.BandwidthMBps(cfg)+eps) {
+	nic, nicSlack := nicBox(e, g)
+	switch classify(nic, nicSlack, cat.BandwidthMBps(cfg)+eps) {
 	case overflows:
 		return overflows
 	case undecided:
@@ -190,7 +206,7 @@ func (m *Mapping) feasible(p int) bool {
 // (refinement, churn repair) keep err small. A void estimate stays void.
 func (m *Mapping) resyncEst(p int, comp, dl, comm float64) {
 	if e := &m.est[p]; !e.void() {
-		*e = loadEst{comp: comp, dl: dl, comm: comm, err: m.estGamma(p) * max(comp, dl, comm)}
+		*e = loadEst{comp: comp, dl: dl, comm: comm, err: m.gammaFor(len(m.opsOn[p])) * max(comp, dl, comm)}
 	}
 }
 
@@ -201,7 +217,7 @@ func (m *Mapping) checkEst(p int, comp, dl, comm float64) error {
 	if e.void() {
 		return nil
 	}
-	g := m.estGamma(p)
+	g := m.gammaFor(len(m.opsOn[p]))
 	within := func(est, fresh float64) bool { return math.Abs(est-fresh) <= slack(est, e.err, g) }
 	if within(e.comp, comp) && within(e.dl, dl) && within(e.comm, comm) {
 		return nil

@@ -1,8 +1,10 @@
 package mapping
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/instance"
@@ -154,10 +156,12 @@ func probeFuzzInstance(seed int64, n int) *instance.Instance {
 	rate := func(k int) float64 { return in.Rate(k) }
 	cpu := []float64{subset(work, n), subset(work, n)}
 	nic := []float64{subset(rate, in.NumTypes) + subset(traffic, n), subset(rate, in.NumTypes) + subset(traffic, n)}
-	cat := &platform.Catalog{Base: 1}
+	// Prices that are not dyadic, so that a cost summed in another order
+	// than Cost's rounds differently.
+	cat := &platform.Catalog{Base: 1.0 / 3}
 	for i := 0; i < 2; i++ {
-		cat.CPUs = append(cat.CPUs, platform.CPUOption{SpeedGHz: cpu[i] / platform.WorkUnitsPerGHz, Upcharge: float64(i)})
-		cat.NICs = append(cat.NICs, platform.NICOption{Gbps: nic[i] / platform.MBpsPerGbps, Upcharge: float64(i)})
+		cat.CPUs = append(cat.CPUs, platform.CPUOption{SpeedGHz: cpu[i] / platform.WorkUnitsPerGHz, Upcharge: 0.1 + 0.7*float64(i)})
+		cat.NICs = append(cat.NICs, platform.NICOption{Gbps: nic[i] / platform.MBpsPerGbps, Upcharge: 0.2 + 0.3*float64(i)})
 	}
 	plat := *in.Platform
 	plat.Catalog = cat
@@ -167,14 +171,17 @@ func probeFuzzInstance(seed int64, n int) *instance.Instance {
 }
 
 // FuzzProbeEstimates runs random Buy, Place, Unplace, TryPlace,
-// MoveAll, Sell, Checkpoint and Rollback programs on probeFuzzInstance
-// instances. Every probe's verdict must equal the reference TryPlace's
-// on a clone, and after every step CheckInvariants must pass and every
-// alive processor's decided estimate must agree with the exact walk.
+// MoveAll, Sell, Checkpoint, Rollback and read-only move evaluation
+// programs on probeFuzzInstance instances. Every probe's verdict must
+// equal the reference TryPlace's on a clone, every evaluated move must
+// pass checkEvalMove, and after every step CheckInvariants must pass
+// and every alive processor's decided estimate must agree with the
+// exact walk.
 func FuzzProbeEstimates(f *testing.F) {
 	f.Add(int64(1), uint8(12), []byte{0, 4, 4, 5, 4, 1, 3, 8, 4, 4, 0, 6, 9, 4, 7, 4, 2, 3, 4})
 	f.Add(int64(9), uint8(30), []byte{0, 0, 4, 4, 4, 4, 4, 5, 5, 8, 3, 3, 4, 4, 6, 9, 9, 2, 4, 4, 1, 3, 4})
 	f.Add(int64(-3), uint8(4), []byte{0, 8, 4, 4, 4, 8, 3, 4, 9, 4, 9, 4})
+	f.Add(int64(5), uint8(25), []byte{0, 0, 4, 4, 4, 4, 4, 4, 10, 10, 10, 10, 0, 4, 4, 10, 10, 10, 5, 10, 10, 10, 10, 10})
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, prog []byte) {
 		if len(prog) > 256 {
 			prog = prog[:256]
@@ -188,7 +195,7 @@ func FuzzProbeEstimates(f *testing.F) {
 		for step, b := range prog {
 			alive := m.AliveProcs()
 			pick := func() int { return alive[r.Intn(len(alive))] }
-			switch b % 10 {
+			switch b % 11 {
 			case 0:
 				m.Buy(platform.Config{CPU: r.Intn(2), NIC: r.Intn(2)})
 			case 1:
@@ -232,10 +239,104 @@ func FuzzProbeEstimates(f *testing.F) {
 					m.Rollback(marks[k-1])
 					marks = marks[:k-1]
 				}
+			case 10:
+				if len(alive) > 0 {
+					if err := checkEvalMove(m, r, alive); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
 			}
 			if err := m.checkEstimates(); err != nil {
-				t.Fatalf("step %d (action %d): %v", step, b%10, err)
+				t.Fatalf("step %d (action %d): %v", step, b%11, err)
 			}
 		}
 	})
+}
+
+// checkEvalMove evaluates a random move read-only — a few operators onto
+// an alive processor or a fresh buy, or a whole-processor merge, with a
+// random configuration — and fails unless the mapping and its
+// estimates are left unchanged, a decided verdict is the reference
+// TryPlace's on a clone carrying the move's configuration swap or fresh
+// buy, and a priced move's refit configurations and cost equal, bit for
+// bit, those of the move applied to that clone, refit and priced by
+// Cost.
+func checkEvalMove(m *Mapping, r *rand.Rand, alive []int) error {
+	N := m.Inst.Tree.NumOps()
+	cfg := platform.Config{CPU: r.Intn(2), NIC: r.Intn(2)}
+	before := fmt.Sprint(m.Assign, m.Procs, m.opsOn, m.objRef)
+	live := m.estLive()
+	est := fmt.Sprint(m.est)
+	var p int
+	var ops []int
+	var ev MoveEval
+	switch r.Intn(3) {
+	case 0, 1: // a move onto an alive processor, or a split onto a fresh buy
+		p = alive[r.Intn(len(alive))]
+		if r.Intn(2) == 0 {
+			p = len(m.Procs)
+		}
+		ops = []int{r.Intn(N)}
+		for len(ops) < 3 && r.Intn(2) == 0 {
+			ops = append(ops, r.Intn(N))
+		}
+		ev = m.EvalMove(p, cfg, ops)
+	default:
+		from := alive[r.Intn(len(alive))]
+		p = alive[r.Intn(len(alive))]
+		if from == p {
+			return nil
+		}
+		ops = m.OpsOn(from)
+		ev = m.EvalMerge(from, p, cfg)
+	}
+	if after := fmt.Sprint(m.Assign, m.Procs, m.opsOn, m.objRef); after != before {
+		return fmt.Errorf("EvalMove(%d, %v, %v) changed the mapping:\n%s\n%s", p, cfg, ops, before, after)
+	}
+	if live && fmt.Sprint(m.est) != est {
+		return fmt.Errorf("EvalMove(%d, %v, %v) changed the estimates", p, cfg, ops)
+	}
+	if s := m.scr; s != nil && (slices.ContainsFunc(s.dOps, func(d int) bool { return d != 0 }) ||
+		slices.ContainsFunc(s.dRef, func(d int32) bool { return d != 0 })) {
+		return fmt.Errorf("EvalMove(%d, %v, %v) left an operator-count or refcount change behind", p, cfg, ops)
+	}
+	if ev.Verdict == Undecided {
+		return nil
+	}
+	var srcs []int
+	for _, op := range ops {
+		if q := m.Assign[op]; q != p && q != Unassigned && !slices.Contains(srcs, q) {
+			srcs = append(srcs, q)
+		}
+	}
+	c := moveClone(m, p, cfg)
+	if ok := c.referenceTryPlace(p, ops); ok != (ev.Verdict == Feasible) {
+		return fmt.Errorf("EvalMove(%d, %v, %v) = %v, reference TryPlace %v", p, cfg, ops, ev.Verdict, ok)
+	}
+	if !ev.Priced {
+		return nil
+	}
+	for _, q := range srcs {
+		if c.NumOpsOn(q) == 0 {
+			c.Sell(q)
+		} else {
+			c.Refit(q)
+		}
+	}
+	c.Refit(p)
+	var want []Refit
+	for _, q := range append(srcs, p) {
+		if c.Procs[q].Alive {
+			want = append(want, Refit{P: q, Cfg: c.Procs[q].Config})
+		} else {
+			want = append(want, Refit{P: q, Sold: true})
+		}
+	}
+	if !slices.Equal(ev.Refits, want) {
+		return fmt.Errorf("EvalMove(%d, %v, %v) refits %v, the applied move %v", p, cfg, ops, ev.Refits, want)
+	}
+	if got, want := math.Float64bits(ev.Cost), math.Float64bits(c.Cost()); got != want {
+		return fmt.Errorf("EvalMove(%d, %v, %v) costs %v, the applied move %v", p, cfg, ops, ev.Cost, c.Cost())
+	}
+	return nil
 }

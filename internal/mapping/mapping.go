@@ -73,6 +73,16 @@ type scratch struct {
 	linkAmt  []float64 // ProcFeasible: link traffic per processor; CheckInvariants: fresh loads; Validate: server loads
 	linkTo   []int     // ProcFeasible: processors with accumulated traffic
 	refCnt   []int32   // CheckInvariants: fresh P×K leaf recount, Validate's needed objects
+
+	// EvalMove's shadow of the move it replays, over every processor and
+	// a fresh buy. dOps and dRef are all zero between calls.
+	shEst    []loadEst // estimates after the move
+	shAssign []int     // assignment after the move
+	shSeen   []bool    // dedup of the processors TryPlace would check
+	dOps     []int     // per processor: change in its operator count
+	dRef     []int32   // per processor×type: change in the leaf refcount
+	srcs     []int     // processors the move takes operators from
+	refits   []Refit   // the move's refit configurations
 }
 
 // scratchFor returns the mapping's scratch with every buffer sized. The
@@ -277,7 +287,7 @@ func (m *Mapping) attach(op, p int) {
 		}
 	}
 	if live {
-		m.estMove(op, p, 1)
+		estMove(in, m.est, m.Assign, op, p, 1)
 	}
 }
 
@@ -303,7 +313,7 @@ func (m *Mapping) detach(op int) {
 		}
 	}
 	if live {
-		m.estMove(op, p, -1)
+		estMove(in, m.est, m.Assign, op, p, -1)
 	}
 }
 
@@ -650,11 +660,13 @@ func (m *Mapping) TryPlace(p int, ops ...int) bool {
 }
 
 // Test hooks, nil outside tests: testHookTryPlace runs in place of
-// TryPlace, and testHookEstimate sees every estimate verdict a probe
-// reaches, with the processor it judged.
+// TryPlace, testHookEstimate sees every estimate verdict a probe
+// reaches, with the processor it judged, and testHookEvalMove sees
+// every EvalMove verdict and returns the one EvalMove answers.
 var (
 	testHookTryPlace func(m *Mapping, p int, ops []int) bool
 	testHookEstimate func(m *Mapping, p int, v estVerdict)
+	testHookEvalMove func(m *Mapping, p int, cfg platform.Config, ops []int, v Verdict) Verdict
 )
 
 func (m *Mapping) tryPlace(p int, ops []int) bool {

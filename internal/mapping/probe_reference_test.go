@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apptree"
+	"repro/internal/platform"
 	"repro/internal/xslice"
 )
 
@@ -131,10 +132,14 @@ type ProbeRecord struct {
 
 // WatchProbes routes every TryPlace until the test ends through a
 // recorder and returns its log. With reference set, each probe runs
-// referenceTryPlace. Otherwise each runs the estimate-driven TryPlace,
-// and the test fails if its verdict differs from referenceTryPlace's on
-// a clone, if any estimate it decides disagrees with the exact walk of
-// the state it judged, or if checkEstimates fails after it.
+// referenceTryPlace, and EvalMove decides nothing, so its callers probe
+// through TryPlace. Otherwise each probe runs the estimate-driven
+// TryPlace, and the test fails if its verdict differs from
+// referenceTryPlace's on a clone, if any estimate it decides disagrees
+// with the exact walk of the state it judged, or if checkEstimates
+// fails after it; and each verdict EvalMove decides is logged as the
+// probe it answers for, and checked against referenceTryPlace on a
+// clone carrying the move's configuration swap or fresh buy.
 func WatchProbes(t testing.TB, reference bool) *[]ProbeRecord {
 	t.Helper()
 	log := new([]ProbeRecord)
@@ -155,6 +160,17 @@ func WatchProbes(t testing.TB, reference bool) *[]ProbeRecord {
 		*log = append(*log, rec)
 		return rec.OK
 	}
+	testHookEvalMove = func(m *Mapping, p int, cfg platform.Config, ops []int, v Verdict) Verdict {
+		if reference || v == Undecided {
+			return Undecided
+		}
+		rec := ProbeRecord{P: p, Ops: append([]int(nil), ops...), OK: v == Feasible}
+		if want := moveClone(m, p, cfg).referenceTryPlace(p, ops); rec.OK != want {
+			t.Errorf("probe %d: EvalMove(%d, %v, %v) = %v, reference TryPlace %v", len(*log), p, cfg, ops, v, want)
+		}
+		*log = append(*log, rec)
+		return v
+	}
 	if !reference {
 		testHookEstimate = func(m *Mapping, p int, v estVerdict) {
 			if err := m.checkVerdict(p, v); err != nil {
@@ -162,8 +178,20 @@ func WatchProbes(t testing.TB, reference bool) *[]ProbeRecord {
 			}
 		}
 	}
-	t.Cleanup(func() { testHookTryPlace, testHookEstimate = nil, nil })
+	t.Cleanup(func() { testHookTryPlace, testHookEstimate, testHookEvalMove = nil, nil, nil })
 	return log
+}
+
+// moveClone returns a clone of m with the configuration swap or fresh
+// buy that EvalMove(p, cfg, ...) evaluates a move after.
+func moveClone(m *Mapping, p int, cfg platform.Config) *Mapping {
+	c := m.Clone()
+	if p == len(c.Procs) {
+		c.Buy(cfg)
+	} else {
+		c.SetConfig(p, cfg)
+	}
+	return c
 }
 
 // WatchFallbacks counts, until the test ends, the checks TryPlace makes

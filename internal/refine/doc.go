@@ -2,9 +2,15 @@
 // the constructive heuristics: simulated annealing plus a
 // large-neighborhood (destroy/repair) search over operator moves,
 // processor buys/sells and configuration swaps, seeded from the best
-// constructive placement and driven entirely through the mapping move
-// journal (mapping.Checkpoint/Rollback), so a rejected move costs one
-// O(#records) rollback instead of a clone.
+// constructive placement. Each proposal is evaluated read-only first
+// (mapping.EvalMove): the running load estimates decide its
+// feasibility, each touched processor's refit configuration and its
+// cost, bit for bit as applying it would, so a proven infeasible or
+// rejected move costs no mutation at all and only a kept move is
+// applied. Where the estimates leave the verdict or a configuration
+// open, the move is applied through the mapping move journal
+// (mapping.Checkpoint/Rollback) and priced by the exact walks, so a
+// rejected move costs one O(#records) rollback instead of a clone.
 //
 // The paper's six heuristics are one-shot constructions; PR 5 made
 // Place/Unplace/TryPlace O(degree) with instant feasibility reads, which

@@ -68,20 +68,40 @@ func (Refined) Name() string { return "Refined" }
 // refScratch is the pooled per-call state: a candidate-evaluation arena,
 // the best-state snapshot arena and the index/position buffers.
 type refScratch struct {
-	sm    mapping.Mapping // candidate construction arena
-	best  mapping.Mapping // best selection-feasible state found
-	seeds []int64         // per-candidate placement sub-seeds
-	costs []float64       // per-candidate seed cost (downgraded)
-	order []int           // candidate indices by cost
-	buPos []int           // operator -> bottom-up position
-	bu    []int           // BottomUpInto buffers
-	stack []int
-	alive []int // alive-processor gather
-	ops   []int // subtree / source-processor gather
-	srcs  []int
+	sm     mapping.Mapping // candidate construction arena
+	best   mapping.Mapping // best selection-feasible state found
+	seeds  []int64         // per-candidate placement sub-seeds
+	costs  []float64       // per-candidate seed cost (downgraded)
+	order  []int           // candidate indices by cost
+	buPos  []int           // operator -> bottom-up position
+	bu     []int           // BottomUpInto buffers
+	stack  []int
+	pre    []int // the operators in subtree's order from the root
+	prePos []int // operator -> position in pre
+	span   []int // operator -> size of its subtree
+	alive  []int // alive-processor gather
+	ops    []int // merge / destroyed-subtree operators
+	op1    [1]int
+	srcs   []int // a move's source processors
+	cands  []int // repairOp's candidate processors
+	rf     refiner
 }
 
 var scratchPool = sync.Pool{New: func() any { return &refScratch{} }}
+
+// refiner installs rf as the call's refiner and returns it. Handed to
+// the test hooks, a refiner on the stack would escape to the heap.
+func (sc *refScratch) refiner(rf refiner) *refiner {
+	sc.rf = rf
+	return &sc.rf
+}
+
+// release drops the refiner, which points into the caller's mapping,
+// and returns sc to the pool.
+func (sc *refScratch) release() {
+	sc.rf = refiner{}
+	scratchPool.Put(sc)
+}
 
 // Place implements heuristics.Heuristic: it fills m with the refined
 // placement (server selection stays with the pipeline). The seed is the
@@ -92,7 +112,7 @@ var scratchPool = sync.Pool{New: func() any { return &refScratch{} }}
 func (h Refined) Place(pc *heuristics.PlaceContext, m *mapping.Mapping, r *rand.Rand) error {
 	in := m.Inst
 	sc := scratchPool.Get().(*refScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 
 	// The budget clock starts before seeding so the whole call is
 	// bounded; a tiny budget still finishes the constructive seed (the
@@ -163,15 +183,11 @@ func (h Refined) Place(pc *heuristics.PlaceContext, m *mapping.Mapping, r *rand.
 		return nil // the seed is provably optimal; nothing to refine
 	}
 
-	sc.bu, sc.stack = in.Tree.BottomUpInto(sc.bu, sc.stack)
-	sc.buPos = grow(sc.buPos, in.Tree.NumOps())
-	for pos, op := range sc.bu {
-		sc.buPos[op] = pos
-	}
+	sc.orders(in)
 
 	m.SetJournal(true)
-	rf := refiner{m: m, in: in, r: r, sc: sc, lb: lb, deadline: deadline,
-		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()}
+	rf := sc.refiner(refiner{m: m, in: in, r: r, sc: sc, lb: lb, deadline: deadline,
+		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
 	rf.unit = rf.cat.Cost(platform.Config{}) // cheapest purchase: the move-cost scale
 	rf.bestCost = m.Cost()
 	sc.best.SetJournal(false)
@@ -230,7 +246,7 @@ func Improve(ctx context.Context, m *mapping.Mapping, r *rand.Rand, opts Options
 		r = rng.New(opts.Seed)
 	}
 	sc := scratchPool.Get().(*refScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 
 	wasJournal := m.Journaling()
 	m.SetJournal(false) // discard any caller records; marks do not survive Improve
@@ -249,13 +265,9 @@ func Improve(ctx context.Context, m *mapping.Mapping, r *rand.Rand, opts Options
 
 	lb := bounds.CostLowerBound(in)
 	if m.Cost() > lb+mapping.Eps {
-		sc.bu, sc.stack = in.Tree.BottomUpInto(sc.bu, sc.stack)
-		sc.buPos = grow(sc.buPos, in.Tree.NumOps())
-		for pos, op := range sc.bu {
-			sc.buPos[op] = pos
-		}
-		rf := refiner{m: m, in: in, r: r, sc: sc, lb: lb, ctx: ctx, deadline: deadline,
-			cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()}
+		sc.orders(in)
+		rf := sc.refiner(refiner{m: m, in: in, r: r, sc: sc, lb: lb, ctx: ctx, deadline: deadline,
+			cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
 		rf.unit = rf.cat.Cost(platform.Config{})
 		rf.bestCost = m.Cost()
 		sc.best.SetJournal(false)
@@ -287,9 +299,9 @@ func Improve(ctx context.Context, m *mapping.Mapping, r *rand.Rand, opts Options
 func PlaceUnassigned(m *mapping.Mapping) bool {
 	in := m.Inst
 	sc := scratchPool.Get().(*refScratch)
-	defer scratchPool.Put(sc)
-	rf := refiner{m: m, in: in, sc: sc,
-		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()}
+	defer sc.release()
+	rf := sc.refiner(refiner{m: m, in: in, sc: sc,
+		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
 	sc.bu, sc.stack = in.Tree.BottomUpInto(sc.bu, sc.stack)
 	for _, op := range sc.bu {
 		if m.OpProc(op) != mapping.Unassigned {
@@ -300,7 +312,7 @@ func PlaceUnassigned(m *mapping.Mapping) bool {
 		}
 	}
 	for _, p := range rf.aliveInto() {
-		rf.refit(p)
+		m.Refit(p)
 	}
 	return true
 }
@@ -324,6 +336,36 @@ func buildCandidate(pc *heuristics.PlaceContext, sm *mapping.Mapping, in *instan
 	return true
 }
 
+// orders computes in's tree orders: bottom-up (children before
+// parents) and the depth-first order subtree lists, in which every
+// subtree is one contiguous run.
+func (sc *refScratch) orders(in *instance.Instance) {
+	tree := in.Tree
+	n := tree.NumOps()
+	sc.bu, sc.stack = tree.BottomUpInto(sc.bu, sc.stack)
+	sc.buPos = grow(sc.buPos, n)
+	for pos, op := range sc.bu {
+		sc.buPos[op] = pos
+	}
+	sc.pre = sc.pre[:0]
+	sc.prePos = grow(sc.prePos, n)
+	sc.stack = append(sc.stack[:0], tree.Root)
+	for len(sc.stack) > 0 {
+		op := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		sc.prePos[op] = len(sc.pre)
+		sc.pre = append(sc.pre, op)
+		sc.stack = append(sc.stack, tree.Ops[op].ChildOps...)
+	}
+	sc.span = grow(sc.span, n)
+	for _, op := range sc.bu {
+		sc.span[op] = 1
+		for _, c := range tree.Ops[op].ChildOps {
+			sc.span[op] += sc.span[c]
+		}
+	}
+}
+
 func grow(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
@@ -343,6 +385,12 @@ type refiner struct {
 	lb       float64 // bounds.CostLowerBound: stop when reached
 	unit     float64 // cheapest purchase cost: temperature scale
 	bestCost float64
+
+	// While annealing: cur is the mapping's Cost(), and aliveOK reports
+	// that sc.alive lists its alive processors. Only a kept move changes
+	// either, since a rolled-back one restores the mapping exactly.
+	cur     float64
+	aliveOK bool
 
 	ctx      context.Context // optional cancellation; nil means none
 	deadline time.Time       // optional Options.Budget deadline; zero means none
@@ -383,128 +431,221 @@ func (rf *refiner) stopAt(i int) bool {
 }
 
 // anneal runs the simulated-annealing loop: geometric cooling from half
-// a purchase to one percent of one, journal rollback on rejection.
+// a purchase to one percent of one.
 func (rf *refiner) anneal(iters int) {
 	t0, tEnd := 0.5*rf.unit, 0.01*rf.unit
 	decay := math.Pow(tEnd/t0, 1/float64(iters))
 	temp := t0
+	rf.cur, rf.aliveOK = rf.m.Cost(), false
 	for i := 0; i < iters && rf.bestCost > rf.lb+mapping.Eps && !rf.stopAt(i); i++ {
-		rf.step(temp)
+		if testHookStep != nil {
+			testHookStep(rf, temp)
+		} else {
+			rf.step(temp)
+		}
 		temp *= decay
 	}
 }
 
-// step proposes one move and accepts it by the Metropolis rule.
-func (rf *refiner) step(temp float64) {
-	m := rf.m
-	cur := m.Cost()
-	mark := m.Checkpoint()
-	newCost, ok := rf.propose()
-	if !ok {
-		m.Rollback(mark)
-		return
-	}
-	delta := newCost - cur
-	if delta <= mapping.Eps || rf.r.Float64() < math.Exp(-delta/temp) {
-		m.CommitJournal()
-		if newCost < rf.bestCost-mapping.Eps {
-			rf.noteBest(newCost)
-		}
-	} else {
-		m.Rollback(mark)
-	}
+// Test hooks, nil outside tests: testHookStep runs each annealing step
+// in place of step, and testHookRepairOp each repairOp.
+var (
+	testHookStep     func(rf *refiner, temp float64)
+	testHookRepairOp func(rf *refiner, op int) bool
+)
+
+// The annealing proposals, in the order propose draws them.
+const (
+	propMove    = iota // one operator onto an existing processor
+	propSplit          // one operator out onto a fresh purchase
+	propMerge          // every operator of one processor onto another
+	propSubtree        // a whole subtree onto an existing processor
+)
+
+// move is one annealing proposal: ops onto dst, upgraded for the attempt
+// to the most expensive configuration (a split's dst is len(Procs), the
+// fresh purchase). A merge moves every operator of its source, from,
+// and leaves ops unset.
+type move struct {
+	kind int
+	dst  int
+	from int
+	ops  []int
 }
 
-// propose mutates the mapping by one tentative move and returns the new
-// cost. On false the caller rolls the partial move back.
-func (rf *refiner) propose() (float64, bool) {
+// The ways a step ends.
+const (
+	stepNoop       = iota // the proposal changes nothing
+	stepInfeasible        // TryPlace would reject the move
+	stepRejected          // the Metropolis rule rejects the priced move
+	stepAccepted
+)
+
+// stepRecord is what one annealing step did: its proposal, how it ended,
+// and the cost it priced the move at (infeasible and no-op steps price
+// nothing).
+type stepRecord struct {
+	move
+	outcome int
+	cost    float64
+}
+
+// step proposes one move and keeps it by the Metropolis rule. The move
+// is evaluated read-only from the mapping's running load estimates
+// (EvalMove), and applied only when kept. Where the estimates leave the
+// feasibility verdict open, the move is applied through TryPlace and
+// rolled back unless kept; where they prove it feasible but leave a
+// refit configuration open, it is applied directly, priced by the exact
+// refit, and rolled back unless kept. Every path draws the same random
+// numbers and reaches the same verdict and cost.
+func (rf *refiner) step(temp float64) stepRecord {
+	m := rf.m
+	mv, ok := rf.propose()
+	rec := stepRecord{move: mv}
+	if !ok {
+		return rec
+	}
+	var ev mapping.MoveEval
+	if mv.kind == propMerge {
+		ev = m.EvalMerge(mv.from, mv.dst, rf.most)
+	} else {
+		ev = m.EvalMove(mv.dst, rf.most, mv.ops)
+	}
+	switch {
+	case ev.Verdict == mapping.Infeasible:
+		rec.outcome = stepInfeasible
+		return rec
+	case ev.Priced:
+		rec.cost = ev.Cost
+		if !rf.keep(ev.Cost-rf.cur, temp) {
+			rec.outcome = stepRejected
+			return rec
+		}
+		rf.apply(mv, false)
+		m.CommitJournal()
+	default:
+		mark := m.Checkpoint()
+		if !rf.apply(mv, ev.Verdict == mapping.Undecided) {
+			m.Rollback(mark)
+			rec.outcome = stepInfeasible
+			return rec
+		}
+		rec.cost = m.Cost()
+		if !rf.keep(rec.cost-rf.cur, temp) {
+			m.Rollback(mark)
+			rec.outcome = stepRejected
+			return rec
+		}
+		m.CommitJournal()
+	}
+	rec.outcome = stepAccepted
+	rf.cur, rf.aliveOK = rec.cost, false
+	if rec.cost < rf.bestCost-mapping.Eps {
+		rf.noteBest(rec.cost)
+	}
+	return rec
+}
+
+// keep is the Metropolis rule for a move changing the cost by delta: a
+// random number is drawn only for a move that raises the cost.
+func (rf *refiner) keep(delta, temp float64) bool {
+	return delta <= mapping.Eps || rf.r.Float64() < math.Exp(-delta/temp)
+}
+
+// propose draws one annealing proposal without changing the mapping;
+// false marks a proposal that would change nothing.
+func (rf *refiner) propose() (move, bool) {
 	m, r := rf.m, rf.r
 	n := rf.in.Tree.NumOps()
 	switch r.Intn(4) {
-	case 0: // move one operator onto an existing processor
+	case propMove:
 		op := r.Intn(n)
-		alive := rf.aliveInto()
+		alive := rf.aliveSet()
 		dst := alive[r.Intn(len(alive))]
-		if dst == m.OpProc(op) {
-			return 0, false
-		}
-		return rf.moveOps(dst, rf.oneOp(op))
-	case 1: // split one operator out onto a fresh purchase
+		return move{kind: propMove, dst: dst, ops: rf.oneOp(op)}, dst != m.OpProc(op)
+	case propSplit:
 		op := r.Intn(n)
-		if m.NumOpsOn(m.OpProc(op)) <= 1 {
-			return 0, false // already alone: a pure relabeling
-		}
-		return rf.moveOps(m.Buy(rf.most), rf.oneOp(op))
-	case 2: // merge one processor into another
-		alive := rf.aliveInto()
+		// An operator already alone would only be relabeled.
+		return move{kind: propSplit, dst: len(m.Procs), ops: rf.oneOp(op)}, m.NumOpsOn(m.OpProc(op)) > 1
+	case propMerge:
+		alive := rf.aliveSet()
 		if len(alive) < 2 {
-			return 0, false
+			return move{kind: propMerge}, false
 		}
 		from := alive[r.Intn(len(alive))]
 		to := alive[r.Intn(len(alive))]
-		if from == to {
-			return 0, false
-		}
-		m.SetConfig(to, rf.most)
-		if !m.MoveAll(from, to) {
-			return 0, false
-		}
-		rf.refit(to)
-		return m.Cost(), true
-	default: // move a whole subtree onto an existing processor
-		ops := rf.subtreeInto(r.Intn(n))
-		alive := rf.aliveInto()
+		return move{kind: propMerge, dst: to, from: from}, from != to
+	default:
+		ops := rf.subtree(r.Intn(n))
+		alive := rf.aliveSet()
 		dst := alive[r.Intn(len(alive))]
-		return rf.moveOps(dst, ops)
+		return move{kind: propSubtree, dst: dst, ops: ops}, slices.ContainsFunc(ops, func(op int) bool {
+			p := m.OpProc(op)
+			return p != dst && p != mapping.Unassigned
+		})
 	}
 }
 
 // oneOp returns the single-element operator list in reusable scratch.
 func (rf *refiner) oneOp(op int) []int {
-	rf.sc.ops = append(rf.sc.ops[:0], op)
-	return rf.sc.ops
+	rf.sc.op1[0] = op
+	return rf.sc.op1[:]
 }
 
-// moveOps moves ops onto dst (upgraded for the attempt), sells emptied
-// source processors and refits every touched configuration.
-func (rf *refiner) moveOps(dst int, ops []int) (float64, bool) {
-	m := rf.m
+// sourcesInto gathers the processors ops would leave for dst into
+// scratch, in order of first appearance.
+func (rf *refiner) sourcesInto(dst int, ops []int) []int {
 	srcs := rf.sc.srcs[:0]
 	for _, op := range ops {
-		p := m.OpProc(op)
-		if p == dst || p == mapping.Unassigned {
-			continue
-		}
-		if !slices.Contains(srcs, p) {
+		if p := rf.m.OpProc(op); p != dst && p != mapping.Unassigned && !slices.Contains(srcs, p) {
 			srcs = append(srcs, p)
 		}
 	}
 	rf.sc.srcs = srcs
-	if len(srcs) == 0 {
-		return 0, false // nothing would change
-	}
-	m.SetConfig(dst, rf.most)
-	if !m.TryPlace(dst, ops...) {
-		return 0, false
-	}
-	for _, p := range srcs {
-		if m.NumOpsOn(p) == 0 {
-			m.Sell(p)
-		} else {
-			rf.refit(p)
-		}
-	}
-	rf.refit(dst)
-	return m.Cost(), true
+	return srcs
 }
 
-// refit swaps p onto the cheapest configuration sustaining its current
-// loads (never an upgrade: the current configuration fits by construction).
-func (rf *refiner) refit(p int) {
-	cfg, ok := rf.cat.CheapestFitting(rf.m.ComputeLoad(p), rf.m.NICLoad(p))
-	if ok && rf.cat.Cost(cfg) <= rf.cat.Cost(rf.m.Procs[p].Config) {
-		rf.m.SetConfig(p, cfg)
+// apply performs mv: dst is upgraded (or bought) at the most expensive
+// configuration and receives ops, through TryPlace when probe is set
+// and directly when their feasibility is already proven; then emptied
+// sources are sold and every other touched configuration is refit. It
+// reports false when the probe fails; the caller rolls the partial move
+// back.
+func (rf *refiner) apply(mv move, probe bool) bool {
+	m := rf.m
+	if mv.kind == propMerge {
+		mv.ops = m.AppendOpsOn(rf.sc.ops[:0], mv.from)
+		rf.sc.ops = mv.ops
 	}
+	srcs := rf.sourcesInto(mv.dst, mv.ops)
+	dst := mv.dst
+	if mv.kind == propSplit {
+		dst = m.Buy(rf.most)
+	} else {
+		m.SetConfig(dst, rf.most)
+	}
+	if probe {
+		if !m.TryPlace(dst, mv.ops...) {
+			return false
+		}
+	} else {
+		for _, op := range mv.ops {
+			m.Place(op, dst)
+		}
+	}
+	if mv.kind == propMerge {
+		m.Sell(mv.from)
+	} else {
+		for _, p := range srcs {
+			if m.NumOpsOn(p) == 0 {
+				m.Sell(p)
+			} else {
+				m.Refit(p)
+			}
+		}
+	}
+	m.Refit(dst)
+	return true
 }
 
 // noteBest records the current state as the best found so far — if its
@@ -533,18 +674,23 @@ func (rf *refiner) aliveInto() []int {
 	return rf.sc.alive
 }
 
-// subtreeInto gathers op and its operator descendants into scratch.
-func (rf *refiner) subtreeInto(root int) []int {
-	sc := rf.sc
-	sc.ops = sc.ops[:0]
-	sc.stack = append(sc.stack[:0], root)
-	for len(sc.stack) > 0 {
-		op := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		sc.ops = append(sc.ops, op)
-		sc.stack = append(sc.stack, rf.in.Tree.Ops[op].ChildOps...)
+// aliveSet is aliveInto for the annealing loop, which rebuilds the list
+// only after a kept move.
+func (rf *refiner) aliveSet() []int {
+	if !rf.aliveOK {
+		rf.aliveInto()
+		rf.aliveOK = true
 	}
-	return sc.ops
+	return rf.sc.alive
+}
+
+// subtree returns op and its operator descendants, in depth-first
+// order (each operator before its children, the last child's subtree
+// first). The list is a run of sc.pre: callers must not modify it.
+func (rf *refiner) subtree(root int) []int {
+	sc := rf.sc
+	i := sc.prePos[root]
+	return sc.pre[i : i+sc.span[root]]
 }
 
 // lnsRound destroys a random subtree's placement and repairs it greedily
@@ -555,11 +701,13 @@ func (rf *refiner) lnsRound() {
 	n := rf.in.Tree.NumOps()
 	cur := m.Cost()
 	mark := m.Checkpoint()
-	ops := rf.subtreeInto(r.Intn(n))
+	ops := rf.subtree(r.Intn(n))
 	if len(ops) > max(3, n/2) {
 		m.Rollback(mark) // destroying most of the tree is a re-solve, not a repair
 		return
 	}
+	ops = append(rf.sc.ops[:0], ops...) // sorted below
+	rf.sc.ops = ops
 	for _, op := range ops {
 		p := m.OpProc(op)
 		m.Unplace(op)
@@ -576,7 +724,7 @@ func (rf *refiner) lnsRound() {
 		}
 	}
 	for _, p := range rf.aliveInto() {
-		rf.refit(p)
+		m.Refit(p)
 	}
 	newCost := m.Cost()
 	if newCost < cur-mapping.Eps {
@@ -590,60 +738,42 @@ func (rf *refiner) lnsRound() {
 }
 
 // repairOp places op onto the alive processor (or a fresh purchase)
-// minimizing the refitted total cost; candidates are probed and rolled
-// back through the journal. Ties resolve to the lowest processor id,
-// fresh purchase last, so repair is deterministic.
+// minimizing the refitted total cost. Each candidate is evaluated
+// read-only where the running load estimates decide it, and otherwise
+// applied and rolled back through the journal. Ties resolve to the
+// lowest processor id, fresh purchase last, so repair is deterministic.
 func (rf *refiner) repairOp(op int) bool {
+	if testHookRepairOp != nil {
+		return testHookRepairOp(rf, op)
+	}
 	m := rf.m
-	// Probing mutates the processor set, so iterate over a snapshot.
-	cands := append(rf.sc.srcs[:0], rf.aliveInto()...)
-	rf.sc.srcs = cands
+	rf.sc.cands = append(rf.sc.cands[:0], rf.aliveInto()...)
+	price := func(mv move) (float64, bool) {
+		ev := m.EvalMove(mv.dst, rf.most, mv.ops)
+		switch {
+		case ev.Verdict == mapping.Infeasible:
+			return 0, false
+		case ev.Priced:
+			return ev.Cost, true
+		}
+		mark := m.Checkpoint()
+		defer m.Rollback(mark)
+		if !rf.apply(mv, ev.Verdict == mapping.Undecided) {
+			return 0, false
+		}
+		return m.Cost(), true
+	}
+	best := move{kind: -1}
 	bestCost := math.Inf(1)
-	bestProc := -1
-	fresh := false
-	probe := func(dst int) (float64, bool) {
-		mark := m.Checkpoint()
-		m.SetConfig(dst, rf.most)
-		ok := m.TryPlace(dst, op)
-		var cost float64
-		if ok {
-			rf.refit(dst)
-			cost = m.Cost()
-		}
-		m.Rollback(mark)
-		return cost, ok
-	}
-	for _, q := range cands {
-		if cost, ok := probe(q); ok && cost < bestCost {
-			bestCost, bestProc = cost, q
+	for _, q := range rf.sc.cands {
+		mv := move{kind: propMove, dst: q, ops: rf.oneOp(op)}
+		if cost, ok := price(mv); ok && cost < bestCost {
+			best, bestCost = mv, cost
 		}
 	}
-	{
-		mark := m.Checkpoint()
-		q := m.Buy(rf.most)
-		if m.TryPlace(q, op) {
-			rf.refit(q)
-			if cost := m.Cost(); cost < bestCost {
-				bestCost, fresh = cost, true
-			}
-		}
-		m.Rollback(mark)
+	mv := move{kind: propSplit, dst: len(m.Procs), ops: rf.oneOp(op)}
+	if cost, ok := price(mv); ok && cost < bestCost {
+		best = mv
 	}
-	switch {
-	case fresh:
-		q := m.Buy(rf.most)
-		if !m.TryPlace(q, op) {
-			return false
-		}
-		rf.refit(q)
-	case bestProc >= 0:
-		m.SetConfig(bestProc, rf.most)
-		if !m.TryPlace(bestProc, op) {
-			return false
-		}
-		rf.refit(bestProc)
-	default:
-		return false
-	}
-	return true
+	return best.kind >= 0 && rf.apply(best, true)
 }
