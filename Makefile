@@ -22,7 +22,7 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark as a smoke test; drop -benchtime for
-# real measurements (the Serial/Parallel pairs report the pool speedup).
+# real measurements (cmd/bench, via bench-json, is the timed harness).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -116,7 +116,8 @@ churn-smoke:
 # docs/*.md must point at an existing file. Links resolve relative to
 # the file containing them (as GitHub renders them); external URLs,
 # bare anchors and links escaping the repo (the GitHub-web-relative CI
-# badge) are skipped.
+# badge) are skipped. The README module map's internal/ block must name
+# every directory under internal/, and every name in it must exist.
 docs-check:
 	@fail=0; \
 	for pkg in $$($(GO) list -f '{{if ne .Name "main"}}{{.Dir}}:{{.Name}}{{end}}' ./...); do \
@@ -131,6 +132,19 @@ docs-check:
 			case $$(realpath -m --relative-to=. $$path) in ../*) continue;; esac; \
 			if [ ! -e "$$path" ]; then echo "docs-check: $$f: broken link $$link"; fail=1; fi; \
 		done; \
+	done; \
+	mapped=$$(sed -n '/^internal\/$$/,/^```$$/p' README.md | \
+		awk '/^  [a-z]/ { sub(/^  /, ""); sub(/  .*/, ""); gsub(/,/, " "); print }'); \
+	for dir in internal/*/; do \
+		name=$$(basename $$dir); \
+		if ! echo " "$$mapped" " | grep -q " $$name "; then \
+			echo "docs-check: README module map does not name internal/$$name"; fail=1; \
+		fi; \
+	done; \
+	for name in $$mapped; do \
+		if [ ! -d internal/$$name ]; then \
+			echo "docs-check: README module map names internal/$$name, which does not exist"; fail=1; \
+		fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "docs-check: OK"

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	streamalloc "repro"
 	"repro/internal/apptree"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
 	"repro/internal/instance"
@@ -145,40 +145,14 @@ func BenchmarkThroughputValidation(b *testing.B) {
 	}
 }
 
-// Parallel-engine benchmarks: the serial/parallel pairs below share one
-// workload, so their ns/op ratio is the speedup of the worker pool.
-// Acceptance: BenchmarkSweepParallel ≥ 2x BenchmarkSweepSerial at 4
-// workers on a 4-core runner (outputs are byte-identical either way —
-// see TestSweepDeterministicAcrossWorkers).
-
-func BenchmarkSweepSerial(b *testing.B) {
-	cfg := benchCfg
-	cfg.Workers = 1
-	for i := 0; i < b.N; i++ {
-		experiments.Fig2a(cfg)
-	}
-}
-
-func BenchmarkSweepParallel(b *testing.B) {
-	cfg := benchCfg
-	cfg.Workers = 4
-	for i := 0; i < b.N; i++ {
-		experiments.Fig2a(cfg)
-	}
-}
-
-func BenchmarkSolveAllSerial(b *testing.B) {
-	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
-	s := core.Solver{Workers: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.SolveAll(in)
-	}
-}
-
+// BenchmarkSolveAllParallel times the six-heuristic portfolio on a
+// 4-worker pool; cmd/bench times the same portfolio serially as
+// solve/portfolio/N=60,alpha=0.9, so the two together show the pool
+// speedup (outcomes are identical either way — see
+// TestSolveAllDeterministicAcrossWorkers).
 func BenchmarkSolveAllParallel(b *testing.B) {
 	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
-	s := core.Solver{Workers: 4}
+	s := streamalloc.Solver{Workers: 4}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.SolveAll(in)
@@ -190,7 +164,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 	for i := range ins {
 		ins[i] = instance.Generate(instance.Config{NumOps: 40, Alpha: 0.9}, int64(i+1))
 	}
-	var s core.Solver // portfolio + batch workers at GOMAXPROCS
+	var s streamalloc.Solver // portfolio + batch workers at GOMAXPROCS
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -215,17 +189,7 @@ func BenchmarkSimulateBatch(b *testing.B) {
 	}
 }
 
-// Micro-benchmarks for the core solver components.
-
-func BenchmarkSubtreeBottomUpN60(b *testing.B) {
-	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := heuristics.Solve(in, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Micro-benchmarks for the solver components.
 
 func BenchmarkCompGreedyN60(b *testing.B) {
 	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)

@@ -1,6 +1,6 @@
 // Command bench is the repository's perf harness: it times the solve,
 // validate, sweep, simulate and serve (allocation-daemon request) hot paths over
-// a canonical pinned-seed instance corpus (core.CanonicalCorpus: N in {20, 60, 140, 300, 600} x alpha in
+// a canonical pinned-seed instance corpus (corpusCell: N in {20, 60, 140, 300, 600} x alpha in
 // {0.9, 1.7}) and emits a machine-readable JSON report — the artifact CI compares
 // against the committed BENCH_baseline.json to gate perf regressions.
 //
@@ -52,8 +52,8 @@ import (
 	"sync"
 	"time"
 
+	streamalloc "repro"
 	"repro/internal/churn"
-	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/heuristics"
@@ -252,7 +252,9 @@ func run(seeds, itersScale int) (*Report, error) {
 	if itersScale < 1 {
 		itersScale = 1
 	}
-	corpus := core.CanonicalCorpus(seeds)
+	if seeds < 1 {
+		seeds = 1
+	}
 	rep := &Report{
 		Schema:    Schema,
 		GoVersion: runtime.Version(),
@@ -260,8 +262,8 @@ func run(seeds, itersScale int) (*Report, error) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 		Seeds:     seeds,
-		CorpusNs:  core.CorpusNs,
-		CorpusAs:  core.CorpusAlphas,
+		CorpusNs:  corpusNs,
+		CorpusAs:  corpusAlphas,
 	}
 	add := func(e Entry) {
 		rep.Entries = append(rep.Entries, e)
@@ -276,8 +278,8 @@ func run(seeds, itersScale int) (*Report, error) {
 	// From N=140 up, every alpha=1.7 instance fails Precheck in about a
 	// microsecond; the N=140 cell times that fast-reject path as
 	// solve/precheck-reject, and the N=300/600 ones are not timed.
-	for _, n := range core.CorpusNs {
-		for _, alpha := range core.CorpusAlphas {
+	for _, n := range corpusNs {
+		for _, alpha := range corpusAlphas {
 			name := fmt.Sprintf("solve/subtree/N=%d,alpha=%g", n, alpha)
 			switch {
 			case n == 140 && alpha == 1.7:
@@ -285,7 +287,7 @@ func run(seeds, itersScale int) (*Report, error) {
 			case n > 140 && alpha == 1.7:
 				continue
 			}
-			cell := cellItems(corpus, n, alpha)
+			cell := corpusCell(n, alpha, seeds)
 			i := 0
 			add(measure(name, solveIters(n)*itersScale, true, func() {
 				it := cell[i%len(cell)]
@@ -293,7 +295,7 @@ func run(seeds, itersScale int) (*Report, error) {
 				// Infeasibility is a legitimate corpus outcome (the paper's
 				// large trees stress exactly that); the attempt is what is
 				// timed. Anything else is a harness bug.
-				if _, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed}); err != nil && !core.IsInfeasible(err) {
+				if _, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed}); err != nil && !streamalloc.IsInfeasible(err) {
 					panic(fmt.Sprintf("%s: %v", name, err))
 				}
 			}))
@@ -307,7 +309,7 @@ func run(seeds, itersScale int) (*Report, error) {
 	// sized and allocs/op is the steady state.
 	{
 		var maps []*mapping.Mapping
-		for _, it := range cellItems(corpus, 600, 0.9) {
+		for _, it := range corpusCell(600, 0.9, seeds) {
 			if res, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed}); err == nil {
 				maps = append(maps, res.Mapping)
 			}
@@ -333,8 +335,8 @@ func run(seeds, itersScale int) (*Report, error) {
 	// Portfolio: all six heuristics, serial, on the medium and the
 	// largest feasible alpha=0.9 cell.
 	for _, n := range []int{60, 140} {
-		cell := cellItems(corpus, n, 0.9)
-		s := core.Solver{Workers: 1}
+		cell := corpusCell(n, 0.9, seeds)
+		s := streamalloc.Solver{Workers: 1}
 		i := 0
 		add(measure(fmt.Sprintf("solve/portfolio/N=%d,alpha=0.9", n), 10*itersScale, true, func() {
 			it := cell[i%len(cell)]
@@ -376,13 +378,13 @@ func run(seeds, itersScale int) (*Report, error) {
 	// rejection) over corpus cells, rotating seeds. Deterministic and
 	// single-goroutine, so alloc-gated.
 	for _, n := range []int{20, 60} {
-		cell := cellItems(corpus, n, 0.9)
+		cell := corpusCell(n, 0.9, seeds)
 		i := 0
 		name := fmt.Sprintf("refine/solve/N=%d,alpha=0.9", n)
 		add(measure(name, 5*itersScale, true, func() {
 			it := cell[i%len(cell)]
 			i++
-			if _, err := refine.Refine(it.Inst, refine.Options{Seed: it.Seed}); err != nil && !core.IsInfeasible(err) {
+			if _, err := refine.Refine(it.Inst, refine.Options{Seed: it.Seed}); err != nil && !streamalloc.IsInfeasible(err) {
 				panic(fmt.Sprintf("%s: %v", name, err))
 			}
 		}))
@@ -390,9 +392,9 @@ func run(seeds, itersScale int) (*Report, error) {
 
 	// Simulate: the stream engine on pre-solved small-cell mappings,
 	// through a reusable Runner (the steady-state zero-alloc path).
-	for _, alpha := range core.CorpusAlphas {
+	for _, alpha := range corpusAlphas {
 		var maps []*heuristics.Result
-		for _, it := range cellItems(corpus, 20, alpha) {
+		for _, it := range corpusCell(20, alpha, seeds) {
 			res, err := heuristics.Solve(it.Inst, heuristics.SubtreeBottomUp{}, heuristics.Options{Seed: it.Seed})
 			if err != nil {
 				continue // infeasible cells are skipped, not timed
@@ -421,7 +423,7 @@ func run(seeds, itersScale int) (*Report, error) {
 	// processor and never transfer).
 	{
 		var maps []*heuristics.Result
-		for _, it := range cellItems(corpus, 60, 0.9) {
+		for _, it := range corpusCell(60, 0.9, seeds) {
 			res, err := heuristics.Solve(it.Inst, heuristics.ObjectAvailability{}, heuristics.Options{Seed: it.Seed})
 			if err != nil {
 				continue
@@ -686,14 +688,37 @@ func solveIters(n int) int {
 	}
 }
 
-func cellItems(corpus []core.CorpusItem, n int, alpha float64) []core.CorpusItem {
-	var out []core.CorpusItem
-	for _, it := range corpus {
-		if it.N == n && it.Alpha == alpha {
-			out = append(out, it)
-		}
+// corpusNs and corpusAlphas are the canonical benchmark grid: the paper's
+// evaluation sweeps tree size and computation exponent, and these pinned
+// points cover its small/medium/large and sub/super-linear regimes. The
+// N=300/600 cells (beyond the paper's N<=140 sweeps) became affordable
+// once solve stopped allocating; they exist to expose O(N^2) hotspots
+// such as TryPlace's affected-processor scans. At alpha=1.7 they fail
+// Precheck immediately — a legitimate corpus outcome that pins the
+// fast-reject path.
+var (
+	corpusNs     = []int{20, 60, 140, 300, 600}
+	corpusAlphas = []float64{0.9, 1.7}
+)
+
+// corpusItem is one pinned instance of the canonical corpus.
+type corpusItem struct {
+	Seed int64
+	Inst *instance.Instance
+}
+
+// corpusCell generates the (n, alpha) cell of the canonical corpus with
+// seeds 1..seeds. The corpus is a pure function of its grid point and
+// seed count — same instances on every machine, every run — so timings
+// and allocation counts recorded against it are comparable across
+// commits.
+func corpusCell(n int, alpha float64, seeds int) []corpusItem {
+	items := make([]corpusItem, seeds)
+	for i := range items {
+		seed := int64(i + 1)
+		items[i] = corpusItem{Seed: seed, Inst: instance.Generate(instance.Config{NumOps: n, Alpha: alpha}, seed)}
 	}
-	return out
+	return items
 }
 
 // gateNs returns the entry's timing statistic used for gating: the

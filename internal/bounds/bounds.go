@@ -10,6 +10,7 @@ package bounds
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/instance"
 	"repro/internal/platform"
@@ -28,10 +29,25 @@ func TotalWork(in *instance.Instance) float64 {
 // TotalDownload returns the summed download rate of every object type the
 // tree uses, in MB/s. Every used type must be downloaded by at least one
 // processor, so the platform's aggregate NIC bandwidth must cover it.
+//
+// The rates are summed in ascending object order, like a walk over
+// Tree.ObjectSet, but the used types are marked in a stack bitset one
+// window of types at a time, so the sum allocates nothing.
 func TotalDownload(in *instance.Instance) float64 {
+	const window = 512
 	total := 0.0
-	for _, k := range in.Tree.ObjectSet() {
-		total += in.Rate(k)
+	for base := 0; base < in.NumTypes; base += window {
+		var used [window / 64]uint64
+		for _, l := range in.Tree.Leaves {
+			if k := l.Object - base; k >= 0 && k < window {
+				used[k/64] |= 1 << (k % 64)
+			}
+		}
+		for w, word := range used {
+			for ; word != 0; word &= word - 1 {
+				total += in.Rate(base + 64*w + bits.TrailingZeros64(word))
+			}
+		}
 	}
 	return total
 }
@@ -41,13 +57,16 @@ func TotalDownload(in *instance.Instance) float64 {
 // enough aggregate NIC for the mandatory downloads, given that a single
 // processor provides at most the catalog's best CPU and widest NIC.
 func MinProcessors(in *instance.Instance) int {
-	cat := in.Platform.Catalog
+	return minProcessors(in.Platform.Catalog, TotalWork(in), TotalDownload(in))
+}
+
+func minProcessors(cat *platform.Catalog, work, download float64) int {
 	best := cat.MostExpensive()
 	n := 1
-	if c := int(math.Ceil(TotalWork(in)/cat.SpeedUnits(best) - 1e-9)); c > n {
+	if c := int(math.Ceil(work/cat.SpeedUnits(best) - 1e-9)); c > n {
 		n = c
 	}
-	if c := int(math.Ceil(TotalDownload(in)/cat.BandwidthMBps(best) - 1e-9)); c > n {
+	if c := int(math.Ceil(download/cat.BandwidthMBps(best) - 1e-9)); c > n {
 		n = c
 	}
 	return n
@@ -64,17 +83,18 @@ func MinProcessors(in *instance.Instance) int {
 //   - symmetrically for NIC capacity versus TotalDownload.
 func CostLowerBound(in *instance.Instance) float64 {
 	cat := in.Platform.Catalog
-	n := float64(MinProcessors(in))
+	work, download := TotalWork(in), TotalDownload(in)
+	n := float64(minProcessors(cat, work, download))
 	cheapest := cat.Cost(platform.Config{})
 	cost := n * cheapest
 
 	// Marginal cost of CPU capacity beyond n base CPUs.
 	baseSpeed := cat.SpeedUnits(platform.Config{})
-	if extra := TotalWork(in) - n*baseSpeed; extra > 0 {
+	if extra := work - n*baseSpeed; extra > 0 {
 		cost += extra * minSlopeCPU(cat)
 	}
 	baseNIC := cat.BandwidthMBps(platform.Config{})
-	if extra := TotalDownload(in) - n*baseNIC; extra > 0 {
+	if extra := download - n*baseNIC; extra > 0 {
 		cost += extra * minSlopeNIC(cat)
 	}
 	return cost

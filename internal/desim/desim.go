@@ -43,19 +43,6 @@ func (s *Sim) Now() float64 { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() int64 { return s.events }
 
-// Reset rewinds the simulator to its zero state — clock at 0, no pending
-// events, counters cleared — while keeping the heap and free-list storage,
-// so a Sim can run many simulations without reallocating.
-func (s *Sim) Reset() {
-	for _, e := range s.queue {
-		s.release(e)
-	}
-	s.queue = s.queue[:0]
-	s.now = 0
-	s.seq = 0
-	s.events = 0
-}
-
 // Schedule runs action at absolute virtual time t (>= Now). Events at the
 // same instant run in scheduling order.
 func (s *Sim) Schedule(t float64, action func()) *Event {
@@ -126,57 +113,6 @@ func (s *Sim) Step() bool {
 		return true
 	}
 	return false
-}
-
-// RunUntil processes events until the queue empties, virtual time would
-// pass deadline, or maxEvents have run; it returns the reason it stopped.
-func (s *Sim) RunUntil(deadline float64, maxEvents int64) StopReason {
-	for {
-		if maxEvents > 0 && s.events >= maxEvents {
-			return StopEvents
-		}
-		// Peek. Cancelled events are removed eagerly, but stay defensive.
-		var next *Event
-		for len(s.queue) > 0 {
-			top := s.queue[0]
-			if top.cancelled {
-				s.release(s.pop())
-				continue
-			}
-			next = top
-			break
-		}
-		if next == nil {
-			return StopEmpty
-		}
-		if next.Time > deadline {
-			s.now = deadline
-			return StopDeadline
-		}
-		s.Step()
-	}
-}
-
-// StopReason tells why RunUntil returned.
-type StopReason int
-
-// RunUntil outcomes.
-const (
-	StopEmpty StopReason = iota // no events left
-	StopDeadline
-	StopEvents
-)
-
-func (r StopReason) String() string {
-	switch r {
-	case StopEmpty:
-		return "queue empty"
-	case StopDeadline:
-		return "deadline reached"
-	case StopEvents:
-		return "event budget exhausted"
-	}
-	return fmt.Sprintf("StopReason(%d)", int(r))
 }
 
 // The priority queue is a hand-rolled binary min-heap on (Time, seq) —

@@ -10,8 +10,7 @@ func TestOrdering(t *testing.T) {
 	s.Schedule(3, func() { got = append(got, 3) })
 	s.Schedule(1, func() { got = append(got, 1) })
 	s.Schedule(2, func() { got = append(got, 2) })
-	if r := s.RunUntil(10, 0); r != StopEmpty {
-		t.Fatalf("stop reason %v", r)
+	for s.Step() {
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
@@ -28,7 +27,8 @@ func TestSimultaneousFIFO(t *testing.T) {
 		i := i
 		s.Schedule(1, func() { got = append(got, i) })
 	}
-	s.RunUntil(2, 0)
+	for s.Step() {
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -41,7 +41,8 @@ func TestCancel(t *testing.T) {
 	ran := false
 	e := s.Schedule(1, func() { ran = true })
 	s.Cancel(e)
-	s.RunUntil(10, 0)
+	for s.Step() {
+	}
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -56,7 +57,8 @@ func TestCancelDuringRun(t *testing.T) {
 	var e2 *Event
 	s.Schedule(1, func() { s.Cancel(e2) })
 	e2 = s.Schedule(2, func() { ran = true })
-	s.RunUntil(10, 0)
+	for s.Step() {
+	}
 	if ran {
 		t.Fatal("event cancelled mid-run still ran")
 	}
@@ -71,59 +73,10 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 			times = append(times, s.Now())
 		})
 	})
-	s.RunUntil(10, 0)
+	for s.Step() {
+	}
 	if len(times) != 2 || times[0] != 1 || times[1] != 2.5 {
 		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestDeadline(t *testing.T) {
-	var s Sim
-	ran := false
-	s.Schedule(5, func() { ran = true })
-	if r := s.RunUntil(3, 0); r != StopDeadline {
-		t.Fatalf("stop reason %v", r)
-	}
-	if ran {
-		t.Fatal("event past deadline ran")
-	}
-	if s.Now() != 3 {
-		t.Fatalf("now = %v, want clamped to deadline 3", s.Now())
-	}
-}
-
-func TestEventBudget(t *testing.T) {
-	var s Sim
-	var tick func()
-	tick = func() { s.After(1, tick) }
-	s.After(1, tick)
-	if r := s.RunUntil(1e18, 100); r != StopEvents {
-		t.Fatalf("stop reason %v", r)
-	}
-	if s.Processed() != 100 {
-		t.Fatalf("processed = %d", s.Processed())
-	}
-}
-
-func TestReset(t *testing.T) {
-	var s Sim
-	s.Schedule(5, func() {})
-	s.Schedule(7, func() {})
-	s.Step()
-	s.Reset()
-	if s.Now() != 0 || s.Processed() != 0 {
-		t.Fatalf("after Reset: now=%v processed=%d", s.Now(), s.Processed())
-	}
-	ran := false
-	s.Schedule(1, func() { ran = true })
-	if r := s.RunUntil(10, 0); r != StopEmpty {
-		t.Fatalf("stop reason %v", r)
-	}
-	if !ran {
-		t.Fatal("event scheduled after Reset did not run")
-	}
-	if s.Processed() != 1 {
-		t.Fatalf("processed = %d, want 1 (pre-Reset events leaked)", s.Processed())
 	}
 }
 
@@ -136,7 +89,8 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.Schedule(float64(i), action)
 	}
-	s.RunUntil(1e18, 0)
+	for s.Step() {
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		e1 := s.After(1, action)
 		e2 := s.After(2, action)
@@ -164,7 +118,8 @@ func TestEventRecycling(t *testing.T) {
 	for i := 0; i < 64; i += 3 {
 		s.Cancel(evs[i])
 	}
-	s.RunUntil(1e18, 0)
+	for s.Step() {
+	}
 	want := 0
 	for i := 0; i < 64; i++ {
 		if i%3 != 0 {
@@ -187,7 +142,8 @@ func TestEventRecycling(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	var s Sim
 	s.Schedule(5, func() {})
-	s.RunUntil(10, 0)
+	for s.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -1,7 +1,7 @@
 // Package par provides the bounded worker pool that drives every
-// parallel layer of the repository: the solver portfolio (core), the
-// experiment sweeps (experiments) and the stream-engine verification
-// batches (stream).
+// parallel layer of the repository: the solver portfolio (the root
+// package's Solver), the experiment sweeps (experiments) and the
+// stream-engine verification batches (stream).
 //
 // Determinism is the design constraint: ForEach hands out item
 // indices, so callers write result i into slot i of a pre-sized slice

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/churn"
-	"repro/internal/core"
 	"repro/internal/heuristics"
+	"repro/internal/instance"
 	"repro/internal/mapping"
 	"repro/internal/platform"
 	"repro/internal/refine"
@@ -53,6 +53,32 @@ func fingerprint(m *mapping.Mapping, err error) string {
 	return fmt.Sprint(m.Assign, m.Procs, m.DL, m.Cost())
 }
 
+type corpusItem struct {
+	name string
+	n    int
+	seed int64
+	in   *instance.Instance
+}
+
+// corpus returns the N <= 140 cells of the perf harness's canonical
+// instance corpus (cmd/bench), seeds 1 and 2.
+func corpus() []corpusItem {
+	var items []corpusItem
+	for _, n := range []int{20, 60, 140} {
+		for _, alpha := range []float64{0.9, 1.7} {
+			for seed := int64(1); seed <= 2; seed++ {
+				items = append(items, corpusItem{
+					name: fmt.Sprintf("N=%d,alpha=%g,seed=%d", n, alpha, seed),
+					n:    n,
+					seed: seed,
+					in:   instance.Generate(instance.Config{NumOps: n, Alpha: alpha}, seed),
+				})
+			}
+		}
+	}
+	return items
+}
+
 // TestStepMatchesParent replays refine.Improve and refine.Refine over
 // the canonical corpus, and the churn engine over the churn bench
 // scenarios and the end-to-end benchmark's session scenarios, on the
@@ -60,22 +86,22 @@ func fingerprint(m *mapping.Mapping, err error) string {
 // final mapping must be identical.
 func TestStepMatchesParent(t *testing.T) {
 	steps := 0
-	for _, it := range core.CanonicalCorpus(2) {
-		if it.N > 140 || testing.Short() && it.N > 60 {
+	for _, it := range corpus() {
+		if testing.Short() && it.n > 60 {
 			continue
 		}
-		seedRes, err := heuristics.Solve(it.Inst, heuristics.CompGreedy{}, heuristics.Options{Seed: it.Seed})
+		seedRes, err := heuristics.Solve(it.in, heuristics.CompGreedy{}, heuristics.Options{Seed: it.seed})
 		if err != nil {
 			continue // infeasible cells have nothing to refine
 		}
-		steps += replaySteps(t, "Improve/"+it.Name, func() string {
+		steps += replaySteps(t, "Improve/"+it.name, func() string {
 			m := seedRes.Mapping.Clone()
-			err := refine.Improve(context.Background(), m, nil, refine.Options{Seed: it.Seed})
+			err := refine.Improve(context.Background(), m, nil, refine.Options{Seed: it.seed})
 			return fingerprint(m, err)
 		})
-		if it.N <= 60 {
-			steps += replaySteps(t, "Refine/"+it.Name, func() string {
-				res, err := refine.Refine(it.Inst, refine.Options{Seed: it.Seed})
+		if it.n <= 60 {
+			steps += replaySteps(t, "Refine/"+it.name, func() string {
+				res, err := refine.Refine(it.in, refine.Options{Seed: it.seed})
 				if err != nil {
 					return fingerprint(nil, err)
 				}

@@ -335,7 +335,7 @@ func TestDeadlineExceeded(t *testing.T) {
 }
 
 // TestDrainGoroutineLeak is the graceful-drain pin, patterned on the
-// par/core leak tests: requests complete, Close returns, and no pool or
+// par and Solver leak tests: requests complete, Close returns, and no pool or
 // handler goroutine survives.
 func TestDrainGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -184,7 +184,7 @@ type verifyRequest struct {
 
 // VerifyResponse is the POST /v1/verify answer: the stream engine's
 // measurement plus the pass verdict (measured throughput within 10% of
-// the instance's QoS target, matching core.Verify). Simulated time is
+// the instance's QoS target, matching streamalloc.Verify). Simulated time is
 // virtual, so the body is deterministic like SolveResponse's.
 type VerifyResponse struct {
 	OK         bool    `json:"ok"`

@@ -1,10 +1,4 @@
-// Package core orchestrates the full resource-allocation pipeline of
-// Benoit et al. — generate or load an instance, run one or all placement
-// heuristics (with server selection and downgrade), validate the mapping,
-// bound its cost, and optionally execute it on the stream engine — behind
-// one Solver type. The root streamalloc package re-exports this as the
-// library's public API.
-package core
+package streamalloc
 
 import (
 	"context"
@@ -15,7 +9,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/heuristics"
-	"repro/internal/instance"
 	"repro/internal/par"
 	"repro/internal/stream"
 )
@@ -24,7 +17,7 @@ import (
 // defaults (three-loop server selection, downgrade enabled, seed 0) and
 // one portfolio worker per CPU.
 type Solver struct {
-	Options heuristics.Options
+	Options Options
 	// Workers bounds the concurrency of SolveAll, Best and SolveBatch:
 	// <= 0 means runtime.GOMAXPROCS(0), 1 forces the serial path. Each
 	// heuristic derives its own rng substream from Options.Seed, so no
@@ -36,7 +29,7 @@ type Solver struct {
 }
 
 // Solve runs the named heuristic (see Heuristics for valid names).
-func (s *Solver) Solve(in *instance.Instance, name string) (*heuristics.Result, error) {
+func (s *Solver) Solve(in *Instance, name string) (*Result, error) {
 	h, err := heuristics.ByName(name)
 	if err != nil {
 		return nil, err
@@ -47,14 +40,14 @@ func (s *Solver) Solve(in *instance.Instance, name string) (*heuristics.Result, 
 // Outcome pairs a heuristic name with its result or failure.
 type Outcome struct {
 	Name   string
-	Result *heuristics.Result // nil when Err != nil
+	Result *Result // nil when Err != nil
 	Err    error
 }
 
 // SolveAll runs every paper heuristic and returns the outcomes sorted by
 // cost (failures last, in name order). The heuristics run concurrently
 // on s.Workers goroutines; the result is identical to a serial run.
-func (s *Solver) SolveAll(in *instance.Instance) []Outcome {
+func (s *Solver) SolveAll(in *Instance) []Outcome {
 	return s.SolveAllCtx(context.Background(), in)
 }
 
@@ -62,11 +55,11 @@ func (s *Solver) SolveAll(in *instance.Instance) []Outcome {
 // heuristics not yet started are skipped and reported as failed with an
 // error wrapping ctx.Err(). Cancellation granularity is one heuristic —
 // in-flight solves run to completion.
-func (s *Solver) SolveAllCtx(ctx context.Context, in *instance.Instance) []Outcome {
+func (s *Solver) SolveAllCtx(ctx context.Context, in *Instance) []Outcome {
 	out := s.portfolio(ctx, in, math.Inf(-1))
 	for i := range out {
 		if o := &out[i]; o.Result == nil && o.Err == nil {
-			o.Err = fmt.Errorf("core: %s skipped: %w", o.Name, context.Cause(ctx))
+			o.Err = fmt.Errorf("%s skipped: %w", o.Name, context.Cause(ctx))
 		}
 	}
 	sortOutcomes(out)
@@ -78,7 +71,7 @@ func (s *Solver) SolveAllCtx(ctx context.Context, in *instance.Instance) []Outco
 // outcomes in paper order. Once a feasible result costs at most stopAt,
 // or ctx is cancelled, the heuristics not yet started are skipped and
 // keep a nil Result and Err.
-func (s *Solver) portfolio(ctx context.Context, in *instance.Instance, stopAt float64) []Outcome {
+func (s *Solver) portfolio(ctx context.Context, in *Instance, stopAt float64) []Outcome {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hs := heuristics.All()
@@ -115,7 +108,7 @@ func sortOutcomes(out []Outcome) {
 // Best returns the cheapest feasible result across all heuristics — the
 // paper's practical recommendation (Subtree-bottom-up usually wins, but
 // when it fails one of the greedy heuristics often still succeeds).
-func (s *Solver) Best(in *instance.Instance) (*heuristics.Result, error) {
+func (s *Solver) Best(in *Instance) (*Result, error) {
 	return s.BestCtx(context.Background(), in)
 }
 
@@ -125,9 +118,9 @@ func (s *Solver) Best(in *instance.Instance) (*heuristics.Result, error) {
 // better. The returned cost is deterministic; when several heuristics
 // tie at the lower bound, which one is reported may depend on worker
 // scheduling (every answer is provably optimal).
-func (s *Solver) BestCtx(ctx context.Context, in *instance.Instance) (*heuristics.Result, error) {
+func (s *Solver) BestCtx(ctx context.Context, in *Instance) (*Result, error) {
 	lb := bounds.CostLowerBound(in)
-	var best *heuristics.Result
+	var best *Result
 	for _, o := range s.portfolio(ctx, in, lb+1e-9) {
 		if r := o.Result; r != nil && (best == nil || r.Cost < best.Cost) {
 			best = r
@@ -135,16 +128,16 @@ func (s *Solver) BestCtx(ctx context.Context, in *instance.Instance) (*heuristic
 	}
 	if best == nil {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: solve cancelled: %w", err)
+			return nil, fmt.Errorf("solve cancelled: %w", err)
 		}
-		return nil, fmt.Errorf("core: every heuristic failed: %w", heuristics.ErrInfeasible)
+		return nil, fmt.Errorf("every heuristic failed: %w", heuristics.ErrInfeasible)
 	}
 	// A caller-side cancellation may have truncated the portfolio. Only a
 	// result at the lower bound is still trustworthy — anything costlier
 	// could have been beaten by a skipped heuristic, and returning it
 	// would make the reported cost depend on scheduling.
 	if err := ctx.Err(); err != nil && best.Cost > lb+1e-9 {
-		return nil, fmt.Errorf("core: solve cancelled: %w", err)
+		return nil, fmt.Errorf("solve cancelled: %w", err)
 	}
 	return best, nil
 }
@@ -156,26 +149,26 @@ func (s *Solver) BestCtx(ctx context.Context, in *instance.Instance) (*heuristic
 // not yet started and reports them with an error wrapping ctx.Err().
 // Every item solves with s.Options; use SolveBatchWith when items need
 // their own options (e.g. per-instance seeds).
-func (s *Solver) SolveBatch(ctx context.Context, ins []*instance.Instance) ([]*heuristics.Result, []error) {
-	return s.SolveBatchWith(ctx, ins, func(int) heuristics.Options { return s.Options })
+func (s *Solver) SolveBatch(ctx context.Context, ins []*Instance) ([]*Result, []error) {
+	return s.SolveBatchWith(ctx, ins, func(int) Options { return s.Options })
 }
 
 // SolveBatchWith is SolveBatch with per-item options: item i solves
 // with opts(i). Batch runs that must reproduce individual runs pass
 // each instance the Seed a standalone solve would use.
-func (s *Solver) SolveBatchWith(ctx context.Context, ins []*instance.Instance,
-	opts func(i int) heuristics.Options) ([]*heuristics.Result, []error) {
-	results := make([]*heuristics.Result, len(ins))
+func (s *Solver) SolveBatchWith(ctx context.Context, ins []*Instance,
+	opts func(i int) Options) ([]*Result, []error) {
+	results := make([]*Result, len(ins))
 	errs := make([]error, len(ins))
 	done, _ := par.ForEachDone(ctx, s.Workers, len(ins), func(i int) {
 		inner := Solver{Options: opts(i), Workers: 1}
 		results[i], errs[i] = inner.BestCtx(ctx, ins[i])
 	})
-	par.SkipErrors(ctx, done, errs, "core: batch")
+	par.SkipErrors(ctx, done, errs, "batch")
 	return results, errs
 }
 
-// Heuristics lists the valid heuristic names in the paper's order.
+// Heuristics lists the six placement heuristic names in the paper's order.
 func Heuristics() []string {
 	var names []string
 	for _, h := range heuristics.All() {
@@ -184,90 +177,36 @@ func Heuristics() []string {
 	return names
 }
 
-// LowerBound returns a provable lower bound on the platform cost.
-func LowerBound(in *instance.Instance) float64 {
-	return bounds.CostLowerBound(in)
-}
+// LowerBound returns a provable lower bound on the platform cost ($).
+func LowerBound(in *Instance) float64 { return bounds.CostLowerBound(in) }
 
-// Verify executes the mapping on the stream engine and checks that the
-// measured steady-state throughput reaches the instance's QoS target.
-func Verify(res *heuristics.Result, opt stream.Options) (*stream.Report, error) {
+// Verify executes a result on the stream engine and confirms the measured
+// throughput reaches the instance's target rho.
+func Verify(res *Result, opt SimOptions) (*SimReport, error) {
 	rep, err := stream.Simulate(res.Mapping, opt)
 	if err != nil {
 		return nil, err
 	}
 	if rep.Throughput < 0.9*res.Mapping.Inst.Rho {
-		return rep, fmt.Errorf("core: measured throughput %.3f below target %.3f",
+		return rep, fmt.Errorf("measured throughput %.3f below target %.3f",
 			rep.Throughput, res.Mapping.Inst.Rho)
 	}
 	return rep, nil
 }
 
-// VerifyBatch executes many results on the stream engine concurrently,
-// at most workers at a time (<= 0 means GOMAXPROCS). Slot i of the
-// returned slices holds result i's report or error; cancelling ctx
-// skips the simulations not yet started.
-func VerifyBatch(ctx context.Context, results []*heuristics.Result, opt stream.Options, workers int) ([]*stream.Report, []error) {
-	reps := make([]*stream.Report, len(results))
+// VerifyBatch executes many results on the stream engine concurrently
+// (at most workers simulations at a time) and checks each measured
+// throughput against its instance's QoS target, in input order.
+func VerifyBatch(ctx context.Context, results []*Result, opt SimOptions, workers int) ([]*SimReport, []error) {
+	reps := make([]*SimReport, len(results))
 	errs := make([]error, len(results))
 	done, _ := par.ForEachDone(ctx, workers, len(results), func(i int) {
 		reps[i], errs[i] = Verify(results[i], opt)
 	})
-	par.SkipErrors(ctx, done, errs, "core: verify")
+	par.SkipErrors(ctx, done, errs, "verify")
 	return reps, errs
 }
 
-// IsInfeasible reports whether err means "no feasible mapping exists /
-// was found" rather than a usage error.
-func IsInfeasible(err error) bool {
-	return errors.Is(err, heuristics.ErrInfeasible)
-}
-
-// CorpusItem is one pinned instance of the canonical benchmark corpus.
-type CorpusItem struct {
-	Name  string // "N=60,alpha=0.9,seed=1"
-	N     int
-	Alpha float64
-	Seed  int64
-	Inst  *instance.Instance
-}
-
-// CorpusNs and CorpusAlphas are the canonical benchmark grid: the paper's
-// evaluation sweeps tree size and computation exponent, and these pinned
-// points cover its small/medium/large and sub/super-linear regimes. The
-// N=300/600 cells (beyond the paper's N<=140 sweeps) became affordable
-// once solve stopped allocating; they exist to expose O(N^2) hotspots
-// such as TryPlace's affected-processor scans. At alpha=1.7 they fail
-// Precheck immediately — a legitimate corpus outcome that pins the
-// fast-reject path.
-var (
-	CorpusNs     = []int{20, 60, 140, 300, 600}
-	CorpusAlphas = []float64{0.9, 1.7}
-)
-
-// CanonicalCorpus generates the pinned instance corpus the perf harness
-// (cmd/bench) and the regression baseline are defined over: every
-// (N, alpha) cell of the canonical grid with seeds 1..seedsPer. The
-// corpus is a pure function of seedsPer — same instances on every
-// machine, every run — so timings and allocation counts recorded against
-// it are comparable across commits.
-func CanonicalCorpus(seedsPer int) []CorpusItem {
-	if seedsPer < 1 {
-		seedsPer = 1
-	}
-	var items []CorpusItem
-	for _, n := range CorpusNs {
-		for _, alpha := range CorpusAlphas {
-			for seed := int64(1); seed <= int64(seedsPer); seed++ {
-				items = append(items, CorpusItem{
-					Name:  fmt.Sprintf("N=%d,alpha=%g,seed=%d", n, alpha, seed),
-					N:     n,
-					Alpha: alpha,
-					Seed:  seed,
-					Inst:  instance.Generate(instance.Config{NumOps: n, Alpha: alpha}, seed),
-				})
-			}
-		}
-	}
-	return items
-}
+// IsInfeasible reports whether an error from Solve/Best means "no feasible
+// mapping" rather than misuse.
+func IsInfeasible(err error) bool { return errors.Is(err, heuristics.ErrInfeasible) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/heuristics"
 	"repro/internal/instance"
 	"repro/internal/mapping"
@@ -29,10 +28,6 @@ type (
 	Result = heuristics.Result
 	// Options tunes the solve pipeline (server selection, downgrade, seed).
 	Options = heuristics.Options
-	// Solver orchestrates the pipeline.
-	Solver = core.Solver
-	// Outcome pairs a heuristic with its result on one instance.
-	Outcome = core.Outcome
 	// SimOptions tunes the stream-engine execution.
 	SimOptions = stream.Options
 	// SimReport is the stream engine's measurement.
@@ -78,9 +73,6 @@ func Refine(in *Instance, opts RefineOptions) (*Result, error) {
 	return refine.Refine(in, opts)
 }
 
-// Heuristics lists the six placement heuristic names in the paper's order.
-func Heuristics() []string { return core.Heuristics() }
-
 // Solve runs one named heuristic with default options.
 func Solve(in *Instance, heuristic string) (*Result, error) {
 	var s Solver
@@ -91,15 +83,6 @@ func Solve(in *Instance, heuristic string) (*Result, error) {
 // plus structural completeness; nil means feasible.
 func Validate(m *Mapping) error { return m.Validate() }
 
-// LowerBound returns a provable lower bound on the platform cost ($).
-func LowerBound(in *Instance) float64 { return core.LowerBound(in) }
-
-// Verify executes a result on the stream engine and confirms the measured
-// throughput reaches the instance's target rho.
-func Verify(res *Result, opt SimOptions) (*SimReport, error) {
-	return core.Verify(res, opt)
-}
-
 // SolveBatch solves many instances concurrently on a bounded worker
 // pool, returning each instance's cheapest feasible result (or error)
 // in input order: slot i always belongs to ins[i], at any worker count
@@ -108,13 +91,6 @@ func Verify(res *Result, opt SimOptions) (*SimReport, error) {
 func SolveBatch(ctx context.Context, ins []*Instance, opts Options, workers int) ([]*Result, []error) {
 	s := Solver{Options: opts, Workers: workers}
 	return s.SolveBatch(ctx, ins)
-}
-
-// VerifyBatch executes many results on the stream engine concurrently
-// (at most workers simulations at a time) and checks each measured
-// throughput against its instance's QoS target, in input order.
-func VerifyBatch(ctx context.Context, results []*Result, opt SimOptions, workers int) ([]*SimReport, []error) {
-	return core.VerifyBatch(ctx, results, opt, workers)
 }
 
 // Simulate measures the steady-state throughput of an arbitrary complete
@@ -132,10 +108,6 @@ func SimulateBatch(ctx context.Context, ms []*Mapping, opt SimOptions, workers i
 // MaxThroughput returns the analytic maximum throughput a mapping
 // sustains under the constraint system.
 func MaxThroughput(m *Mapping) float64 { return stream.AnalyticMaxThroughput(m) }
-
-// IsInfeasible reports whether an error from Solve/Best means "no feasible
-// mapping" rather than misuse.
-func IsInfeasible(err error) bool { return core.IsInfeasible(err) }
 
 // NewRand returns a seeded math/rand generator. It exists for examples
 // and ad-hoc workload construction only: library code and anything that
