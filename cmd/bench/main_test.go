@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/instance"
 )
 
 // writeReport marshals a minimal report with a calibration entry plus the
@@ -102,5 +105,31 @@ func TestCompareAllowsNewUntrackedEntry(t *testing.T) {
 		entry("solve/x", 5e5, 100, true), entry("sweep/workers=4", 5e7, 100, false))
 	if err := compare(base, res, 0.20); err != nil {
 		t.Fatalf("a new non-gated entry must pass: %v", err)
+	}
+}
+
+// TestCorpusCellPinnedSeeds checks that a corpus cell holds seeds 1..k in
+// order, each the instance.Generate instance of its (n, alpha, seed).
+func TestCorpusCellPinnedSeeds(t *testing.T) {
+	const n, alpha = 20, 0.9
+	cell := corpusCell(n, alpha, 3)
+	if len(cell) != 3 {
+		t.Fatalf("cell has %d items, want 3", len(cell))
+	}
+	for i, it := range cell {
+		if it.Seed != int64(i+1) {
+			t.Fatalf("item %d has seed %d, want %d", i, it.Seed, i+1)
+		}
+		got, err := json.Marshal(it.Inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(instance.Generate(instance.Config{NumOps: n, Alpha: alpha}, it.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: corpus instance differs from instance.Generate", it.Seed)
+		}
 	}
 }

@@ -151,3 +151,25 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	}()
 	s.Schedule(1, func() {})
 }
+
+// TestStepEmptyAndCancelledQueue checks that Step reports false on an empty
+// queue and on one holding only cancelled events, and that neither the
+// clock nor the processed-event count moves for a cancelled event.
+func TestStepEmptyAndCancelledQueue(t *testing.T) {
+	var s Sim
+	if s.Step() {
+		t.Fatal("Step on an empty queue reported an event")
+	}
+	s.Schedule(1, func() {})
+	s.Cancel(s.Schedule(4, func() {}))
+	s.Cancel(s.Schedule(2, func() {}))
+	if !s.Step() {
+		t.Fatal("Step skipped the live event")
+	}
+	if s.Step() {
+		t.Fatal("Step ran a cancelled event")
+	}
+	if s.Now() != 1 || s.Processed() != 1 {
+		t.Fatalf("now=%v processed=%d, want 1 and 1", s.Now(), s.Processed())
+	}
+}
