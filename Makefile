@@ -1,5 +1,5 @@
 # CI and humans invoke identical commands: .github/workflows/ci.yml runs
-# `make lint build test race bench fuzz-smoke sweep-smoke serve-smoke
+# `make lint build test race fuzz-smoke sweep-smoke serve-smoke
 # coord-smoke refine-smoke churn-smoke docs-check e2ebench-check` in the
 # main job, `make staticcheck vuln` for the deeper
 # static and vulnerability scans, and `make bench-json bench-compare`
@@ -10,7 +10,7 @@ GO ?= go
 # Steadier perf numbers: every bench entry runs 3x its base iterations.
 BENCH_ITERS_SCALE ?= 3
 
-.PHONY: build test race bench fuzz-smoke bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
+.PHONY: build test race fuzz-smoke bench-json bench-compare bench-baseline fmt lint staticcheck vuln ci sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -20,11 +20,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# One iteration of every benchmark as a smoke test; drop -benchtime for
-# real measurements (cmd/bench, via bench-json, is the timed harness).
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Ten seconds of coverage-guided fuzzing per target: the solve/verify
 # request decoders (untrusted HTTP bodies, inline instances included),
@@ -118,6 +113,8 @@ churn-smoke:
 # bare anchors and links escaping the repo (the GitHub-web-relative CI
 # badge) are skipped. The README module map's internal/ block must name
 # every directory under internal/, and every name in it must exist.
+# Every *.md path named in a Go comment must exist, resolved from the
+# repo root or from the Go file's own directory.
 docs-check:
 	@fail=0; \
 	for pkg in $$($(GO) list -f '{{if ne .Name "main"}}{{.Dir}}:{{.Name}}{{end}}' ./...); do \
@@ -145,6 +142,13 @@ docs-check:
 		if [ ! -d internal/$$name ]; then \
 			echo "docs-check: README module map names internal/$$name, which does not exist"; fail=1; \
 		fi; \
+	done; \
+	for f in $$(find . -name '*.go' -not -path './.*'); do \
+		for ref in $$(grep -oE '//.*' $$f | grep -oE '[A-Za-z0-9_./-]+\.md\b' | grep -v '^//' | sort -u); do \
+			if [ ! -e "$$ref" ] && [ ! -e "$$(dirname $$f)/$$ref" ]; then \
+				echo "docs-check: $$f: a comment names $$ref, which does not exist"; fail=1; \
+			fi; \
+		done; \
 	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "docs-check: OK"
@@ -174,4 +178,4 @@ staticcheck:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: lint build test race bench fuzz-smoke sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check
+ci: lint build test race fuzz-smoke sweep-smoke serve-smoke coord-smoke refine-smoke churn-smoke docs-check e2ebench-check

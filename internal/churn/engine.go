@@ -17,6 +17,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/refine"
 	"repro/internal/rng"
+	"repro/internal/xslice"
 )
 
 // Policy selects how the engine answers events.
@@ -234,30 +235,11 @@ func (e *Engine) IncumbentInto(m *mapping.Mapping) error {
 	if !e.started {
 		return fmt.Errorf("churn: IncumbentInto before Start")
 	}
-	e.mapps = e.mapps[:0]
-	for i := range e.apps {
-		e.mapps = append(e.mapps, multiapp.App{Tree: e.apps[i].tree, Rho: e.apps[i].rho})
-	}
-	in, err := e.combiner.Combine(e.mapps, e.w)
+	in, err := e.stage(nil, appState{})
 	if err != nil {
 		return err
 	}
-	e.fillOffsets(len(e.mapps))
-	m.SetJournal(false)
-	m.Reset(in)
-	for _, cfg := range e.snap.cfgs {
-		m.Buy(cfg)
-	}
-	for j := 0; j < len(e.snap.off)-1; j++ {
-		base, so := e.opOff[j], e.snap.off[j]
-		for i := 0; i < e.snap.off[j+1]-so; i++ {
-			m.Place(base+i, e.snap.ops[so+i])
-		}
-	}
-	combOff := e.opOff[len(e.mapps)]
-	for ci, p := range e.snap.comb {
-		m.Place(combOff+ci, p)
-	}
+	e.transplant(m, in, nil)
 	if err := heuristics.SelectServersThreeLoop(m); err != nil {
 		return fmt.Errorf("churn: incumbent admits no server selection: %w", err)
 	}
@@ -282,15 +264,10 @@ func (e *Engine) Start(sc *Scenario) error {
 	for _, spec := range sc.Initial {
 		e.apps = append(e.apps, e.buildApp(spec))
 	}
-	e.mapps = e.mapps[:0]
-	for i := range e.apps {
-		e.mapps = append(e.mapps, multiapp.App{Tree: e.apps[i].tree, Rho: e.apps[i].rho})
-	}
-	in, err := e.combiner.Combine(e.mapps, e.w)
+	in, err := e.stage(nil, appState{})
 	if err != nil {
 		return fmt.Errorf("churn: initial workload: %v", err)
 	}
-	e.fillOffsets(len(e.mapps))
 	if out, _ := e.resolve(context.Background(), in, rng.SeedFor(e.opts.Seed, "churn:init"), math.Inf(1)); out == Rejected {
 		return fmt.Errorf("churn: initial workload infeasible: %w", heuristics.ErrInfeasible)
 	}
@@ -398,26 +375,10 @@ func (e *Engine) Step(ctx context.Context, ev Event) (EventResult, error) {
 		return reject(fmt.Errorf("%w: unknown event kind %d", errRejected, int(ev.Kind)))
 	}
 
-	// Stage the post-event application list and combine it.
-	e.mapps = e.mapps[:0]
-	for i := range e.apps {
-		if ev.Kind == Depart && i == ev.Slot {
-			continue
-		}
-		rho := e.apps[i].rho
-		if ev.Kind == Drift && i == ev.Slot {
-			rho *= ev.Factor
-		}
-		e.mapps = append(e.mapps, multiapp.App{Tree: e.apps[i].tree, Rho: rho})
-	}
-	if ev.Kind == Arrive {
-		e.mapps = append(e.mapps, multiapp.App{Tree: arr.tree, Rho: arr.rho})
-	}
-	in, err := e.combiner.Combine(e.mapps, e.w)
+	in, err := e.stage(&ev, arr)
 	if err != nil {
 		return reject(fmt.Errorf("%w: %v", errRejected, err))
 	}
-	e.fillOffsets(len(e.mapps))
 
 	var outcome Outcome
 	if e.opts.Policy == PolicyResolve {
@@ -426,11 +387,7 @@ func (e *Engine) Step(ctx context.Context, ev Event) (EventResult, error) {
 		outcome, err = e.repair(ctx, in, ev)
 	}
 	if err != nil {
-		if arr.b != nil {
-			e.freeB = append(e.freeB, arr.b)
-		}
-		er.Err = err
-		er.Wall = time.Since(start)
+		er, _ = reject(err)
 		return er, err
 	}
 	if outcome == Rejected {
@@ -456,7 +413,7 @@ func (e *Engine) Step(ctx context.Context, ev Event) (EventResult, error) {
 // aborts with the incumbent untouched.
 func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (Outcome, error) {
 	m := &e.work
-	baselineComplete := e.transplant(in, ev)
+	baselineComplete := e.transplant(m, in, &ev)
 
 	// Unplace everything the event invalidated: on drift, the operators
 	// of every processor the rescaled rates overload. (Arrivals leave
@@ -531,7 +488,7 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	// invariant makes this unreachable; the rollback keeps the
 	// guarantee structural rather than inherited).
 	if baselineValid && m.Cost() > e.snap.cost+mapping.Eps {
-		e.transplant(in, ev)
+		e.transplant(m, in, &ev)
 		if heuristics.Finish(m) != nil {
 			return e.fallback(ctx, in)
 		}
@@ -556,14 +513,14 @@ func (e *Engine) fallback(ctx context.Context, in *instance.Instance) (Outcome, 
 	return e.resolve(ctx, in, e.eventSeed(e.resSeed), math.Inf(1))
 }
 
-// transplant rebuilds the incumbent on the working mapping against the
-// post-event instance: the incumbent's processors are re-bought in
-// dense id order and every surviving application's operators are placed
-// where the incumbent had them. Virtual combiners are transplanted only
-// on drift (structural events re-chain them, so they are always
-// re-placed). Reports whether the transplant covered every operator.
-func (e *Engine) transplant(in *instance.Instance, ev Event) bool {
-	m := &e.work
+// transplant rebuilds the incumbent on m against the staged instance in
+// (see stage; a nil ev keeps every application): the incumbent's
+// processors are re-bought in dense id order and every surviving
+// application's operators are placed where the incumbent had them.
+// Virtual combiners are transplanted unless ev is an arrival or a
+// departure, which re-chain them, so they are always re-placed.
+// Reports whether the transplant covered every operator.
+func (e *Engine) transplant(m *mapping.Mapping, in *instance.Instance, ev *Event) bool {
 	m.SetJournal(false)
 	m.Reset(in)
 	for _, cfg := range e.snap.cfgs {
@@ -571,7 +528,7 @@ func (e *Engine) transplant(in *instance.Instance, ev Event) bool {
 	}
 	j := 0
 	for o := 0; o < len(e.snap.off)-1; o++ {
-		if ev.Kind == Depart && o == ev.Slot {
+		if ev != nil && ev.Kind == Depart && o == ev.Slot {
 			continue
 		}
 		base, so := e.opOff[j], e.snap.off[o]
@@ -581,7 +538,7 @@ func (e *Engine) transplant(in *instance.Instance, ev Event) bool {
 		}
 		j++
 	}
-	if ev.Kind == Drift {
+	if ev == nil || ev.Kind == Drift {
 		combOff := e.opOff[len(e.mapps)]
 		for ci, p := range e.snap.comb {
 			m.Place(combOff+ci, p)
@@ -748,17 +705,42 @@ func (e *Engine) buildApp(spec AppSpec) appState {
 	return appState{tree: b.Random(e.treeR, n, e.w.NumTypes), b: b, rho: rho}
 }
 
-// fillOffsets recomputes the merged-tree operator offsets of the staged
-// application list: slot j's operators are [opOff[j], opOff[j+1]), the
-// virtual combiners start at opOff[n].
-func (e *Engine) fillOffsets(n int) {
+// stage lists the applications an answer is computed for in e.mapps —
+// the live ones with ev applied: its departing slot skipped, its
+// drifting target scaled, and arr appended when it holds an arrival's
+// tree; a nil ev stages the live list as it is — and combines them. It
+// recomputes the merged-tree operator offsets: slot j's operators are
+// [opOff[j], opOff[j+1]), the virtual combiners start at
+// opOff[len(e.mapps)].
+func (e *Engine) stage(ev *Event, arr appState) (*instance.Instance, error) {
+	e.mapps = e.mapps[:0]
+	for i := range e.apps {
+		rho := e.apps[i].rho
+		if ev != nil && ev.Slot == i {
+			switch ev.Kind {
+			case Depart:
+				continue
+			case Drift:
+				rho *= ev.Factor
+			}
+		}
+		e.mapps = append(e.mapps, multiapp.App{Tree: e.apps[i].tree, Rho: rho})
+	}
+	if arr.tree != nil {
+		e.mapps = append(e.mapps, multiapp.App{Tree: arr.tree, Rho: arr.rho})
+	}
+	in, err := e.combiner.Combine(e.mapps, e.w)
+	if err != nil {
+		return nil, err
+	}
 	e.opOff = e.opOff[:0]
 	off := 0
-	for j := 0; j < n; j++ {
+	for _, a := range e.mapps {
 		e.opOff = append(e.opOff, off)
-		off += len(e.mapps[j].Tree.Ops)
+		off += len(a.Tree.Ops)
 	}
 	e.opOff = append(e.opOff, off)
+	return in, nil
 }
 
 // eventSeed derives the current event's sub-seed from a per-purpose
@@ -769,11 +751,7 @@ func (e *Engine) eventSeed(base int64) int64 {
 
 // intsFill returns s resized to n with every element set to v.
 func intsFill(s []int, n, v int) []int {
-	if cap(s) < n {
-		s = make([]int, n)
-	} else {
-		s = s[:n]
-	}
+	s = xslice.Grow(s, n)
 	for i := range s {
 		s[i] = v
 	}

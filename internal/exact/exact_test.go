@@ -115,22 +115,6 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// BenchmarkSolve measures the branch-and-bound search on a pinned
-// multi-processor instance (slow homogeneous CPU, so the search actually
-// branches); cmd/bench derives its gated solve/exact entries from the
-// same shape.
-func BenchmarkSolve(b *testing.B) {
-	p := platform.DefaultPlatform()
-	p.Catalog = platform.Homogeneous(0, 4)
-	in := instance.Generate(instance.Config{NumOps: 14, Alpha: 2.0, Platform: p}, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(in, Limits{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestExactHeuristicByName: the "Exact" adapter runs through the full
 // solve pipeline and lands on the same optimum Solve reports.
 func TestExactHeuristicByName(t *testing.T) {

@@ -10,8 +10,9 @@
 // .dat output from disjoint cell sets) and verifiable (Config.Verify
 // executes every feasible cell on the stream engine).
 //
-// The experiment index (IDs E1-E8, A1-A3, V1) lives in DESIGN.md;
-// EXPERIMENTS.md records paper-versus-measured outcomes.
+// The experiment index in docs/ARCHITECTURE.md maps the IDs E1-E8,
+// A1-A3, V1 and F1-F2 onto figure and table ids and the tests that
+// check them.
 package experiments
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,43 @@ func mustBuild(t *testing.T, id string, cfg Config) *Figure {
 		t.Fatal(err)
 	}
 	return fig
+}
+
+// TestEveryFigureBuilds builds every registered figure at one seed,
+// serially and on three workers: both builds must succeed with
+// byte-identical .dat output, and every series must hold one point per
+// x of one of the figure's sweep grids, in grid order.
+func TestEveryFigureBuilds(t *testing.T) {
+	for _, id := range FigureIDs() {
+		t.Run(id, func(t *testing.T) {
+			cfg := Config{Seeds: 1, BaseSeed: 1, Workers: 1}
+			serial := mustBuild(t, id, cfg)
+			cfg.Workers = 3
+			if got, want := mustBuild(t, id, cfg).Dat(), serial.Dat(); got != want {
+				t.Fatalf("workers=3 .dat diverges from serial:\n--- serial ---\n%s--- workers=3 ---\n%s", want, got)
+			}
+			def, err := figDefByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var grids [][]float64
+			for _, u := range def.units {
+				grids = append(grids, u.grid(cfg).Xs)
+			}
+			if len(serial.Series) == 0 {
+				t.Fatal("no series")
+			}
+			for _, s := range serial.Series {
+				xs := make([]float64, len(s.Points))
+				for i, p := range s.Points {
+					xs[i] = p.X
+				}
+				if !slices.ContainsFunc(grids, func(g []float64) bool { return slices.Equal(g, xs) }) {
+					t.Errorf("series %q has points at %v, want one per x of a grid %v", s.Label, xs, grids)
+				}
+			}
+		})
+	}
 }
 
 func TestFig2aShape(t *testing.T) {

@@ -16,8 +16,9 @@ import (
 //
 // DisableFold keeps the per-operator merges but skips the wholesale
 // folding of sibling processors; this mimics the more conservative merging
-// the paper's cost curves suggest (ablation A3 in DESIGN.md) at the price
-// of buying roughly one processor per al-operator.
+// the paper's cost curves suggest (ablation A3 of the experiment index in
+// docs/ARCHITECTURE.md) at the price of buying roughly one processor per
+// al-operator.
 type SubtreeBottomUp struct {
 	DisableFold bool
 }

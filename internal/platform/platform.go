@@ -17,9 +17,12 @@
 //   - CPU work is in abstract work-units, with a processor of speed s GHz
 //     sustaining s x WorkUnitsPerGHz units/s.
 //
-// WorkUnitsPerGHz is the single calibration constant of the reproduction:
-// it was chosen so that the feasibility thresholds in alpha land where the
-// paper reports them (see DESIGN.md section 3).
+// WorkUnitsPerGHz is the single calibration constant of the reproduction.
+// The paper leaves the GHz-to-work scale unstated, so the constant was
+// chosen to put the feasibility thresholds in alpha where the paper
+// reports them: 60-operator trees stop being mappable just above
+// alpha = 1.8, 20-operator trees just above 2.1-2.2, and at alpha = 1.7
+// no mapping exists beyond roughly 80-90 operators.
 package platform
 
 import "fmt"

@@ -15,6 +15,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/platform"
 	"repro/internal/rng"
+	"repro/internal/xslice"
 )
 
 // Options tunes Refine. The zero value uses the defaults.
@@ -89,10 +90,13 @@ type refScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &refScratch{} }}
 
-// refiner installs rf as the call's refiner and returns it. Handed to
-// the test hooks, a refiner on the stack would escape to the heap.
-func (sc *refScratch) refiner(rf refiner) *refiner {
-	sc.rf = rf
+// refiner installs a refiner over m as the call's and returns it.
+// Handed to the test hooks, a refiner on the stack would escape to the
+// heap.
+func (sc *refScratch) refiner(m *mapping.Mapping, r *rand.Rand) *refiner {
+	cat := m.Inst.Platform.Catalog
+	sc.rf = refiner{m: m, in: m.Inst, r: r, sc: sc, cat: cat, most: cat.MostExpensive(),
+		unit: cat.Cost(platform.Config{})} // cheapest purchase: the move-cost scale
 	return &sc.rf
 }
 
@@ -183,25 +187,25 @@ func (h Refined) Place(pc *heuristics.PlaceContext, m *mapping.Mapping, r *rand.
 		return nil // the seed is provably optimal; nothing to refine
 	}
 
-	sc.orders(in)
-
 	m.SetJournal(true)
-	rf := sc.refiner(refiner{m: m, in: in, r: r, sc: sc, lb: lb, deadline: deadline,
-		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
-	rf.unit = rf.cat.Cost(platform.Config{}) // cheapest purchase: the move-cost scale
-	rf.bestCost = m.Cost()
-	sc.best.SetJournal(false)
-	sc.best.CopyFrom(m)
-
-	rf.run(h.SAIters, h.LNSRounds)
-	m.CopyFrom(&sc.best)
+	rf := sc.refiner(m, r)
+	rf.lb, rf.deadline = lb, deadline
+	rf.search(h.SAIters, h.LNSRounds)
 	m.SetJournal(wasJournal)
 	return nil
 }
 
-// run drives the annealing and LNS loops with their defaulted budgets;
-// the refiner must be fully initialized and sc.best seeded.
-func (rf *refiner) run(iters, rounds int) {
+// search refines the mapping with its current placement as the seed:
+// it computes the tree orders, drives the annealing and LNS loops with
+// their defaulted budgets, and copies the best selection-feasible state
+// found back into the mapping, which must be journaling. The caller
+// sets the refiner's lb and its optional stop signals.
+func (rf *refiner) search(iters, rounds int) {
+	sc, m := rf.sc, rf.m
+	sc.orders(rf.in)
+	rf.bestCost = m.Cost()
+	sc.best.SetJournal(false)
+	sc.best.CopyFrom(m)
 	if iters <= 0 {
 		iters = 1200 + 60*rf.in.Tree.NumOps()
 	}
@@ -212,6 +216,7 @@ func (rf *refiner) run(iters, rounds int) {
 	for i := 0; i < rounds && rf.bestCost > rf.lb+mapping.Eps && !rf.stopNow(); i++ {
 		rf.lnsRound()
 	}
+	m.CopyFrom(&sc.best)
 }
 
 // Improve refines an existing complete placement of m in place: the
@@ -265,15 +270,9 @@ func Improve(ctx context.Context, m *mapping.Mapping, r *rand.Rand, opts Options
 
 	lb := bounds.CostLowerBound(in)
 	if m.Cost() > lb+mapping.Eps {
-		sc.orders(in)
-		rf := sc.refiner(refiner{m: m, in: in, r: r, sc: sc, lb: lb, ctx: ctx, deadline: deadline,
-			cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
-		rf.unit = rf.cat.Cost(platform.Config{})
-		rf.bestCost = m.Cost()
-		sc.best.SetJournal(false)
-		sc.best.CopyFrom(m)
-		rf.run(opts.SAIters, opts.LNSRounds)
-		m.CopyFrom(&sc.best)
+		rf := sc.refiner(m, r)
+		rf.lb, rf.ctx, rf.deadline = lb, ctx, deadline
+		rf.search(opts.SAIters, opts.LNSRounds)
 	}
 	// Re-run selection so the caller gets a valid mapping as-is; the
 	// installed placement was probed above (or in noteBest), so this
@@ -300,8 +299,7 @@ func PlaceUnassigned(m *mapping.Mapping) bool {
 	in := m.Inst
 	sc := scratchPool.Get().(*refScratch)
 	defer sc.release()
-	rf := sc.refiner(refiner{m: m, in: in, sc: sc,
-		cat: in.Platform.Catalog, most: in.Platform.Catalog.MostExpensive()})
+	rf := sc.refiner(m, nil)
 	sc.bu, sc.stack = in.Tree.BottomUpInto(sc.bu, sc.stack)
 	for _, op := range sc.bu {
 		if m.OpProc(op) != mapping.Unassigned {
@@ -343,12 +341,12 @@ func (sc *refScratch) orders(in *instance.Instance) {
 	tree := in.Tree
 	n := tree.NumOps()
 	sc.bu, sc.stack = tree.BottomUpInto(sc.bu, sc.stack)
-	sc.buPos = grow(sc.buPos, n)
+	sc.buPos = xslice.Grow(sc.buPos, n)
 	for pos, op := range sc.bu {
 		sc.buPos[op] = pos
 	}
 	sc.pre = sc.pre[:0]
-	sc.prePos = grow(sc.prePos, n)
+	sc.prePos = xslice.Grow(sc.prePos, n)
 	sc.stack = append(sc.stack[:0], tree.Root)
 	for len(sc.stack) > 0 {
 		op := sc.stack[len(sc.stack)-1]
@@ -357,20 +355,13 @@ func (sc *refScratch) orders(in *instance.Instance) {
 		sc.pre = append(sc.pre, op)
 		sc.stack = append(sc.stack, tree.Ops[op].ChildOps...)
 	}
-	sc.span = grow(sc.span, n)
+	sc.span = xslice.Grow(sc.span, n)
 	for _, op := range sc.bu {
 		sc.span[op] = 1
 		for _, c := range tree.Ops[op].ChildOps {
 			sc.span[op] += sc.span[c]
 		}
 	}
-}
-
-func grow(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // refiner drives the annealing and destroy/repair loops over one
