@@ -23,12 +23,14 @@ race:
 
 # Ten seconds of coverage-guided fuzzing per target: the solve/verify
 # request decoders (untrusted HTTP bodies, inline instances included),
+# the scenario create body's validation against the operator cap,
 # the two journals' rollback and decode paths, and the shard-cell
 # artifacts workers hand to the sweep coordinator's Complete. A failing
 # input is written under the package's testdata/fuzz for replay by
 # `make test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord

@@ -64,21 +64,9 @@ func (t *Tree) NumLeaves() int { return len(t.Leaves) }
 // basic-object leaf child.
 func (t *Tree) IsAL(i int) bool { return len(t.Ops[i].Leaves) > 0 }
 
-// ALOperators returns the indices of all al-operators, in increasing
-// order, as one exactly-sized allocation (solve pipelines call this per
-// solve).
-func (t *Tree) ALOperators() []int {
-	n := 0
-	for i := range t.Ops {
-		if t.IsAL(i) {
-			n++
-		}
-	}
-	return t.ALOperatorsInto(make([]int, 0, n))
-}
-
-// ALOperatorsInto is ALOperators into a reusable buffer (reset to buf[:0]
-// before filling); the placement heuristics call it once per solve.
+// ALOperatorsInto returns the indices of all al-operators, in
+// increasing order, in a reusable buffer (reset to buf[:0] before
+// filling); the placement heuristics call it once per solve.
 func (t *Tree) ALOperatorsInto(buf []int) []int {
 	out := buf[:0]
 	for i := range t.Ops {
@@ -102,7 +90,7 @@ func (t *Tree) LeafObjects(i int) []int {
 
 // LeafObjectsBuf is LeafObjects into a caller-provided buffer — a
 // binary-tree operator has at most two leaves, so Leaf(i) always fits
-// [2]int and hot loops (placement heuristics, Popularity) pay no
+// [2]int and hot loops (placement heuristics, PopularityInto) pay no
 // allocation. Returns nil for operators without leaf children.
 func (t *Tree) LeafObjectsBuf(i int, buf *[2]int) []int {
 	n := 0
@@ -148,15 +136,10 @@ func (t *Tree) ObjectSetInto(buf []int) []int {
 	return out[:w]
 }
 
-// Popularity returns, for each object type in [0, numTypes), how many
-// operators need it (the paper's Object-Grouping "popularity" count).
-// An operator with two leaves of the same type counts once.
-func (t *Tree) Popularity(numTypes int) []int {
-	return t.PopularityInto(numTypes, make([]int, numTypes))
-}
-
-// PopularityInto is Popularity into a reusable buffer (grown to numTypes
-// and zeroed before counting).
+// PopularityInto returns, for each object type in [0, numTypes), how
+// many operators need it (the paper's Object-Grouping "popularity"
+// count), in a reusable buffer grown to numTypes and zeroed before
+// counting. An operator with two leaves of the same type counts once.
 func (t *Tree) PopularityInto(numTypes int, buf []int) []int {
 	pop := xslice.Grow(buf, numTypes)
 	for k := range pop {
@@ -204,46 +187,15 @@ func (t *Tree) BottomUpInto(out, stack []int) (order, stackOut []int) {
 	return out, stack
 }
 
-// TopDown returns operator indices with every operator before its children.
-func (t *Tree) TopDown() []int {
-	bu := t.BottomUp()
-	for l, r := 0, len(bu)-1; l < r; l, r = l+1, r-1 {
-		bu[l], bu[r] = bu[r], bu[l]
-	}
-	return bu
-}
-
-// Depth returns the number of edges on the longest root-to-operator path.
-func (t *Tree) Depth() int {
-	var depth func(i int) int
-	depth = func(i int) int {
-		d := 0
-		for _, c := range t.Ops[i].ChildOps {
-			if dc := depth(c) + 1; dc > d {
-				d = dc
-			}
-		}
-		return d
-	}
-	if len(t.Ops) == 0 {
-		return 0
-	}
-	return depth(t.Root)
-}
-
 // Edge is a parent-child pair of operators; it carries the intermediate
 // result of the child up to the parent.
 type Edge struct {
 	Parent, Child int
 }
 
-// Edges lists all operator-operator tree edges, sorted by (Parent, Child).
-func (t *Tree) Edges() []Edge {
-	return t.EdgesInto(nil)
-}
-
-// EdgesInto is Edges into a reusable buffer. The (Parent, Child) order is
-// total, so any correct sort yields the one canonical edge list.
+// EdgesInto lists all operator-operator tree edges, sorted by (Parent,
+// Child), in a reusable buffer. The order is total, so any correct sort
+// yields the one canonical edge list.
 func (t *Tree) EdgesInto(buf []Edge) []Edge {
 	out := buf[:0]
 	for i, op := range t.Ops {

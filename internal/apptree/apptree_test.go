@@ -49,7 +49,7 @@ func TestPaperTreeValid(t *testing.T) {
 
 func TestALOperators(t *testing.T) {
 	tr := paperTree()
-	al := tr.ALOperators()
+	al := tr.ALOperatorsInto([]int{9, 9, 9, 9, 9}) // stale contents are dropped
 	want := []int{0, 1, 2}
 	if len(al) != len(want) {
 		t.Fatalf("al-operators = %v, want %v", al, want)
@@ -91,7 +91,7 @@ func TestLeafObjectsDedup(t *testing.T) {
 
 func TestPopularity(t *testing.T) {
 	tr := paperTree()
-	pop := tr.Popularity(4)
+	pop := tr.PopularityInto(4, []int{7, 7}) // grown and zeroed
 	// o1 needed by n1,n2; o2 by n1,n3; o3 by n3; type 3 unused.
 	want := []int{2, 2, 1, 0}
 	for k := range want {
@@ -114,15 +114,14 @@ func TestBottomUpOrder(t *testing.T) {
 			}
 		}
 	}
-	td := tr.TopDown()
-	if td[0] != tr.Root {
-		t.Fatalf("top-down order must start at root, got %v", td)
+	if bu := tr.BottomUp(); bu[len(bu)-1] != tr.Root {
+		t.Fatalf("bottom-up order must end at root, got %v", bu)
 	}
 }
 
 func TestEdges(t *testing.T) {
 	tr := paperTree()
-	edges := tr.Edges()
+	edges := tr.EdgesInto(nil)
 	if len(edges) != 4 {
 		t.Fatalf("got %d edges, want 4", len(edges))
 	}
@@ -220,12 +219,17 @@ func TestLeftDeep(t *testing.T) {
 		t.Fatalf("left-deep: %d ops, %d leaves", tr.NumOps(), tr.NumLeaves())
 	}
 	// Every operator is an al-operator in a left-deep tree.
-	if got := len(tr.ALOperators()); got != 4 {
+	if got := len(tr.ALOperatorsInto(nil)); got != 4 {
 		t.Fatalf("left-deep should have 4 al-operators, got %d", got)
 	}
-	// Depth is numOps-1 edges.
-	if tr.Depth() != 3 {
-		t.Fatalf("left-deep depth = %d, want 3", tr.Depth())
+	// A chain: the bottom operator (index 0) is numOps-1 edges below the
+	// root.
+	depth := 0
+	for op := 0; tr.Ops[op].Parent != NoParent; op = tr.Ops[op].Parent {
+		depth++
+	}
+	if depth != 3 {
+		t.Fatalf("left-deep depth = %d, want 3", depth)
 	}
 }
 

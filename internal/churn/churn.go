@@ -125,7 +125,10 @@ type ScenarioConfig struct {
 	Base instance.Config
 }
 
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
+// WithDefaults returns c with every zero field replaced by its default
+// (and MaxOps raised to MinOps when below it): the configuration
+// NewScenario actually generates from.
+func (c ScenarioConfig) WithDefaults() ScenarioConfig {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -160,7 +163,7 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 // is applicable when replayed in order (departures never empty the
 // platform, drift factors keep targets within [RhoMin, RhoMax]).
 func NewScenario(cfg ScenarioConfig, seed int64) *Scenario {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 
 	// The object universe and platform come from the standard instance
 	// generator (sizes, frequencies, holders), on a decorrelated stream.

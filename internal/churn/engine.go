@@ -190,9 +190,7 @@ type Engine struct {
 // NewEngine returns an engine with a warmed, reusable solve arena; call
 // Start (or Run, which starts for you) before Step.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts}
-	e.sc.SetReuse(true)
-	return e
+	return &Engine{opts: opts}
 }
 
 // RunScenario runs the scenario on a fresh engine — the one-shot
@@ -432,11 +430,7 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 			}
 		}
 	}
-	for p := range m.Procs {
-		if m.Procs[p].Alive && m.NumOpsOn(p) == 0 {
-			m.Sell(p)
-		}
-	}
+	m.SellEmpty()
 	// On a drift whose incumbent stayed fully feasible, the transplant
 	// IS the pre-event incumbent (same configurations, same cost): the
 	// never-regress fallback below compares against it.

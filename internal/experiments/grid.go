@@ -119,14 +119,7 @@ func (e *WorkerEnv) Combine(apps []multiapp.App, w multiapp.Workload) (*instance
 // generators, solve contexts and stream runners instead of replaying
 // every buffer's growth per run. Within one run each pool worker owns
 // one env exclusively; envs go back only after the run completes.
-var envPool = sync.Pool{New: func() any {
-	e := &WorkerEnv{}
-	// The engine owns every Result for the duration of one cell, so
-	// solves run on the context's mapping arena: steady-state cells
-	// reuse the same mapping, download tables and random streams.
-	e.sc.SetReuse(true)
-	return e
-}}
+var envPool = sync.Pool{New: func() any { return &WorkerEnv{} }}
 
 func newWorkerEnvs(workers, n int) []*WorkerEnv {
 	envs := make([]*WorkerEnv, par.Workers(workers, n))

@@ -116,7 +116,7 @@ func TestAllocatorMatchesMaxMin(t *testing.T) {
 		}
 		flows := make([]Flow, 1+r.Intn(6))
 		for i := range flows {
-			flows[i].Resources = rng.PickDistinct(r, nRes, 1+r.Intn(nRes))
+			flows[i].Resources = rng.PickDistinctInto(r, nRes, 1+r.Intn(nRes), nil, make([]int, nRes))
 			if r.Intn(2) == 0 {
 				flows[i].Demand = rng.UniformIn(r, 1, 50)
 			}
@@ -178,7 +178,7 @@ func TestMaxMinProperties(t *testing.T) {
 		flows := make([]Flow, nFlows)
 		for i := range flows {
 			k := 1 + r.Intn(nRes)
-			flows[i].Resources = rng.PickDistinct(r, nRes, k)
+			flows[i].Resources = rng.PickDistinctInto(r, nRes, k, nil, make([]int, nRes))
 			if r.Intn(2) == 0 {
 				flows[i].Demand = rng.UniformIn(r, 1, 50)
 			}

@@ -22,25 +22,27 @@
 //
 // Sweep workloads run thousands of solves, so every piece of per-solve
 // state has a reusable home and the steady-state pipeline allocates
-// almost nothing:
+// nothing:
 //
 //   - SolveContext is the per-worker root: it owns the server-selection
-//     Selector, the placement PlaceContext and (with SetReuse) an arena
-//     Mapping, recycled Result and reseedable rng streams.
+//     Selector, the placement PlaceContext, the arena Mapping every solve
+//     is built in, a recycled Result and reseedable rng streams. A
+//     context's Result and mapping are valid until its next Solve; the
+//     package-level Solve runs on a pooled context and returns a clone.
 //   - PlaceContext caches the placement strategies' sort and traversal
 //     scratch — the work-descending operator order, the per-catalog
 //     cost-ascending configuration list, the tree edge list and the
-//     al-operator/object-set/popularity/bottom-up tables. A nil
-//     PlaceContext is valid everywhere and simply allocates fresh.
+//     al-operator/object-set/popularity/bottom-up tables. Heuristic.Place
+//     always receives one (never nil); its zero value is ready to use.
 //   - Selector runs server selection on flat index-based scratch (dense
 //     server residuals, epoch-stamped link residuals, incrementally
 //     maintained pending lists); a warmed selector selects with zero
 //     allocations.
 //
 // All orders the heuristics sort by are total (ties break on operator,
-// edge or object indices), so the cached-scratch paths produce the same
-// canonical orders — and therefore bit-identical mappings — as the
-// historical allocating implementations.
+// edge or object indices), so the cached-scratch orders are canonical
+// and every mapping is a pure function of the instance, heuristic and
+// seed.
 //
 // The placement probes lean on package mapping's incremental load
 // tracking: TryPlace decides most checks from per-processor running load

@@ -28,54 +28,38 @@ type Heuristic interface {
 	// with an error wrapping ErrInfeasible. Taking the mapping rather
 	// than building one lets the solve pipeline thread a caller-owned
 	// arena through repeated solves; pc carries the reusable sort and
-	// traversal scratch (nil is valid and falls back to allocating).
+	// traversal scratch and is never nil (a zero PlaceContext is ready
+	// to use).
 	Place(pc *PlaceContext, m *mapping.Mapping, r *rand.Rand) error
 }
 
-// PlaceContext owns the sort and traversal scratch the placement
-// strategies previously allocated per solve: the work-descending operator
-// order, the cost-ascending configuration list (cached per catalog), the
-// tree edge list, the al-operator / object-set / popularity tables and
-// the bottom-up traversal buffers. A SolveContext threads one through
-// repeated Solve calls so steady-state placement allocates nothing; a nil
-// *PlaceContext is valid everywhere and simply allocates fresh storage
-// (the behaviour — and every resulting placement — is identical either
-// way). A PlaceContext is not safe for concurrent use.
+// PlaceContext owns the sort and traversal scratch of the placement
+// strategies: the work-descending operator order, the cost-ascending
+// configuration list (cached per catalog), the tree edge list, the
+// al-operator / object-set / popularity tables and the bottom-up
+// traversal buffers. A SolveContext threads one through repeated Solve
+// calls so steady-state placement allocates nothing. The zero value is
+// ready to use; a PlaceContext is not safe for concurrent use.
 type PlaceContext struct {
 	order     []int          // opsByWorkDesc result
-	alOps     []int          // ALOperators buffer
-	objs      []int          // ObjectSet buffer
-	pop       []int          // Popularity buffer
+	alOps     []int          // ALOperatorsInto buffer
+	objs      []int          // ObjectSetInto buffer
+	pop       []int          // PopularityInto buffer
 	pending   []int          // per-object pending al-operator gather
-	bu, stack []int          // BottomUp traversal buffers
+	bu, stack []int          // BottomUpInto traversal buffers
 	edges     []apptree.Edge // tree edge list
 	cat       *platform.Catalog
 	configs   []platform.Config // configsByCost(cat), cached while cat is unchanged
 }
 
-// pendingBuf returns the reusable pending-operator buffer (reset to
-// length 0); on a nil context appends simply allocate.
-func (pc *PlaceContext) pendingBuf() []int {
-	if pc == nil {
-		return nil
-	}
-	return pc.pending[:0]
-}
-
 // alOperators returns the tree's al-operators through the context buffer.
 func (pc *PlaceContext) alOperators(t *apptree.Tree) []int {
-	if pc == nil {
-		return t.ALOperators()
-	}
 	pc.alOps = t.ALOperatorsInto(pc.alOps)
 	return pc.alOps
 }
 
 // objectSet returns the tree's object set through the context buffer.
 func (pc *PlaceContext) objectSet(t *apptree.Tree) []int {
-	if pc == nil {
-		return t.ObjectSet()
-	}
 	pc.objs = t.ObjectSetInto(pc.objs)
 	return pc.objs
 }
@@ -83,9 +67,6 @@ func (pc *PlaceContext) objectSet(t *apptree.Tree) []int {
 // popularity returns the per-object popularity counts through the
 // context buffer.
 func (pc *PlaceContext) popularity(t *apptree.Tree, numTypes int) []int {
-	if pc == nil {
-		return t.Popularity(numTypes)
-	}
 	pc.pop = t.PopularityInto(numTypes, pc.pop)
 	return pc.pop
 }
@@ -93,9 +74,6 @@ func (pc *PlaceContext) popularity(t *apptree.Tree, numTypes int) []int {
 // bottomUp returns the tree's bottom-up operator order through the
 // context buffers.
 func (pc *PlaceContext) bottomUp(t *apptree.Tree) []int {
-	if pc == nil {
-		return t.BottomUp()
-	}
 	pc.bu, pc.stack = t.BottomUpInto(pc.bu, pc.stack)
 	return pc.bu
 }
@@ -103,9 +81,6 @@ func (pc *PlaceContext) bottomUp(t *apptree.Tree) []int {
 // treeEdges returns the tree's sorted edge list through the context
 // buffer.
 func (pc *PlaceContext) treeEdges(t *apptree.Tree) []apptree.Edge {
-	if pc == nil {
-		return t.Edges()
-	}
 	pc.edges = t.EdgesInto(pc.edges)
 	return pc.edges
 }
@@ -199,17 +174,16 @@ type Result struct {
 
 // SolveContext owns the reusable scratch threaded through repeated Solve
 // calls: the server-selection Selector, the placement-strategy
-// PlaceContext and, when the caller opts in with SetReuse, an arena
-// Mapping, a recycled Result and reseedable random streams. A
-// SolveContext is not safe for concurrent use: sweep engines hold one per
-// worker.
+// PlaceContext, the arena Mapping every solve is built in, a recycled
+// Result and reseedable random streams. The zero value is ready to use.
+// A SolveContext is not safe for concurrent use: sweep engines hold one
+// per worker.
 type SolveContext struct {
 	sel   Selector
 	place PlaceContext
 
-	// Caller-owned arena (SetReuse(true)): repeated solves rebuild the
-	// mapping in place instead of allocating a fresh one per call.
-	reuse        bool
+	// Repeated solves rebuild the arena mapping in place instead of
+	// allocating a fresh one per call.
 	arena        mapping.Mapping
 	res          Result
 	prand, srand *rand.Rand // placement / selection streams, reseeded per solve
@@ -223,34 +197,25 @@ type SolveContext struct {
 // NewSolveContext returns an empty reusable solve context.
 func NewSolveContext() *SolveContext { return &SolveContext{} }
 
-// SetReuse switches the context onto its caller-owned mapping arena.
-// With reuse on, Solve rebuilds one arena Mapping in place
-// (mapping.Reset) and returns a context-owned Result — both are valid
-// only until the next Solve on this context, so callers that keep a
-// mapping must Clone it. Solutions are bit-for-bit identical to the
-// allocating path; only the storage ownership changes. The package-level
-// Solve also runs on a pooled arena and clones the winning mapping out,
-// so its escaping results never pin pool-owned storage.
-func (c *SolveContext) SetReuse(on bool) { c.reuse = on }
+// SetReuse does nothing: every solve runs on the context's arena.
+//
+// Deprecated: the arena is the only solve path; drop the call.
+func (c *SolveContext) SetReuse(bool) {}
 
 // solveCtxPool backs the package-level Solve so one-shot callers reuse
 // scratch across calls too (the same trick stream.Simulate plays with
-// its pooled runners). The pooled contexts run with the mapping arena
-// enabled: building the solution in the arena and cloning it on the way
-// out is ~2x fewer allocations than constructing the incremental
-// adjacency on a fresh Mapping placement by placement (Clone copies the
-// finished opsOn/objRef state into right-sized one-shot slices).
-var solveCtxPool = sync.Pool{New: func() any {
-	c := NewSolveContext()
-	c.SetReuse(true)
-	return c
-}}
+// its pooled runners): building the solution in the arena and cloning it
+// on the way out is ~2x fewer allocations than constructing the
+// incremental adjacency on a fresh Mapping placement by placement (Clone
+// copies the finished opsOn/objRef state into right-sized one-shot
+// slices).
+var solveCtxPool = sync.Pool{New: func() any { return NewSolveContext() }}
 
 // Solve runs placement, server selection and downgrade for one heuristic
 // and validates the outcome, borrowing a pooled SolveContext. The solve
 // runs on the pooled context's arena and the returned Result holds an
 // independent clone of the mapping, so it is caller-owned with no
-// lifetime caveats — and bit-for-bit identical to a non-arena solve.
+// lifetime caveats.
 func Solve(in *instance.Instance, h Heuristic, opts Options) (*Result, error) {
 	c := solveCtxPool.Get().(*SolveContext)
 	out, err := c.solveCloned(in, h, opts)
@@ -273,61 +238,45 @@ func (c *SolveContext) solveCloned(in *instance.Instance, h Heuristic, opts Opti
 	}, nil
 }
 
-// Solve runs the full pipeline on the context's reusable scratch. With
-// SetReuse(true) the mapping is built in the context's arena and the
-// returned Result is context-owned (valid until the next Solve); the
-// solution itself is identical either way.
+// Solve runs the full pipeline on the context's reusable scratch. The
+// mapping is built in the context's arena and the returned Result is
+// context-owned: both are valid only until the next Solve or Portfolio
+// on this context, so callers that keep a mapping must Clone it.
 func (c *SolveContext) Solve(in *instance.Instance, h Heuristic, opts Options) (*Result, error) {
 	if err := precheckCtx(in, &c.place); err != nil {
 		return nil, err
 	}
-	var m *mapping.Mapping
-	var r *rand.Rand
-	if c.reuse {
-		m = &c.arena
-		m.Reset(in)
-		if c.prand == nil {
-			c.prand, c.srand = rng.New(0), rng.New(0)
-		}
-		rng.Reseed2(c.prand, opts.Seed, "heuristic:", h.Name())
-		r = c.prand
-	} else {
-		m = mapping.New(in)
-		r = rng.Derive(opts.Seed, "heuristic:"+h.Name())
-	}
+	m := &c.arena
+	m.Reset(in)
 	m.SetJournal(false)
-	if err := h.Place(&c.place, m, r); err != nil {
+	if c.prand == nil {
+		c.prand, c.srand = rng.New(0), rng.New(0)
+	}
+	rng.Reseed2(c.prand, opts.Seed, "heuristic:", h.Name())
+	if err := h.Place(&c.place, m, c.prand); err != nil {
 		return nil, fmt.Errorf("%s placement: %w", h.Name(), err)
 	}
 	if !m.Complete() {
 		return nil, fmt.Errorf("%s placement left operators unassigned: %w", h.Name(), ErrInfeasible)
 	}
-	sellEmpty(m)
+	m.SellEmpty()
 
 	var sr *rand.Rand // nil selects three-loop
 	if _, isRandom := h.(Random); isRandom || opts.Selection == SelectRandom {
 		// The paper pairs the Random placement with random selection.
 		sr = c.srand
-		if c.reuse {
-			rng.Reseed2(sr, opts.Seed, "selection:", h.Name())
-		} else {
-			sr = rng.Derive(opts.Seed, "selection:"+h.Name())
-		}
+		rng.Reseed2(sr, opts.Seed, "selection:", h.Name())
 	}
 	if format, err := c.sel.finish(m, sr, opts.SkipDowngrade); err != nil {
 		return nil, fmt.Errorf(format, h.Name(), err)
 	}
-	res := &Result{}
-	if c.reuse {
-		res = &c.res
-	}
-	*res = Result{
+	c.res = Result{
 		Heuristic: h.Name(),
 		Mapping:   m,
 		Cost:      m.Cost(),
 		Procs:     m.NumAlive(),
 	}
-	return res, nil
+	return &c.res, nil
 }
 
 // finish is the pipeline tail: server selection on st (random under r,
@@ -377,10 +326,10 @@ var paperOrder = All()
 // heuristic. visit, when non-nil, sees every outcome; its Result is valid
 // only during the call. ctx is checked before each heuristic; a
 // cancellation returns nil and the context error, and nil with a nil
-// error means nothing beat bar. With SetReuse(true) the winner is
-// context-owned until the next Solve or Portfolio: one a later heuristic
-// would overwrite is first copied onto the context's second arena, so a
-// winner from the last heuristic costs no copy.
+// error means nothing beat bar. The winner is context-owned until the
+// next Solve or Portfolio: one a later heuristic would overwrite is first
+// copied onto the context's second arena, so a winner from the last
+// heuristic costs no copy.
 func (c *SolveContext) Portfolio(ctx context.Context, in *instance.Instance, hs []Heuristic,
 	opts Options, bar float64, visit func(h Heuristic, res *Result, err error)) (*Result, error) {
 	if hs == nil {
@@ -399,7 +348,7 @@ func (c *SolveContext) Portfolio(ctx context.Context, in *instance.Instance, hs 
 			continue
 		}
 		bar, best = res.Cost, res
-		if c.reuse && i < len(hs)-1 {
+		if i < len(hs)-1 {
 			c.best.CopyFrom(res.Mapping)
 			c.bestRes = *res
 			c.bestRes.Mapping = &c.best
@@ -414,13 +363,15 @@ func (c *SolveContext) Portfolio(ctx context.Context, in *instance.Instance, hs 
 // rate exceeds the server links or every holder's NIC, or a download load
 // that cannot fit the widest processor NIC.
 func Precheck(in *instance.Instance) error {
-	return precheckCtx(in, nil)
+	// One exactly-sized object-set buffer; the context stays on the stack.
+	pc := PlaceContext{objs: make([]int, 0, len(in.Tree.Leaves))}
+	return precheckCtx(in, &pc)
 }
 
 // precheckCtx is Precheck through a PlaceContext's reusable object-set
-// buffer (nil allocates). The object set is gathered only after the
-// per-operator work check passes, so the instant-reject path of oversized
-// corpus cells stays O(N) with no sort.
+// buffer. The object set is gathered only after the per-operator work
+// check passes, so the instant-reject path of oversized corpus cells
+// stays O(N) with no sort.
 func precheckCtx(in *instance.Instance, pc *PlaceContext) error {
 	cat := in.Platform.Catalog
 	best := cat.MostExpensive()
@@ -455,28 +406,15 @@ func precheckCtx(in *instance.Instance, pc *PlaceContext) error {
 	return nil
 }
 
-// sellEmpty returns processors that ended up with no operators.
-func sellEmpty(m *mapping.Mapping) {
-	for p := range m.Procs {
-		if m.Procs[p].Alive && m.NumOpsOn(p) == 0 {
-			m.Sell(p)
-		}
-	}
-}
-
 // configsByCost returns every purchasable configuration sorted by
 // non-decreasing cost (ties: slower CPU first, then narrower NIC). The
 // order is a pure function of the catalog, so a PlaceContext caches it
 // and repeated solves on one catalog (every sweep) skip the rebuild.
 func configsByCost(pc *PlaceContext, cat *platform.Catalog) []platform.Config {
-	if pc != nil && pc.cat == cat && pc.configs != nil {
+	if pc.cat == cat && pc.configs != nil {
 		return pc.configs
 	}
-	n := len(cat.CPUs) * len(cat.NICs)
-	out := make([]platform.Config, 0, n)
-	if pc != nil && cap(pc.configs) >= n {
-		out = pc.configs[:0]
-	}
+	out := slices.Grow(pc.configs[:0], len(cat.CPUs)*len(cat.NICs))
 	for ci := range cat.CPUs {
 		for ni := range cat.NICs {
 			out = append(out, platform.Config{CPU: ci, NIC: ni})
@@ -495,9 +433,7 @@ func configsByCost(pc *PlaceContext, cat *platform.Catalog) []platform.Config {
 		}
 		return a.NIC - b.NIC
 	})
-	if pc != nil {
-		pc.cat, pc.configs = cat, out
-	}
+	pc.cat, pc.configs = cat, out
 	return out
 }
 

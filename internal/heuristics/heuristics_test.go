@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/instance"
@@ -249,68 +251,69 @@ func TestSingleOperatorTree(t *testing.T) {
 	}
 }
 
-// TestSolveContextReuseEquivalence proves the caller-owned mapping
-// arena changes storage ownership only: for every heuristic and a
-// spread of instances, a SetReuse(true) context produces bit-identical
-// solutions (cost, processor count, assignment, download tables) to the
-// allocating path.
+// TestSolveContextReuseEquivalence proves the solve arena changes
+// storage ownership only: for every heuristic and a spread of
+// instances, a warm context reused across every case, a fresh
+// NewSolveContext per case and the pooled package-level Solve produce
+// bit-identical solutions (cost, processor list, assignment, download
+// tables). The package-level Solve's clone must also own consistent
+// storage of its own: the pooled arena it came from is reused by later
+// solves in this very loop, so any aliasing shows up here.
 func TestSolveContextReuseEquivalence(t *testing.T) {
-	reused := NewSolveContext()
-	reused.SetReuse(true)
+	warm := NewSolveContext()
 	hs := append(All(), SubtreeBottomUp{DisableFold: true})
 	for _, n := range []int{1, 5, 20, 60} {
 		for seed := int64(1); seed <= 3; seed++ {
 			in := instance.Generate(instance.Config{NumOps: n, Alpha: 0.9}, seed)
 			for _, h := range hs {
-				want, errA := Solve(in, h, Options{Seed: seed})
-				got, errB := reused.Solve(in, h, Options{Seed: seed})
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("%s N=%d seed=%d: fresh err=%v, reused err=%v", h.Name(), n, seed, errA, errB)
+				label := fmt.Sprintf("%s N=%d seed=%d", h.Name(), n, seed)
+				opts := Options{Seed: seed}
+				want, errW := NewSolveContext().Solve(in, h, opts)
+				got, errG := warm.Solve(in, h, opts)
+				oneShot, errO := Solve(in, h, opts)
+				if (errW == nil) != (errG == nil) || (errW == nil) != (errO == nil) {
+					t.Fatalf("%s: fresh err=%v, warm err=%v, one-shot err=%v", label, errW, errG, errO)
 				}
-				if errA != nil {
+				if errW != nil {
 					continue
 				}
-				if want.Cost != got.Cost || want.Procs != got.Procs {
-					t.Fatalf("%s N=%d seed=%d: fresh (%v, %d) != reused (%v, %d)",
-						h.Name(), n, seed, want.Cost, want.Procs, got.Cost, got.Procs)
-				}
-				for op := range want.Mapping.Assign {
-					pw, pg := want.Mapping.Assign[op], got.Mapping.Assign[op]
-					if (pw == -1) != (pg == -1) {
-						t.Fatalf("%s N=%d seed=%d: op %d assignment differs", h.Name(), n, seed, op)
-					}
-				}
-				if len(want.Mapping.Procs) != len(got.Mapping.Procs) {
-					t.Fatalf("%s N=%d seed=%d: proc lists differ in length", h.Name(), n, seed)
-				}
-				for p := range want.Mapping.Procs {
-					if want.Mapping.Procs[p] != got.Mapping.Procs[p] {
-						t.Fatalf("%s N=%d seed=%d: proc %d differs", h.Name(), n, seed, p)
-					}
-					dw, dg := want.Mapping.DL[p], got.Mapping.DL[p]
-					if len(dw) != len(dg) {
-						t.Fatalf("%s N=%d seed=%d: proc %d download tables differ", h.Name(), n, seed, p)
-					}
-					for k, l := range dw {
-						if dg[k] != l {
-							t.Fatalf("%s N=%d seed=%d: proc %d object %d server %d != %d",
-								h.Name(), n, seed, p, k, l, dg[k])
-						}
-					}
+				sameSolution(t, label+" warm", want, got)
+				sameSolution(t, label+" one-shot", want, oneShot)
+				if err := oneShot.Mapping.CheckInvariants(); err != nil {
+					t.Fatalf("%s: cloned mapping inconsistent: %v", label, err)
 				}
 			}
 		}
 	}
 }
 
-// TestSolveContextReuseAllocs pins the arena's effect: repeated
-// Subtree-bottom-up solves through a reused context allocate only the
-// handful of per-call tree traversals (ALOperators/BottomUp), never a
-// mapping, download table, rng or Result.
+// sameSolution fails unless got is want bit for bit: heuristic, cost,
+// processor list, assignment and download tables.
+func sameSolution(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if got.Heuristic != want.Heuristic || got.Cost != want.Cost || got.Procs != want.Procs {
+		t.Fatalf("%s: (%s, %v, %d) != (%s, %v, %d)", label,
+			got.Heuristic, got.Cost, got.Procs, want.Heuristic, want.Cost, want.Procs)
+	}
+	if !slices.Equal(want.Mapping.Assign, got.Mapping.Assign) {
+		t.Fatalf("%s: assignment %v, want %v", label, got.Mapping.Assign, want.Mapping.Assign)
+	}
+	if !slices.Equal(want.Mapping.Procs, got.Mapping.Procs) {
+		t.Fatalf("%s: processors %v, want %v", label, got.Mapping.Procs, want.Mapping.Procs)
+	}
+	for p := range want.Mapping.Procs {
+		if !maps.Equal(want.Mapping.DL[p], got.Mapping.DL[p]) {
+			t.Fatalf("%s: proc %d downloads %v, want %v", label, p, got.Mapping.DL[p], want.Mapping.DL[p])
+		}
+	}
+}
+
+// TestSolveContextReuseAllocs pins the arena: repeated
+// Subtree-bottom-up solves through a warm context allocate nothing — no
+// mapping, download table, traversal buffer, rng or Result.
 func TestSolveContextReuseAllocs(t *testing.T) {
 	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
 	c := NewSolveContext()
-	c.SetReuse(true)
 	if _, err := c.Solve(in, SubtreeBottomUp{}, Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,72 +322,8 @@ func TestSolveContextReuseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The two tree traversals in place_subtree are the only remaining
-	// per-solve allocations; anything above this bound means the arena
-	// sprang a leak.
-	if allocs > 6 {
-		t.Fatalf("reused SolveContext allocates %.1f allocs/op, want <= 6", allocs)
-	}
-}
-
-// TestOneShotSolveMatchesNonArena pins the one-shot routing: the
-// package-level Solve runs on a pooled arena context and clones the
-// mapping out, and that must be indistinguishable from a plain
-// non-arena context solve — same cost, processor list, assignment and
-// download tables — while the returned mapping owns independent storage
-// that stays internally consistent after further pooled solves reuse
-// the arena it was cloned from.
-func TestOneShotSolveMatchesNonArena(t *testing.T) {
-	plain := NewSolveContext() // reuse off: the historical allocating path
-	hs := append(All(), SubtreeBottomUp{DisableFold: true})
-	for _, n := range []int{1, 5, 20, 60} {
-		for seed := int64(1); seed <= 3; seed++ {
-			in := instance.Generate(instance.Config{NumOps: n, Alpha: 0.9}, seed)
-			for _, h := range hs {
-				got, errA := Solve(in, h, Options{Seed: seed})
-				want, errB := plain.Solve(in, h, Options{Seed: seed})
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("%s N=%d seed=%d: one-shot err=%v, non-arena err=%v", h.Name(), n, seed, errA, errB)
-				}
-				if errA != nil {
-					continue
-				}
-				if got.Heuristic != want.Heuristic || got.Cost != want.Cost || got.Procs != want.Procs {
-					t.Fatalf("%s N=%d seed=%d: one-shot (%v, %d) != non-arena (%v, %d)",
-						h.Name(), n, seed, got.Cost, got.Procs, want.Cost, want.Procs)
-				}
-				for op := range want.Mapping.Assign {
-					if want.Mapping.Assign[op] != got.Mapping.Assign[op] {
-						t.Fatalf("%s N=%d seed=%d: op %d assigned %d, want %d",
-							h.Name(), n, seed, op, got.Mapping.Assign[op], want.Mapping.Assign[op])
-					}
-				}
-				if len(want.Mapping.Procs) != len(got.Mapping.Procs) {
-					t.Fatalf("%s N=%d seed=%d: proc lists differ in length", h.Name(), n, seed)
-				}
-				for p := range want.Mapping.Procs {
-					if want.Mapping.Procs[p] != got.Mapping.Procs[p] {
-						t.Fatalf("%s N=%d seed=%d: proc %d differs", h.Name(), n, seed, p)
-					}
-					dw, dg := want.Mapping.DL[p], got.Mapping.DL[p]
-					if len(dw) != len(dg) {
-						t.Fatalf("%s N=%d seed=%d: proc %d download tables differ", h.Name(), n, seed, p)
-					}
-					for k, l := range dw {
-						if dg[k] != l {
-							t.Fatalf("%s N=%d seed=%d: proc %d object %d server %d != %d",
-								h.Name(), n, seed, p, k, l, dg[k])
-						}
-					}
-				}
-				// The clone must be self-consistent storage of its own: the
-				// pooled arena it came from is reused by other solves in
-				// this very loop, so any aliasing shows up here.
-				if err := got.Mapping.CheckInvariants(); err != nil {
-					t.Fatalf("%s N=%d seed=%d: cloned mapping inconsistent: %v", h.Name(), n, seed, err)
-				}
-			}
-		}
+	if allocs != 0 {
+		t.Fatalf("warm SolveContext allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -422,7 +361,6 @@ func TestOneShotSolveAllocs(t *testing.T) {
 func TestPortfolioAllocs(t *testing.T) {
 	in := instance.Generate(instance.Config{NumOps: 60, Alpha: 0.9}, 1)
 	c := NewSolveContext()
-	c.SetReuse(true)
 	ctx := context.Background()
 	best, err := c.Portfolio(ctx, in, nil, Options{Seed: 1}, math.Inf(1), nil)
 	if err != nil || best == nil {

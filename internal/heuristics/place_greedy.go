@@ -52,17 +52,10 @@ func (CompGreedy) Place(pc *PlaceContext, m *mapping.Mapping, _ *rand.Rand) erro
 
 // opsByWorkDesc returns all operator indices by non-increasing w_i
 // (ties: smaller index first) — a total order, so the sorted result is
-// canonical. The order lives in the PlaceContext buffer when one is
-// supplied.
+// canonical. The order lives in the PlaceContext buffer.
 func opsByWorkDesc(pc *PlaceContext, in *instance.Instance) []int {
-	n := in.Tree.NumOps()
-	var order []int
-	if pc == nil {
-		order = make([]int, n)
-	} else {
-		pc.order = xslice.Grow(pc.order, n)
-		order = pc.order
-	}
+	pc.order = xslice.Grow(pc.order, in.Tree.NumOps())
+	order := pc.order
 	for i := range order {
 		order[i] = i
 	}

@@ -143,7 +143,7 @@ func (ObjectAvailability) Place(pc *PlaceContext, m *mapping.Mapping, _ *rand.Ra
 	}
 
 	alOps := pc.alOperators(in.Tree)
-	pending := pc.pendingBuf()
+	pending := pc.pending[:0]
 	for _, k := range objs {
 		for {
 			// Collect still-unassigned al-operators that download k.
@@ -172,9 +172,7 @@ func (ObjectAvailability) Place(pc *PlaceContext, m *mapping.Mapping, _ *rand.Ra
 			}
 		}
 	}
-	if pc != nil {
-		pc.pending = pending // keep any grown capacity for the next solve
-	}
+	pc.pending = pending // keep any grown capacity for the next solve
 
 	// Remaining internal operators: Comp-Greedy style.
 	order := opsByWorkDesc(pc, in)

@@ -23,7 +23,7 @@ func (Random) Place(pc *PlaceContext, m *mapping.Mapping, r *rand.Rand) error {
 	in := m.Inst
 	configs := configsByCost(pc, in.Platform.Catalog)
 
-	rest := pc.pendingBuf() // reused across rounds; refilled before each draw
+	rest := pc.pending[:0] // reused across rounds; refilled before each draw
 	unassigned := func() []int {
 		rest = rest[:0]
 		for op := range in.Tree.Ops {
@@ -31,9 +31,7 @@ func (Random) Place(pc *PlaceContext, m *mapping.Mapping, r *rand.Rand) error {
 				rest = append(rest, op)
 			}
 		}
-		if pc != nil {
-			pc.pending = rest // keep grown capacity for the next solve
-		}
+		pc.pending = rest // keep grown capacity for the next solve
 		return rest
 	}
 

@@ -194,10 +194,10 @@ func placedMapping(in *instance.Instance, h Heuristic, seed int64) *mapping.Mapp
 		return nil
 	}
 	m := mapping.New(in)
-	if err := h.Place(nil, m, rng.Derive(seed, "heuristic:"+h.Name())); err != nil || !m.Complete() {
+	if err := h.Place(&PlaceContext{}, m, rng.Derive(seed, "heuristic:"+h.Name())); err != nil || !m.Complete() {
 		return nil
 	}
-	sellEmpty(m)
+	m.SellEmpty()
 	return m
 }
 

@@ -261,6 +261,15 @@ func (m *Mapping) Sell(p int) {
 	}
 }
 
+// SellEmpty sells every alive processor that hosts no operators.
+func (m *Mapping) SellEmpty() {
+	for p := range m.Procs {
+		if m.Procs[p].Alive && len(m.opsOn[p]) == 0 {
+			m.Sell(p)
+		}
+	}
+}
+
 // attach adds op (currently unassigned) to processor p's adjacency state.
 func (m *Mapping) attach(op, p int) {
 	if m.jon {

@@ -323,15 +323,8 @@ func buildCandidate(pc *heuristics.PlaceContext, sm *mapping.Mapping, in *instan
 	if ch.Place(pc, sm, rng.New(seed)) != nil || !sm.Complete() {
 		return false
 	}
-	for p := range sm.Procs {
-		if sm.Procs[p].Alive && sm.NumOpsOn(p) == 0 {
-			sm.Sell(p)
-		}
-	}
-	if heuristics.Downgrade(sm) != nil {
-		return false
-	}
-	return true
+	sm.SellEmpty()
+	return heuristics.Downgrade(sm) == nil
 }
 
 // orders computes in's tree orders: bottom-up (children before

@@ -208,19 +208,15 @@ func UniformIn(r *rand.Rand, lo, hi float64) float64 {
 	return lo + r.Float64()*(hi-lo)
 }
 
-// PickDistinct returns k distinct pseudo-random integers in [0, n),
-// in random order. It panics if k > n or k < 0.
-func PickDistinct(r *rand.Rand, n, k int) []int {
-	return PickDistinctInto(r, n, k, make([]int, 0, k), make([]int, n))
-}
-
-// PickDistinctInto is PickDistinct appending into out (reusing its
-// capacity) with perm as permutation scratch (len >= n). It consumes
-// exactly the same stream from r as PickDistinct — a full n-element
-// Fisher-Yates — so reusing scratch never changes downstream draws.
+// PickDistinctInto returns k distinct pseudo-random integers in [0, n),
+// in random order, appended into out[:0] (reusing its capacity) with
+// perm as permutation scratch (len >= n). It panics if k > n or k < 0.
+// The picks are r.Perm(n)[:k] and consume exactly the same stream — a
+// full n-element Fisher-Yates — so reusing scratch never changes
+// downstream draws.
 func PickDistinctInto(r *rand.Rand, n, k int, out, perm []int) []int {
 	if k < 0 || k > n {
-		panic("rng: PickDistinct: k out of range")
+		panic("rng: PickDistinctInto: k out of range")
 	}
 	// rand.Perm's loop, into scratch: same Intn sequence, no allocation.
 	perm = perm[:n]

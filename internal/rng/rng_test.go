@@ -80,9 +80,9 @@ func TestUniformInRange(t *testing.T) {
 func TestPickDistinct(t *testing.T) {
 	r := New(11)
 	for k := 0; k <= 6; k++ {
-		got := PickDistinct(r, 6, k)
+		got := PickDistinctInto(r, 6, k, nil, make([]int, 6))
 		if len(got) != k {
-			t.Fatalf("PickDistinct(6,%d) returned %d values", k, len(got))
+			t.Fatalf("PickDistinctInto(6,%d) returned %d values", k, len(got))
 		}
 		seen := map[int]bool{}
 		for _, v := range got {
@@ -103,14 +103,14 @@ func TestPickDistinctPanics(t *testing.T) {
 			t.Fatal("expected panic for k > n")
 		}
 	}()
-	PickDistinct(New(1), 3, 4)
+	PickDistinctInto(New(1), 3, 4, nil, make([]int, 3))
 }
 
 func TestPickDistinctProperty(t *testing.T) {
 	f := func(seed int64, n, k uint8) bool {
 		nn := int(n%20) + 1
 		kk := int(k) % (nn + 1)
-		got := PickDistinct(New(seed), nn, kk)
+		got := PickDistinctInto(New(seed), nn, kk, nil, make([]int, nn))
 		seen := map[int]bool{}
 		for _, v := range got {
 			if v < 0 || v >= nn || seen[v] {
@@ -137,15 +137,16 @@ func TestReseedMatchesDerive(t *testing.T) {
 	}
 }
 
-func TestPickDistinctIntoMatchesPickDistinct(t *testing.T) {
-	// Same picks AND same stream consumption: downstream draws must
-	// align too.
+func TestPickDistinctIntoMatchesPerm(t *testing.T) {
+	// The picks are a prefix of rand.Perm on the same stream, with the
+	// same consumption, so downstream draws align too — even with the
+	// scratch reused across rounds.
 	r1, r2 := New(7), New(7)
 	perm := make([]int, 10)
 	var out []int
 	for i := 0; i < 30; i++ {
 		n, k := 10, i%11
-		a := PickDistinct(r1, n, k)
+		a := r1.Perm(n)[:k]
 		b := PickDistinctInto(r2, n, k, out[:0], perm)
 		out = b
 		if len(a) != len(b) {

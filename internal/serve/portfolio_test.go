@@ -110,9 +110,7 @@ func portfolioInputs(t *testing.T) map[string]*instance.Instance {
 // portfolio and for a single heuristic (whose winner is never copied).
 func TestPortfolioMatchesReference(t *testing.T) {
 	ref := heuristics.NewSolveContext()
-	ref.SetReuse(true)
 	sc := heuristics.NewSolveContext()
-	sc.SetReuse(true)
 	for name, in := range portfolioInputs(t) {
 		seed := int64(len(name)) // any request seed; Random depends on it
 		for _, hs := range [][]heuristics.Heuristic{heuristics.All(), {heuristics.ObjectGrouping{}}} {

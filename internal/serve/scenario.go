@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -147,23 +146,6 @@ type ScenarioStatus struct {
 	Trace    []ScenarioEventResult `json:"trace,omitempty"`
 }
 
-// readScenarioBody decodes a scenario request body under the standard
-// body cap.
-func readScenarioBody(r *http.Request, dst any) *httpError {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf("reading body: %v", err)}
-	}
-	if len(body) > maxBodyBytes {
-		return &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)}
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
-	}
-	return nil
-}
-
 // scenarioTimeout clamps a client timeout like the solve endpoints do.
 func (s *Server) scenarioTimeout(ms int64) time.Duration {
 	d := s.cfg.DefaultTimeout
@@ -190,14 +172,38 @@ func driftModelFor(name string) (churn.DriftModel, *httpError) {
 		fmt.Sprintf("unknown drift model %q (want both, up or down)", name)}
 }
 
-// scenarioConfigFor validates a spec against the server's operator cap
-// and converts it to the generator's config.
-func (s *Server) scenarioConfigFor(spec ScenarioSpec) (churn.ScenarioConfig, *httpError) {
-	var cc churn.ScenarioConfig
-	if spec.MaxOps > s.cfg.MaxOps {
-		return cc, &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("max_ops %d exceeds the server's limit of %d operators", spec.MaxOps, s.cfg.MaxOps)}
+// scenarioCreate is a validated POST /v1/scenario body.
+type scenarioCreate struct {
+	req    ScenarioRequest
+	policy churn.Policy
+	cfg    churn.ScenarioConfig
+}
+
+// parseScenarioCreate decodes and validates a create body against the
+// server's operator cap. It runs on the HTTP goroutine before any
+// generation or solve.
+func parseScenarioCreate(body []byte, maxOps int) (*scenarioCreate, *httpError) {
+	sc := &scenarioCreate{}
+	if err := json.Unmarshal(body, &sc.req); err != nil {
+		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
 	}
+	var herr *httpError
+	if sc.policy, herr = policyFor(sc.req.Policy); herr != nil {
+		return nil, herr
+	}
+	if sc.cfg, herr = scenarioConfigFor(sc.req.Scenario, maxOps); herr != nil {
+		return nil, herr
+	}
+	return sc, nil
+}
+
+// scenarioConfigFor validates a spec and converts it to the generator's
+// config. The operator cap applies to the configuration the generator
+// will actually use, defaults included: no application may exceed
+// maxOps, and neither may the most operators the session can hold at
+// once — max(initial_apps, max_apps) applications of max_ops each.
+func scenarioConfigFor(spec ScenarioSpec, maxOps int) (churn.ScenarioConfig, *httpError) {
+	var cc churn.ScenarioConfig
 	if spec.Events < 0 || spec.Events > 10_000 {
 		return cc, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("events must be in [0, 10000], got %d", spec.Events)}
@@ -244,6 +250,16 @@ func (s *Server) scenarioConfigFor(spec ScenarioSpec) (churn.ScenarioConfig, *ht
 		RhoMin:      spec.RhoMin,
 		RhoMax:      spec.RhoMax,
 		Base:        instance.Config{Alpha: spec.Alpha},
+	}
+	eff := cc.WithDefaults()
+	if eff.MaxOps > maxOps {
+		return cc, &httpError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("applications of up to %d operators exceed the server's limit of %d operators", eff.MaxOps, maxOps)}
+	}
+	if apps := max(eff.InitialApps, eff.MaxApps); apps > maxOps/eff.MaxOps {
+		return cc, &httpError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("up to %d live applications of up to %d operators exceed the server's limit of %d operators",
+				apps, eff.MaxOps, maxOps)}
 	}
 	return cc, nil
 }
@@ -316,27 +332,24 @@ func (s *Server) noteEvent(ses *scenarioSession, er churn.EventResult) {
 }
 
 func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
-	var req ScenarioRequest
-	if herr := readScenarioBody(r, &req); herr != nil {
+	body, herr := readBody(r, maxBodyBytes)
+	var create *scenarioCreate
+	if herr == nil {
+		create, herr = parseScenarioCreate(body, s.cfg.MaxOps)
+	}
+	if herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
-	policy, herr := policyFor(req.Policy)
-	if herr == nil {
-		var cc churn.ScenarioConfig
-		if cc, herr = s.scenarioConfigFor(req.Scenario); herr == nil {
-			s.createScenario(w, r, req, policy, cc)
-			return
-		}
-	}
-	s.clientError(w, herr.status, herr.msg)
+	s.createScenario(w, r, create)
 }
 
 // createScenario runs the initial solve (plus any generated events)
 // and registers the session. Split from the handler so the parse
 // errors above share one exit.
-func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, req ScenarioRequest, policy churn.Policy, cc churn.ScenarioConfig) {
-	sc := churn.NewScenario(cc, req.Seed)
+func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, create *scenarioCreate) {
+	req := create.req
+	sc := churn.NewScenario(create.cfg, req.Seed)
 	// events == 0 on the wire means "no generated stream" (a session
 	// driven purely by POSTed events), but the generator's zero-value
 	// default is a nonempty stream — truncate it away.
@@ -344,7 +357,7 @@ func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, req Scen
 		sc.Events = nil
 	}
 	eng := churn.NewEngine(churn.Options{
-		Policy: policy,
+		Policy: create.policy,
 		Seed:   req.Seed,
 		Budget: time.Duration(req.BudgetMS) * time.Millisecond,
 	})
@@ -391,7 +404,7 @@ func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, req Scen
 	status := ses.statusLocked()
 	status.Trace = trace
 	ses.mu.Unlock()
-	s.writeSweepJSON(w, http.StatusOK, status)
+	s.writeOK(w, status)
 }
 
 // lookupScenario resolves {id} or answers 404.
@@ -423,18 +436,13 @@ func eventFor(req ScenarioEventRequest) (churn.Event, *httpError) {
 
 func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioEventRequest
-	if herr := readScenarioBody(r, &req); herr != nil {
+	if herr := decodeBody(r, maxBodyBytes, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
 	ev, herr := eventFor(req)
 	if herr != nil {
 		s.clientError(w, herr.status, herr.msg)
-		return
-	}
-	if ev.Kind == churn.Arrive && ev.NumOps > s.cfg.MaxOps {
-		s.clientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("num_ops %d exceeds the server's limit of %d operators", ev.NumOps, s.cfg.MaxOps))
 		return
 	}
 	ses := s.lookupScenario(w, r)
@@ -450,6 +458,14 @@ func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	if !ses.mu.TryLock() {
 		s.clientError(w, http.StatusConflict,
 			fmt.Sprintf("scenario session %q has an event in flight", ses.id))
+		return
+	}
+	// An arrival may not take the session past the operator cap.
+	if ev.Kind == churn.Arrive && ev.NumOps > s.cfg.MaxOps-ses.eng.Ops() {
+		ses.mu.Unlock()
+		s.clientError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("num_ops %d on top of %d live operators exceeds the server's limit of %d operators",
+				ev.NumOps, ses.eng.Ops(), s.cfg.MaxOps))
 		return
 	}
 	er, perr, err := s.step(ctx, ses, ev)
@@ -469,7 +485,7 @@ func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	}
 	s.noteEvent(ses, er)
 	ses.mu.Unlock()
-	s.writeSweepJSON(w, http.StatusOK, eventResultJSON(er))
+	s.writeOK(w, eventResultJSON(er))
 }
 
 // step runs one engine step for a handler holding ses.mu and recovers a
@@ -495,7 +511,7 @@ func (s *Server) handleScenarioStatus(w http.ResponseWriter, r *http.Request) {
 	ses.mu.Lock()
 	status := ses.statusLocked()
 	ses.mu.Unlock()
-	s.writeSweepJSON(w, http.StatusOK, status)
+	s.writeOK(w, status)
 }
 
 func (s *Server) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
@@ -508,7 +524,7 @@ func (s *Server) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario session %q", id))
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, struct {
+	s.writeOK(w, struct {
 		ID     string `json:"id"`
 		Closed bool   `json:"closed"`
 	}{id, true})

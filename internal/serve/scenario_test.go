@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/churn"
 )
 
 // scenarioStatus decodes a create/status response body.
@@ -139,6 +141,13 @@ func TestScenarioBadRequests(t *testing.T) {
 		{"POST", "/v1/scenario", `{"scenario":{"arrive_frac":0.8,"depart_frac":0.8}}`, http.StatusBadRequest},
 		{"POST", "/v1/scenario", `{"scenario":{"rho":-1}}`, http.StatusBadRequest},
 		{"POST", "/v1/scenario", `{"scenario":{"max_ops":500}}`, http.StatusRequestEntityTooLarge},
+		// The cap applies after the generator's defaults: max_ops 0 means
+		// 9, raised to min_ops when below it, and max_apps 0 means 6.
+		{"POST", "/v1/scenario", `{"scenario":{"min_ops":60}}`, http.StatusRequestEntityTooLarge},
+		{"POST", "/v1/scenario", `{"scenario":{"initial_apps":40,"min_ops":5,"max_ops":5}}`, http.StatusRequestEntityTooLarge},
+		{"POST", "/v1/scenario", `{"scenario":{"max_apps":11,"min_ops":5,"max_ops":5}}`, http.StatusRequestEntityTooLarge},
+		{"POST", "/v1/scenario", `{"scenario":{"initial_apps":1,"min_ops":9}}`, http.StatusRequestEntityTooLarge},
+		{"POST", "/v1/scenario", `{"scenario":{"initial_apps":10,"max_apps":10,"min_ops":5,"max_ops":5},"seed":1}`, http.StatusOK},
 		{"GET", "/v1/scenario/nope", "", http.StatusNotFound},
 		{"DELETE", "/v1/scenario/nope", "", http.StatusNotFound},
 		{"POST", "/v1/scenario/nope/event", `{"kind":"drift","slot":0,"factor":1.1}`, http.StatusNotFound},
@@ -162,6 +171,16 @@ func TestScenarioBadRequests(t *testing.T) {
 	}
 	if rec := do(t, s, "POST", base, []byte(`{"kind":"arrive","num_ops":500}`)); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized arrival: %d", rec.Code)
+	}
+	// Arrivals are capped on the session's live operator count, not
+	// just on their own size.
+	over := fmt.Sprintf(`{"kind":"arrive","num_ops":%d}`, 50-st.Ops+1)
+	if rec := do(t, s, "POST", base, []byte(over)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("arrival past the live cap: %d (%s)", rec.Code, rec.Body.String())
+	}
+	fits := fmt.Sprintf(`{"kind":"arrive","num_ops":%d}`, 50-st.Ops)
+	if rec := do(t, s, "POST", base, []byte(fits)); rec.Code != http.StatusOK {
+		t.Errorf("arrival up to the live cap: %d (%s)", rec.Code, rec.Body.String())
 	}
 	// timeout_ms <= 0 falls back to the server default, like /v1/solve.
 	if rec := do(t, s, "POST", base, []byte(`{"kind":"drift","slot":0,"factor":1.2,"timeout_ms":-1}`)); rec.Code != http.StatusOK {
@@ -284,4 +303,63 @@ func TestScenarioNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// FuzzScenarioSpec feeds random create bodies through the handler's
+// parse and validate step (no engine run): every body must get a 4xx,
+// or be accepted with a worst case — max(initial_apps, max_apps)
+// applications of max_ops each, after the generator's defaults — and a
+// generated event stream whose live operator count both stay within
+// the server's cap.
+func FuzzScenarioSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"scenario":{"min_ops":60}}`,
+		`{"scenario":{"initial_apps":40,"min_ops":5,"max_ops":5}}`,
+		`{"scenario":{"max_apps":40,"max_ops":5},"seed":3}`,
+		`{"scenario":{"initial_apps":2,"events":30,"min_ops":4,"max_ops":6},"seed":3}`,
+		`{"scenario":{"max_ops":500}}`,
+		`{"scenario":{"min_ops":9,"max_ops":4}}`,
+		`{"scenario":{"arrive_frac":1,"max_apps":8,"events":50},"policy":"resolve"}`,
+		`{}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxOps = 50
+	f.Fuzz(func(t *testing.T, body []byte) {
+		create, herr := parseScenarioCreate(body, maxOps)
+		if herr != nil {
+			if herr.status < 400 || herr.status >= 500 {
+				t.Fatalf("status %d (%s), want 4xx", herr.status, herr.msg)
+			}
+			return
+		}
+		eff := create.cfg.WithDefaults()
+		if worst := float64(max(eff.InitialApps, eff.MaxApps)) * float64(eff.MaxOps); worst > maxOps {
+			t.Fatalf("accepted %s: up to %g operators live, cap %d", body, worst, maxOps)
+		}
+		sc := churn.NewScenario(create.cfg, create.req.Seed)
+		var live []int // operators per live application
+		for _, a := range sc.Initial {
+			live = append(live, a.NumOps)
+		}
+		for i := 0; ; i++ {
+			ops := 0
+			for _, n := range live {
+				ops += n
+			}
+			if ops > maxOps {
+				t.Fatalf("accepted %s: %d operators live after %d events, cap %d", body, ops, i, maxOps)
+			}
+			if i == len(sc.Events) {
+				break
+			}
+			switch ev := sc.Events[i]; ev.Kind {
+			case churn.Arrive:
+				live = append(live, ev.NumOps)
+			case churn.Depart:
+				live = append(live[:ev.Slot], live[ev.Slot+1:]...)
+			}
+		}
+	})
 }

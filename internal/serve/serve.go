@@ -1,8 +1,8 @@
 // Package serve is the allocation daemon behind cmd/serve: it turns the
 // repository's near-zero-alloc solve pipeline into a long-running HTTP
 // service. A fixed-size pool of workers — each owning a warmed
-// per-worker arena (instance.Generator, heuristics.SolveContext with
-// SetReuse, stream.Runner), never shared, mirroring the per-worker
+// per-worker arena (instance.Generator, heuristics.SolveContext,
+// stream.Runner), never shared, mirroring the per-worker
 // isolation of par.ForEachWorker — drains a bounded admission queue fed
 // by the HTTP handlers. When the queue is full the server sheds load
 // with 429 + Retry-After instead of building an unbounded backlog;
@@ -23,7 +23,9 @@
 //	                 allocation answering dynamic events (application
 //	                 arrivals/departures, rate drift) by journaled
 //	                 local repair; plus per-session event/status/delete
-//	                 routes — see scenario.go and internal/churn
+//	                 routes — see scenario.go and internal/churn. A
+//	                 session that could exceed the operator cap, or an
+//	                 arrival that would, is refused with 413
 //	GET  /healthz    liveness ("ok")
 //	GET  /statsz     JSON counters: requests, rejections, in-flight,
 //	                 p50/p99 latency, per-worker arena reuse stats,
@@ -67,7 +69,10 @@ type Config struct {
 	// MaxTimeout caps client-requested deadlines; <= 0 means 60s.
 	MaxTimeout time.Duration
 	// MaxOps rejects instances larger than this many operators with
-	// 413 before they reach a worker; <= 0 means 2000.
+	// 413 before they reach a worker; it also refuses scenario sessions
+	// whose applications, or whose most live operators at once, could
+	// exceed it (judged after the generator's defaults), and arrivals
+	// that would take a session past it. <= 0 means 2000.
 	MaxOps int
 	// SweepLeaseTTL is the default lease deadline the sweep coordinator
 	// grants workers; <= 0 means the coordinator's 30s default. Jobs may
@@ -255,14 +260,9 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind jobKind) 
 	case jobVerify:
 		s.stats.verifyReqs.Add(1)
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		s.clientError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-		return
-	}
-	if len(body) > maxBodyBytes {
-		s.clientError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("body exceeds %d bytes", maxBodyBytes))
+	body, herr := readBody(r, maxBodyBytes)
+	if herr != nil {
+		s.clientError(w, herr.status, herr.msg)
 		return
 	}
 	jb := &job{kind: kind, done: make(chan jobResult, 1)}
@@ -346,6 +346,18 @@ func (s *Server) clientError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, append(body, '\n'))
 }
 
+// writeOK marshals and writes one 200 reply of the sweep and scenario
+// routes, counting it.
+func (s *Server) writeOK(w http.ResponseWriter, body any) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		s.clientError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.stats.ok.Add(1)
+	writeJSON(w, http.StatusOK, append(buf, '\n'))
+}
+
 func writeJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -361,6 +373,32 @@ type errorResponse struct {
 type httpError struct {
 	status int
 	msg    string
+}
+
+// readBody reads a request body of at most limit bytes: 400 when the
+// read fails, 413 when the body is longer.
+func readBody(r *http.Request, limit int) ([]byte, *httpError) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
+	if err != nil {
+		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("reading body: %v", err)}
+	}
+	if len(body) > limit {
+		return nil, &httpError{http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", limit)}
+	}
+	return body, nil
+}
+
+// decodeBody is readBody followed by a JSON decode into dst (400 when
+// the body is not valid JSON for dst).
+func decodeBody(r *http.Request, limit int, dst any) *httpError {
+	body, herr := readBody(r, limit)
+	if herr != nil {
+		return herr
+	}
+	if err := json.Unmarshal(body, dst); err != nil {
+		return &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
+	}
+	return nil
 }
 
 // heuristicsFor resolves a request's heuristic field: empty or "all"

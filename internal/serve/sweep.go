@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/coord"
@@ -45,25 +42,10 @@ func (s *Server) registerSweep() {
 	s.mux.HandleFunc("POST /v1/sweep/{id}/complete", s.handleSweepComplete)
 }
 
-// readSweepBody reads and decodes a sweep request body into dst.
-// Sweep bodies carry whole shard-cell artifacts, so the cap is wider
-// than the solve endpoints' maxBodyBytes.
+// maxSweepBodyBytes caps sweep request bodies. They carry whole
+// shard-cell artifacts, so the cap is wider than the solve endpoints'
+// maxBodyBytes.
 const maxSweepBodyBytes = 64 << 20
-
-func readSweepBody(r *http.Request, dst any) *httpError {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBodyBytes+1))
-	if err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf("reading body: %v", err)}
-	}
-	if len(body) > maxSweepBodyBytes {
-		return &httpError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("body exceeds %d bytes", maxSweepBodyBytes)}
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
-	}
-	return nil
-}
 
 // sweepError maps coordinator sentinels onto HTTP statuses.
 func (s *Server) sweepError(w http.ResponseWriter, err error) {
@@ -87,7 +69,7 @@ func (s *Server) sweepError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec coord.SweepJob
-	if herr := readSweepBody(r, &spec); herr != nil {
+	if herr := decodeBody(r, maxSweepBodyBytes, &spec); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
@@ -96,7 +78,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, coord.SubmitResponse{ID: id})
+	s.writeOK(w, coord.SubmitResponse{ID: id})
 }
 
 func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
@@ -105,7 +87,7 @@ func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, p)
+	s.writeOK(w, p)
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
@@ -121,7 +103,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID string) {
 	var req coord.ClaimRequest
-	if herr := readSweepBody(r, &req); herr != nil {
+	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
@@ -134,12 +116,12 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, lease)
+	s.writeOK(w, lease)
 }
 
 func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 	var req coord.RenewRequest
-	if herr := readSweepBody(r, &req); herr != nil {
+	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
@@ -148,12 +130,12 @@ func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, coord.RenewResponse{TTLMS: ttlMS})
+	s.writeOK(w, coord.RenewResponse{TTLMS: ttlMS})
 }
 
 func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 	var req coord.CompleteRequest
-	if herr := readSweepBody(r, &req); herr != nil {
+	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
@@ -165,16 +147,5 @@ func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeSweepJSON(w, http.StatusOK, coord.CompleteResponse{Duplicate: dup})
-}
-
-// writeSweepJSON marshals and writes one OK sweep reply, counting it.
-func (s *Server) writeSweepJSON(w http.ResponseWriter, status int, body any) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		s.clientError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.stats.ok.Add(1)
-	writeJSON(w, status, append(buf, '\n'))
+	s.writeOK(w, coord.CompleteResponse{Duplicate: dup})
 }

@@ -295,12 +295,6 @@ type env struct {
 	warmed bool
 }
 
-func newEnv() *env {
-	e := &env{}
-	e.sc.SetReuse(true)
-	return e
-}
-
 // warm exercises every arena once on a small pinned instance so the
 // first real request pays no cold-buffer growth: a generate, a
 // portfolio and a short simulation. The portfolio solves one heuristic
@@ -321,7 +315,7 @@ func (e *env) warm() {
 // the admission queue until Close closes it.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
-	e := newEnv()
+	e := &env{}
 	e.warm()
 	ws := &s.workers[w]
 	for jb := range s.queue {
