@@ -78,6 +78,9 @@ func run(addr, portFile string, cfg serve.Config) error {
 		Handler:           pool,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Shutdown waits for in-flight handlers; parked sweep claims answer
+	// at once instead of sitting out their wait.
+	httpSrv.RegisterOnShutdown(pool.StopParking)
 
 	if portFile != "" {
 		// Written after Listen succeeded, so a reader that sees the file

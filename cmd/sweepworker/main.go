@@ -1,12 +1,18 @@
 // Command sweepworker computes shards for a streamalloc daemon's
 // distributed sweep coordinator (cmd/serve + internal/coord). It
-// claims shard leases in a loop with exponential backoff and jitter,
-// heartbeats renewals while computing, ships completed cells back,
-// and exits cleanly on SIGINT/SIGTERM without leaking goroutines. Any
-// number of workers may point at the same coordinator; determinism
-// (per-cell seeds are pure functions of grid coordinates) makes every
-// lease idempotent, so workers can die, straggle or double-complete
-// without corrupting the merged figure.
+// claims shard leases in a loop, heartbeats renewals while computing,
+// ships completed cells back with the claim for its next lease folded
+// into the same request, and exits cleanly on SIGINT/SIGTERM without
+// leaking goroutines. Any number of workers may point at the same
+// coordinator; determinism (per-cell seeds are pure functions of grid
+// coordinates) makes every lease idempotent, so workers can die,
+// straggle or double-complete without corrupting the merged figure.
+//
+// A claim that finds no work parks at the coordinator for the current
+// backoff: -poll, doubled after every empty claim up to 10s, and at
+// most 1s per claim. A submitted job therefore reaches an idle worker
+// at once. After a connection error the worker sleeps the backoff out
+// with jitter.
 //
 // Usage:
 //
@@ -46,7 +52,7 @@ func main() {
 		name     = flag.String("name", "", "worker name in leases and progress (default: sweepworker-<pid>)")
 		job      = flag.String("job", "", "pin to one job id; exits when it finishes (default: claim from any job)")
 		workers  = flag.Int("workers", 0, "per-shard compute parallelism (0: one per CPU)")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "base claim-retry interval (exponential backoff + jitter)")
+		poll     = flag.Duration("poll", 500*time.Millisecond, "base wait of an empty claim: parked at the coordinator (at most 1s), doubled after every empty claim")
 		exitIdle = flag.Bool("exit-idle", false, "exit on the first poll that finds no work")
 		slow     = flag.Duration("slow", 0, "fault injection: sleep this long before computing each shard")
 		noRenew  = flag.Bool("no-renew", false, "fault injection: never renew leases")

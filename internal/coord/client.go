@@ -197,12 +197,22 @@ func (c *Client) Progress(ctx context.Context, jobID string) (*Progress, error) 
 // running job. Returns ErrNoWork (204) when nothing is claimable and
 // ErrJobDone (410) when a named job has finished.
 func (c *Client) Claim(ctx context.Context, jobID, worker string) (*Lease, error) {
+	return c.ClaimWait(ctx, jobID, worker, 0)
+}
+
+// ClaimWait is Claim that, when nothing is claimable, asks the
+// coordinator to park the request for up to wait (whole milliseconds,
+// rounded up; capped at MaxClaimWait) until a job is submitted or
+// finishes. It returns ErrNoWork when the wait runs out. A coordinator
+// that predates wait_ms, or one that is shutting down, answers at once.
+func (c *Client) ClaimWait(ctx context.Context, jobID, worker string, wait time.Duration) (*Lease, error) {
 	path := "/v1/sweep/lease"
 	if jobID != "" {
 		path = "/v1/sweep/" + jobID + "/lease"
 	}
+	req := ClaimRequest{Worker: worker, WaitMS: int64((wait + time.Millisecond - 1) / time.Millisecond)}
 	var out Lease
-	status, err := c.doJSON(ctx, http.MethodPost, path, ClaimRequest{Worker: worker}, &out)
+	status, err := c.doJSON(ctx, http.MethodPost, path, req, &out)
 	switch status {
 	case http.StatusNoContent:
 		return nil, ErrNoWork
@@ -240,22 +250,37 @@ func (c *Client) Renew(ctx context.Context, l *Lease) (time.Duration, error) {
 // ErrDuplicate; ErrLeaseLost means the lease was re-issued and the
 // result was refused.
 func (c *Client) Complete(ctx context.Context, l *Lease, worker string, cells []byte) error {
+	_, err := c.complete(ctx, l, worker, cells, nil)
+	return err
+}
+
+// CompleteAndClaim is Complete that also claims the worker's next
+// lease in the same round trip — from nextJob when non-empty,
+// otherwise from any running job — once the result is accepted, a
+// duplicate included. next is nil when nothing was claimable, or the
+// coordinator predates the folded claim; the caller then claims on its
+// own.
+func (c *Client) CompleteAndClaim(ctx context.Context, l *Lease, worker string, cells []byte, nextJob string) (next *Lease, err error) {
+	return c.complete(ctx, l, worker, cells, &NextClaim{Job: nextJob})
+}
+
+func (c *Client) complete(ctx context.Context, l *Lease, worker string, cells []byte, next *NextClaim) (*Lease, error) {
 	var out CompleteResponse
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+l.Job+"/complete",
-		CompleteRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(cells)}, &out)
+		CompleteRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(cells), Next: next}, &out)
 	switch status {
 	case http.StatusConflict:
-		return ErrLeaseLost
+		return nil, ErrLeaseLost
 	case http.StatusNotFound:
-		return ErrUnknownJob
+		return nil, ErrUnknownJob
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if out.Duplicate {
-		return ErrDuplicate
+		return out.Next, ErrDuplicate
 	}
-	return nil
+	return out.Next, nil
 }
 
 // Result fetches the merged figure's .dat text; ErrNotDone while

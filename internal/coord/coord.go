@@ -20,14 +20,17 @@
 // The Coordinator is purely reactive bookkeeping: it owns no
 // goroutines and no timers (lease expiry is evaluated lazily on every
 // claim/progress/renew), so a server embedding one has nothing extra
-// to drain on shutdown. internal/serve mounts it under POST /v1/sweep
-// and friends; Client and RunWorker are the matching worker side.
+// to drain on shutdown. A claimer that wants to wait for work parks on
+// WorkChanged in its own goroutine. internal/serve mounts the
+// coordinator under POST /v1/sweep and friends; Client and RunWorker
+// are the matching worker side.
 package coord
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,7 +57,8 @@ var (
 	// result; the coordinator keeps the first and discards this one (200,
 	// flagged). Harmless by the determinism contract.
 	ErrDuplicate = errors.New("coord: shard already completed")
-	// ErrTooManyJobs: the live-jobs bound was hit (429).
+	// ErrTooManyJobs: every retained job is still running and the
+	// bound is hit (429).
 	ErrTooManyJobs = errors.New("coord: too many live jobs")
 	// ErrJournal wraps a failed journal append on a durable coordinator
 	// (500): the operation was refused so the on-disk history never
@@ -63,7 +67,7 @@ var (
 )
 
 // Config tunes a Coordinator. The zero value is serviceable: 30s
-// leases capped at 5m, at most 256 shards per job and 64 live jobs.
+// leases capped at 5m, at most 256 shards per job and 64 retained jobs.
 type Config struct {
 	// DefaultLeaseTTL applies when a job's spec carries no lease_ttl_ms.
 	// Submit rounds a job's TTL up to whole milliseconds.
@@ -73,6 +77,8 @@ type Config struct {
 	// MaxShards bounds a job's shard count.
 	MaxShards int
 	// MaxJobs bounds jobs retained in memory (running and finished).
+	// At the bound, Submit evicts the oldest finished job; when every
+	// retained job is running it refuses with ErrTooManyJobs.
 	MaxJobs int
 	// Now overrides the clock; nil means time.Now. Tests drive lease
 	// expiry deterministically through it.
@@ -154,6 +160,11 @@ type Coordinator struct {
 	jnl   *journal
 	epoch int
 
+	// wake is closed, and cleared, whenever a job is submitted or
+	// finishes: the moments a claim that found no work may find some.
+	// Nil until WorkChanged asks for it.
+	wake chan struct{}
+
 	// lifetime counters (mu-guarded; see StatsSnapshot)
 	stats SweepStats
 }
@@ -175,6 +186,9 @@ const maxJobKeyLen = 200
 // Submit validates and registers a sweep job, returning its id. Shard
 // decomposition is immediate: the job's shards are claimable as soon
 // as Submit returns.
+//
+// At the MaxJobs bound, Submit makes room by evicting the oldest
+// finished job: its id, result and job key are forgotten.
 //
 // Submit is idempotent over spec.JobKey: a second submission carrying
 // a known key returns the existing job's id without creating
@@ -217,12 +231,17 @@ func (c *Coordinator) Submit(spec SweepJob) (string, error) {
 			return id, nil
 		}
 	}
+	evict := ""
 	if len(c.jobs) >= c.cfg.MaxJobs {
-		return "", ErrTooManyJobs
+		i := slices.IndexFunc(c.order, func(id string) bool { return c.jobs[id].finished() })
+		if i < 0 {
+			return "", ErrTooManyJobs
+		}
+		evict = c.order[i]
 	}
 	seq := c.seq + 1
 	id := fmt.Sprintf("j%d", seq)
-	if err := c.commit(record{Type: recSubmit, Job: id, Spec: &spec, Seq: seq}); err != nil {
+	if err := c.commit(record{Type: recSubmit, Job: id, Spec: &spec, Seq: seq, Evict: evict}); err != nil {
 		return "", err
 	}
 	return id, nil
@@ -322,6 +341,28 @@ func (c *Coordinator) Claim(jobID, worker string) (*Lease, error) {
 		return nil, ErrJobDone
 	}
 	return nil, ErrNoWork
+}
+
+// WorkChanged returns a channel that is closed the next time a job is
+// submitted or finishes. A claimer that got ErrNoWork can wait on it
+// and claim again; taking the channel before the Claim means no wake-up
+// falls between the two. The coordinator itself still never blocks:
+// the waiting, and its timeout, belong to the caller.
+func (c *Coordinator) WorkChanged() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
+}
+
+// signalWork wakes every WorkChanged waiter. Called under mu.
+func (c *Coordinator) signalWork() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 }
 
 // leaseToken formats the token for the lease consuming counter value

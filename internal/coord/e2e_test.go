@@ -13,7 +13,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,5 +245,40 @@ func TestWorkerExitIdle(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("RunWorker: %v", err)
+	}
+}
+
+// TestWorkerFoldsClaims: a worker takes each next lease from the reply
+// to its complete. One worker on a 3-shard job claims twice in all —
+// the first lease, and the claim that finds the job done — instead of
+// four times.
+func TestWorkerFoldsClaims(t *testing.T) {
+	pool := serve.New(serve.Config{Workers: 1})
+	defer pool.Close()
+	var claims, completes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/lease"):
+			claims.Add(1)
+		case strings.HasSuffix(r.URL.Path, "/complete"):
+			completes.Add(1)
+		}
+		pool.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c := coord.NewClient(ts.URL)
+	id, err := c.Submit(t.Context(), coord.SweepJob{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shards: 3})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := coord.RunWorker(t.Context(), c, coord.WorkerOptions{Name: "w", Job: id, Poll: 10 * time.Millisecond}); err != nil {
+		t.Fatalf("RunWorker: %v", err)
+	}
+	if p, err := c.Progress(t.Context(), id); err != nil || p.State != "done" {
+		t.Fatalf("Progress: %+v %v", p, err)
+	}
+	if claims.Load() != 2 || completes.Load() != 3 {
+		t.Fatalf("%d claims and %d completes, want 2 and 3", claims.Load(), completes.Load())
 	}
 }

@@ -87,6 +87,9 @@ type record struct {
 
 	Job  string    `json:"job,omitempty"`
 	Spec *SweepJob `json:"spec,omitempty"` // recSubmit, normalized (Seeds and LeaseTTLMS resolved)
+	// Evict names the finished job a submit pushed out at the MaxJobs
+	// bound (recSubmit), so replay never depends on the config.
+	Evict string `json:"evict,omitempty"`
 
 	Shard  int    `json:"shard,omitempty"`
 	Token  string `json:"token,omitempty"`
@@ -278,7 +281,7 @@ type shard struct {
 	Deadline int64  `json:"deadline,omitempty"`
 	Leases   int    `json:"leases,omitempty"` // leases ever granted (>1 means re-leased)
 	Renewals int    `json:"renewals,omitempty"`
-	Cells    []byte `json:"cells,omitempty"`   // encoded ShardCells once done
+	Cells    []byte `json:"cells,omitempty"`   // encoded ShardCells once done, until the job finishes
 	DoneBy   string `json:"done_by,omitempty"` // worker whose result was accepted
 }
 

@@ -178,12 +178,14 @@ func (c *Coordinator) applyRecord(r *record) {
 		if j != nil || r.Spec == nil || r.Job == "" {
 			return
 		}
+		c.evict(r.Evict)
 		j = &job{ID: r.Job, Spec: *r.Spec, Shards: make([]shard, r.Spec.Shards)}
 		for i := range j.Shards {
 			j.Shards[i].State = shardPending
 		}
 		c.addJob(j)
 		c.stats.JobsSubmitted++
+		c.signalWork()
 	case recClaim:
 		if s == nil || s.State == shardDone {
 			return
@@ -228,6 +230,8 @@ func (c *Coordinator) applyRecord(r *record) {
 			return
 		}
 		j.MergeNS = r.MergeNS
+		releaseCells(j)
+		c.signalWork()
 		if r.Failed != "" {
 			j.Failed = r.Failed
 			c.stats.JobsFailed++
@@ -253,8 +257,33 @@ func (c *Coordinator) addJob(j *job) {
 	}
 }
 
+// evict forgets a finished job, its id and its job key, to make room
+// under MaxJobs. An unknown or unfinished job is left alone.
+func (c *Coordinator) evict(id string) {
+	j := c.jobs[id]
+	if j == nil || !j.finished() {
+		return
+	}
+	delete(c.jobs, id)
+	c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
+	if c.byKey[j.Spec.JobKey] == id {
+		delete(c.byKey, j.Spec.JobKey)
+	}
+}
+
+// releaseCells drops a finished job's shard cells: the merged result,
+// or its failure, supersedes them. Memory and snapshots then grow with
+// unfinished jobs' cells only.
+func releaseCells(j *job) {
+	for i := range j.Shards {
+		j.Shards[i].Cells = nil
+	}
+}
+
 // restoreSnapshot rebuilds the coordinator from a snapshot document.
-// A shard state this build does not know restores as pending.
+// A shard state this build does not know restores as pending. A
+// finished job's cells, which older snapshots still carry, are
+// dropped.
 func (c *Coordinator) restoreSnapshot(doc *snapshotDoc) {
 	c.seq = doc.Seq
 	c.epoch = doc.Epoch
@@ -265,6 +294,9 @@ func (c *Coordinator) restoreSnapshot(doc *snapshotDoc) {
 			if s := &j.Shards[k]; s.State != shardLeased && s.State != shardDone {
 				s.State = shardPending
 			}
+		}
+		if j.finished() {
+			releaseCells(j)
 		}
 		c.addJob(j)
 	}

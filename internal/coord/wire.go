@@ -1,5 +1,7 @@
 package coord
 
+import "time"
+
 // Wire types shared by the coordinator, the HTTP layer in
 // internal/serve, and Client: the one copy of every sweep message. All
 // JSON, all stable; SweepJob, Lease and Progress are re-exported at
@@ -84,10 +86,19 @@ type SubmitResponse struct {
 	ID string `json:"id"`
 }
 
+// MaxClaimWait caps ClaimRequest.WaitMS: a parked claim answers 204
+// after at most this long, so the worker's next claim re-reads its
+// pinned job and lease expiries.
+const MaxClaimWait = time.Second
+
 // ClaimRequest is the body of POST /v1/sweep/lease and
 // POST /v1/sweep/{id}/lease.
 type ClaimRequest struct {
 	Worker string `json:"worker,omitempty"`
+	// WaitMS parks a claim that finds no work for up to this many
+	// milliseconds (capped at MaxClaimWait), until a job is submitted or
+	// finishes; 0 answers 204 at once.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // RenewRequest is the body of POST /v1/sweep/{id}/renew.
@@ -110,11 +121,26 @@ type CompleteRequest struct {
 	Token  string `json:"token"`
 	Worker string `json:"worker,omitempty"`
 	Cells  string `json:"cells"`
+	// Next, when set, folds the worker's next claim into this round
+	// trip: once the result is accepted (a duplicate included), the
+	// coordinator claims a lease for Worker exactly as a claim request
+	// would, and returns it in CompleteResponse.Next.
+	Next *NextClaim `json:"next,omitempty"`
+}
+
+// NextClaim names where a folded claim draws from.
+type NextClaim struct {
+	// Job pins the claim to one job id; empty claims from any running
+	// job.
+	Job string `json:"job,omitempty"`
 }
 
 // CompleteResponse is its reply. Duplicate is set when the result was
 // discarded because the shard already completed — benign by the
-// determinism contract. It is always sent, false included.
+// determinism contract. It is always sent, false included. Next is the
+// folded claim's lease; it is absent when the request asked for none
+// or nothing was claimable, and the worker then claims on its own.
 type CompleteResponse struct {
-	Duplicate bool `json:"duplicate"`
+	Duplicate bool   `json:"duplicate"`
+	Next      *Lease `json:"next,omitempty"`
 }

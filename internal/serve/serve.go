@@ -126,7 +126,11 @@ type Server struct {
 	// coord schedules distributed sweep jobs (see sweep.go). It owns no
 	// goroutines — lease expiry is lazy — so Close only has to flush its
 	// durable state (final snapshot + journal fsync), never to drain.
-	coord *coord.Coordinator
+	// Claims parked on it live on their HTTP goroutines; parkStop,
+	// closed by StopParking, sends them home.
+	coord    *coord.Coordinator
+	parkStop chan struct{}
+	parkOnce sync.Once
 
 	// scenarios are the live churn sessions (see scenario.go). Sessions
 	// own no goroutines — events run inline on HTTP goroutines — so
@@ -166,9 +170,10 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *job, cfg.QueueDepth),
-		workers: make([]workerStats, cfg.Workers),
+		cfg:      cfg,
+		queue:    make(chan *job, cfg.QueueDepth),
+		workers:  make([]workerStats, cfg.Workers),
+		parkStop: make(chan struct{}),
 	}
 	s.stats.started = time.Now()
 	s.mux = http.NewServeMux()
@@ -206,6 +211,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Server itself as an http.Handler).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// StopParking answers every parked sweep claim with 204 at once and
+// makes later claims answer without parking. Register it with
+// http.Server.RegisterOnShutdown, so a drain never waits out a parked
+// claim; Close calls it too. Safe to call more than once.
+func (s *Server) StopParking() {
+	s.parkOnce.Do(func() { close(s.parkStop) })
+}
+
 // Close drains the pool: no further requests are admitted (they get
 // 503), queued and in-flight requests finish and are answered, and
 // every worker goroutine has exited when Close returns. A durable
@@ -213,6 +226,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // journal, so a clean shutdown recovers without replay. Safe to call
 // more than once.
 func (s *Server) Close() {
+	s.StopParking()
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
+	"time"
 
 	"repro/internal/coord"
 )
@@ -21,11 +23,19 @@ import (
 //	POST /v1/sweep/lease          claim a shard of any running job
 //	POST /v1/sweep/{id}/lease     claim a shard of one job
 //	POST /v1/sweep/{id}/renew     heartbeat a lease
-//	POST /v1/sweep/{id}/complete  deliver a shard's cells
+//	POST /v1/sweep/{id}/complete  deliver a shard's cells (+ next lease)
+//
+// A claim carrying "wait_ms" parks when no shard is claimable, for up
+// to that long (capped at coord.MaxClaimWait), and claims again as soon
+// as a job is submitted or finishes; it answers 204 when the wait runs
+// out. A complete carrying "next" claims the worker's next lease once
+// the result is accepted and returns it as "next" (absent when nothing
+// was claimable). Finished jobs and their results are kept until a
+// submit at the live-jobs bound evicts the oldest one.
 //
 // Status mapping: 204 no claimable work, 404 unknown job, 409 lease
 // lost / result not ready, 410 job finished (per-job claim), 429 too
-// many live jobs.
+// many running jobs.
 
 // registerSweep mounts the coordinator routes on the server mux.
 func (s *Server) registerSweep() {
@@ -107,7 +117,8 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
-	lease, err := s.coord.Claim(jobID, req.Worker)
+	wait := time.Duration(min(req.WaitMS, coord.MaxClaimWait.Milliseconds())) * time.Millisecond
+	lease, err := s.claimWait(r.Context(), jobID, req.Worker, wait)
 	switch {
 	case errors.Is(err, coord.ErrNoWork):
 		w.WriteHeader(http.StatusNoContent)
@@ -117,6 +128,40 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 		return
 	}
 	s.writeOK(w, lease)
+}
+
+// claimWait claims like Coordinator.Claim. When nothing is claimable it
+// parks for up to wait and claims again each time a job is submitted or
+// finishes. When the wait runs out it
+// claims once more, so a lease that expired meanwhile is picked up
+// then. It answers ErrNoWork at once when the client goes away or the
+// server stops parking claims (StopParking).
+func (s *Server) claimWait(ctx context.Context, jobID, worker string, wait time.Duration) (*coord.Lease, error) {
+	var expired <-chan time.Time
+	for {
+		var changed <-chan struct{}
+		if wait > 0 {
+			changed = s.coord.WorkChanged()
+		}
+		lease, err := s.coord.Claim(jobID, worker)
+		if wait <= 0 || !errors.Is(err, coord.ErrNoWork) {
+			return lease, err
+		}
+		if expired == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-changed:
+		case <-expired:
+			wait = 0
+		case <-ctx.Done():
+			return nil, err
+		case <-s.parkStop:
+			return nil, err
+		}
+	}
 }
 
 func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
@@ -147,5 +192,12 @@ func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, err)
 		return
 	}
-	s.writeOK(w, coord.CompleteResponse{Duplicate: dup})
+	resp := coord.CompleteResponse{Duplicate: dup}
+	if req.Next != nil {
+		// The folded claim journals the record a claim request would,
+		// right after the complete's. Whatever stops it leaves Next
+		// empty; the worker's own claim then reports it.
+		resp.Next, _ = s.coord.Claim(req.Next.Job, req.Worker)
+	}
+	s.writeOK(w, resp)
 }

@@ -2,11 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coord"
 	"repro/internal/experiments"
@@ -170,5 +178,385 @@ func TestSweepCompleteRejectsIncompleteArtifact(t *testing.T) {
 	}
 	if rec := do(t, s, "GET", "/v1/sweep/"+sub.ID+"/result", nil); rec.Code != http.StatusOK || rec.Body.String() != full.Dat() {
 		t.Fatalf("result: %d, merge differs from the unsharded golden", rec.Code)
+	}
+}
+
+// shardCells computes and encodes one shard of fig2a at 2 seeds, base
+// seed 1, as a worker would.
+func shardCells(t *testing.T, l *coord.Lease) []byte {
+	t.Helper()
+	sc, err := experiments.RunFigureShard(t.Context(), l.Figure, experiments.Config{Seeds: l.Seeds, BaseSeed: l.BaseSeed},
+		experiments.Shard{Index: l.Shard, Count: l.Shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sc.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+var parkJob = coord.SweepJob{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shards: 1}
+
+// claimResult is one ClaimWait's outcome and when it arrived.
+type claimResult struct {
+	lease *coord.Lease
+	err   error
+	at    time.Time
+}
+
+// parkClaim starts a ClaimWait and returns its outcome channel. It
+// checks that the claim is still parked after parkSettle, so whatever
+// answers it afterwards happened while it waited.
+func parkClaim(t *testing.T, ctx context.Context, cl *coord.Client, jobID string, wait time.Duration) <-chan claimResult {
+	t.Helper()
+	got := make(chan claimResult, 1)
+	go func() {
+		l, err := cl.ClaimWait(ctx, jobID, "parked", wait)
+		got <- claimResult{l, err, time.Now()}
+	}()
+	time.Sleep(parkSettle)
+	select {
+	case r := <-got:
+		t.Fatalf("claim answered before anything happened: lease %+v err %v", r.lease, r.err)
+	default:
+	}
+	return got
+}
+
+// parkSettle is how long a test lets a claim reach the handler and park.
+const parkSettle = 100 * time.Millisecond
+
+// TestParkedClaimWakesOnSubmit: a parked any-job claim gets the lease
+// of a job submitted during its wait within milliseconds, not when the
+// wait runs out.
+func TestParkedClaimWakesOnSubmit(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	got := parkClaim(t, t.Context(), coord.NewClient(ts.URL), "", coord.MaxClaimWait)
+	submitted := time.Now()
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || r.lease == nil || r.lease.Job != id {
+		t.Fatalf("parked claim: lease %+v err %v, want a lease on %s", r.lease, r.err, id)
+	}
+	if d := r.at.Sub(submitted); d > coord.MaxClaimWait/4 {
+		t.Fatalf("parked claim answered %v after the submit", d)
+	}
+}
+
+// TestParkedClaimJobDone: a claim parked on a job whose every shard is
+// leased answers 410 (ErrJobDone) as soon as the job merges.
+func TestParkedClaimJobDone(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.coord.Claim(id, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := shardCells(t, l)
+	got := parkClaim(t, t.Context(), coord.NewClient(ts.URL), id, coord.MaxClaimWait)
+	merged := time.Now()
+	if err := s.coord.Complete(id, l.Shard, l.Token, "w", cells); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if !errors.Is(r.err, coord.ErrJobDone) {
+		t.Fatalf("parked per-job claim: lease %+v err %v, want ErrJobDone", r.lease, r.err)
+	}
+	if d := r.at.Sub(merged); d > coord.MaxClaimWait/4 {
+		t.Fatalf("parked claim answered %v after the merge", d)
+	}
+}
+
+// TestParkedClaimTimesOut: a park that sees no new work answers 204
+// (ErrNoWork) when its wait runs out; a lease that expired meanwhile is
+// picked up by that last claim; a cancelled request returns at once.
+func TestParkedClaimTimesOut(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, SweepLeaseTTL: 150 * time.Millisecond})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	cl := coord.NewClient(ts.URL)
+
+	start := time.Now()
+	if _, err := cl.ClaimWait(t.Context(), "", "w", 200*time.Millisecond); !errors.Is(err, coord.ErrNoWork) {
+		t.Fatalf("idle park: %v, want ErrNoWork", err)
+	}
+	if d := time.Since(start); d < 200*time.Millisecond || d > coord.MaxClaimWait {
+		t.Fatalf("idle park answered after %v, want the 200ms wait", d)
+	}
+
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := s.coord.Claim(id, "dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := cl.ClaimWait(t.Context(), id, "w", 300*time.Millisecond)
+	if err != nil || l.Shard != dead.Shard || l.Token == dead.Token {
+		t.Fatalf("park over an expiring lease: lease %+v err %v, want the shard re-leased", l, err)
+	}
+
+	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	if _, err := cl.ClaimWait(ctx, id, "w", coord.MaxClaimWait); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled park: %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > coord.MaxClaimWait/2 {
+		t.Fatalf("cancelled park returned after %v", d)
+	}
+}
+
+// TestShutdownWakesParkedClaims: with a claim parked, an http.Server
+// wired as cmd/serve wires it drains in well under the claim's wait,
+// the claim answers 204, later claims do not park, and nothing
+// outlives the drain.
+func TestShutdownWakesParkedClaims(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: s}
+	hs.RegisterOnShutdown(s.StopParking)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	tr := &http.Transport{}
+	cl := &coord.Client{BaseURL: "http://" + ln.Addr().String(), HTTPClient: &http.Client{Transport: tr}}
+
+	got := parkClaim(t, t.Context(), cl, "", coord.MaxClaimWait)
+	start := time.Now()
+	if err := hs.Shutdown(t.Context()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > coord.MaxClaimWait/2 {
+		t.Fatalf("Shutdown took %v with a claim parked", d)
+	}
+	if r := <-got; !errors.Is(r.err, coord.ErrNoWork) {
+		t.Fatalf("parked claim at shutdown: lease %+v err %v, want ErrNoWork", r.lease, r.err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve: %v", err)
+	}
+	start = time.Now()
+	if rec := do(t, s, "POST", "/v1/sweep/lease", []byte(`{"wait_ms":1000}`)); rec.Code != http.StatusNoContent || time.Since(start) > coord.MaxClaimWait/2 {
+		t.Fatalf("claim after shutdown: %d after %v, want 204 at once", rec.Code, time.Since(start))
+	}
+	s.Close()
+	tr.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// FuzzSweepSubmit posts arbitrary bodies to POST /v1/sweep on one
+// long-lived server. Every body gets a 4xx, or a job id whose Progress
+// is consistent: a known figure, the body's parameters normalized, and
+// every shard pending. No body panics the handler or grows the retained
+// jobs past the coordinator's bound; none of these jobs finishes, so
+// the bound then answers 429.
+func FuzzSweepSubmit(f *testing.F) {
+	for _, body := range []string{
+		`{"figure":"fig2a","seeds":2,"base_seed":1,"shards":4}`,
+		`{"figure":"fig2a","shards":1,"lease_ttl_ms":1,"job_key":"k1"}`,
+		`{"figure":"fig2a","shards":1,"lease_ttl_ms":-5,"job_key":"k1"}`,
+		`{"figure":"fig3","seeds":1,"shards":256,"base_seed":-9}`,
+		`{"figure":"fig2a","shards":257}`,
+		`{"figure":"fig2a","seeds":-1,"shards":2}`,
+		`{"figure":"nope","shards":2}`,
+		`{"figure":"fig2a","shards":0}`,
+		`{}`,
+		`[]`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxJobs = 64 // the coordinator's default bound
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	var ids []string // distinct accepted job ids, in order
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(t, s, "POST", "/v1/sweep", body)
+		if rec.Code != http.StatusOK {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("%q: status %d (%s), want 200 or 4xx", body, rec.Code, rec.Body.String())
+			}
+			return
+		}
+		var sub coord.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
+			t.Fatalf("%q: submit reply %q: %v", body, rec.Body.String(), err)
+		}
+		rec = do(t, s, "GET", "/v1/sweep/"+sub.ID, nil)
+		var p coord.Progress
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%q: progress of %s: %d %v", body, sub.ID, rec.Code, err)
+		}
+		if p.ID != sub.ID || p.State != "running" || p.Done != 0 || p.Seeds < 1 ||
+			p.Total < 1 || p.Total > 256 || len(p.Shards) != p.Total || !slices.Contains(experiments.FigureIDs(), p.Figure) {
+			t.Fatalf("%q: inconsistent progress %+v", body, p)
+		}
+		for i, sp := range p.Shards {
+			if sp.Shard != i || sp.State != "pending" {
+				t.Fatalf("%q: shard row %d: %+v", body, i, sp)
+			}
+		}
+		var spec coord.SweepJob
+		if json.Unmarshal(body, &spec) == nil && spec.JobKey == "" {
+			wantSeeds := spec.Seeds
+			if wantSeeds == 0 {
+				wantSeeds = 10
+			}
+			if p.Figure != spec.Figure || p.Total != spec.Shards || p.BaseSeed != spec.BaseSeed || p.Seeds != wantSeeds {
+				t.Fatalf("%q: progress %+v does not match the spec", body, p)
+			}
+		}
+		if !slices.Contains(ids, sub.ID) {
+			ids = append(ids, sub.ID)
+		}
+		retained := 0
+		for _, id := range ids {
+			if do(t, s, "GET", "/v1/sweep/"+id, nil).Code == http.StatusOK {
+				retained++
+			}
+		}
+		if retained > maxJobs {
+			t.Fatalf("%d jobs retained, bound %d", retained, maxJobs)
+		}
+	})
+}
+
+// TestFoldedClaimJournalIdentical drives one scripted history twice
+// through the HTTP handlers, each time on a durable coordinator under
+// the same fake clock: once with a complete request and then a claim
+// request per shard, once with the claim folded into the complete. The
+// history takes every kind of complete — refused, accepted, duplicate,
+// the last one that merges — and claims that find a lease, no work, or
+// their pinned job done. Both journals must match byte for byte.
+func TestFoldedClaimJournalIdentical(t *testing.T) {
+	run := func(fold bool) []byte {
+		dir := t.TempDir()
+		now := time.Unix(1_000_000, 0)
+		s := newTestServer(t, Config{Workers: 1})
+		s.coord.Close()
+		var err error
+		s.coord, err = coord.Open(coord.Config{
+			DefaultLeaseTTL: 10 * time.Second,
+			StateDir:        dir,
+			Now:             func() time.Time { return now },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := func(path string, body any) *httptest.ResponseRecorder {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return do(t, s, "POST", path, raw)
+		}
+		claim := func(job, worker string) (*coord.Lease, int) {
+			path := "/v1/sweep/lease"
+			if job != "" {
+				path = "/v1/sweep/" + job + "/lease"
+			}
+			rec := post(path, coord.ClaimRequest{Worker: worker})
+			if rec.Code != http.StatusOK {
+				return nil, rec.Code
+			}
+			var l coord.Lease
+			if err := json.Unmarshal(rec.Body.Bytes(), &l); err != nil {
+				t.Fatal(err)
+			}
+			return &l, rec.Code
+		}
+		// step completes l for worker and claims its next lease from job.
+		step := func(name string, l *coord.Lease, worker, job string, wantDup bool, wantClaim int) *coord.Lease {
+			t.Helper()
+			req := coord.CompleteRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(shardCells(t, l))}
+			if fold {
+				req.Next = &coord.NextClaim{Job: job}
+			}
+			rec := post("/v1/sweep/"+l.Job+"/complete", req)
+			var resp coord.CompleteResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || resp.Duplicate != wantDup {
+				t.Fatalf("fold=%v %s: complete %d %s", fold, name, rec.Code, rec.Body.String())
+			}
+			next, code := resp.Next, http.StatusOK
+			if !fold {
+				next, code = claim(job, worker)
+			} else if next == nil {
+				code = wantClaim // a folded claim does not say why it found nothing
+			}
+			if code != wantClaim {
+				t.Fatalf("fold=%v %s: claim answered %d, want %d", fold, name, code, wantClaim)
+			}
+			return next
+		}
+		two := parkJob
+		two.Shards = 2
+		three := parkJob
+		three.Shards = 3
+		a, err := s.coord.Submit(two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.coord.Submit(three)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A refused complete claims nothing, folded or not: here a claim
+		// would find a pending shard and journal it.
+		refused := coord.CompleteRequest{Shard: 0, Token: "bogus", Worker: "w1", Cells: "x"}
+		if fold {
+			refused.Next = &coord.NextClaim{}
+		}
+		if rec := post("/v1/sweep/"+a+"/complete", refused); rec.Code != http.StatusConflict || strings.Contains(rec.Body.String(), "next") {
+			t.Fatalf("fold=%v refused complete: %d %s", fold, rec.Code, rec.Body.String())
+		}
+		slow, _ := claim(a, "slow")
+		now = now.Add(11 * time.Second) // slow's lease expires
+		l0, _ := claim(a, "w1")
+		a1 := step("complete, pinned claim", l0, "w1", a, false, http.StatusOK)
+		b0 := step("duplicate, any-job claim", slow, "slow", "", true, http.StatusOK)
+		b1 := step("merge a, any-job claim", a1, "w1", "", false, http.StatusOK)
+		b2 := step("complete, pinned claim", b0, "slow", b, false, http.StatusOK)
+		step("complete, pinned job has no work", b1, "w1", b, false, http.StatusNoContent)
+		step("merge b, pinned job done", b2, "slow", b, false, http.StatusGone)
+		step("late duplicate, nothing running", a1, "w1", "", true, http.StatusNoContent)
+		for _, id := range []string{a, b} {
+			if rec := do(t, s, "GET", "/v1/sweep/"+id+"/result", nil); rec.Code != http.StatusOK {
+				t.Fatalf("fold=%v: result of %s: %d", fold, id, rec.Code)
+			}
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	sep, fold := run(false), run(true)
+	if len(sep) == 0 || !bytes.Equal(sep, fold) {
+		t.Fatalf("folded claims wrote a different journal (%d vs %d bytes)", len(fold), len(sep))
 	}
 }
