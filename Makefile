@@ -118,7 +118,10 @@ churn-smoke:
 # badge) are skipped. The README module map's internal/ block must name
 # every directory under internal/, and every name in it must exist.
 # Every *.md path named in a Go comment must exist, resolved from the
-# repo root or from the Go file's own directory.
+# repo root or from the Go file's own directory. Every target of a
+# `make ...` line inside a fenced code block of README.md or docs/*.md
+# must be a target of this Makefile (options, VAR=value arguments and
+# anything after a # comment or a shell operator are skipped).
 docs-check:
 	@fail=0; \
 	for pkg in $$($(GO) list -f '{{if ne .Name "main"}}{{.Dir}}:{{.Name}}{{end}}' ./...); do \
@@ -153,6 +156,16 @@ docs-check:
 				echo "docs-check: $$f: a comment names $$ref, which does not exist"; fail=1; \
 			fi; \
 		done; \
+	done; \
+	for ref in $$(awk 'FNR == 1 { fence = 0 } /^```/ { fence = !fence; next } \
+			fence && /^[[:space:]]*(\$$ )?make / { \
+				sub(/#.*/, ""); sub(/^[[:space:]]*(\$$ )?make /, ""); \
+				for (i = 1; i <= NF && $$i !~ /^[|&;>]/; i++) \
+					if ($$i !~ /^-|=/) print FILENAME ":" FNR ":" $$i }' README.md docs/*.md); do \
+		target=$${ref##*:}; \
+		if ! grep -qE "^$$target:" Makefile; then \
+			echo "docs-check: $${ref%:*}: make target $$target does not exist"; fail=1; \
+		fi; \
 	done; \
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "docs-check: OK"

@@ -346,7 +346,7 @@ func run(seeds, itersScale int) (*Report, error) {
 		}))
 	}
 
-	// Instance generation on a reusable Generator (the serve workers'
+	// Instance generation on a reusable Generator (the serve arenas'
 	// and sweep environments' path), rotating seeds; steady state is
 	// allocation-free.
 	{
@@ -462,10 +462,10 @@ func run(seeds, itersScale int) (*Report, error) {
 	}))
 
 	// Serve: the allocation daemon's solve endpoint through the real
-	// handler stack — parse, admission queue, worker arena, render —
-	// serial (alloc-gated: one warmed worker, deterministic request
-	// rotation) and with four concurrent clients against four workers
-	// (throughput trend; scheduler-dependent, so not alloc-gated).
+	// handler stack — parse, admission, borrowed arena, render — serial
+	// (alloc-gated: one warmed arena, deterministic request rotation)
+	// and with four concurrent clients against four arenas (throughput
+	// trend; scheduler-dependent, so not alloc-gated).
 	{
 		bodies := make([][]byte, 0, seeds)
 		for s := 1; s <= seeds; s++ {
@@ -509,8 +509,8 @@ func run(seeds, itersScale int) (*Report, error) {
 	// Verify: one /v1/verify request with an inline N=40 instance — the
 	// shape of e2ebench's solve-verify workload — through the real
 	// handler stack: the body and its instance decoded in one pass, the
-	// mapping rebuilt and a 60-result stream simulation on the worker's
-	// runner. Serial on one warmed worker, so alloc-gated.
+	// mapping rebuilt and a 60-result stream simulation on the arena's
+	// runner. Serial on one warmed arena, so alloc-gated.
 	{
 		srv := serve.New(serve.Config{Workers: 1, QueueDepth: 8})
 		post := func(path string, body []byte) *httptest.ResponseRecorder {

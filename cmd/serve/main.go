@@ -2,8 +2,9 @@
 // exposing the solve pipeline (POST /v1/solve), stream-engine
 // verification (POST /v1/verify), the distributed sweep coordinator
 // (POST /v1/sweep and lease routes; see internal/coord and command
-// sweepworker), liveness (GET /healthz) and counters (GET /statsz) on
-// a fixed-size pool of workers with warmed per-worker arenas. See
+// sweepworker), liveness (GET /healthz) and counters (GET /statsz).
+// Each request runs on its own HTTP goroutine; a solve or verify
+// borrows one of -workers warmed arenas for its run. See
 // internal/serve for the endpoint contracts and README "Server" for
 // examples.
 //
@@ -13,7 +14,7 @@
 //	      [-max-ops N] [-sweep-lease-ttl D] [-coord-state-dir DIR] [-port-file PATH]
 //
 // The daemon stops accepting connections on SIGINT/SIGTERM, finishes
-// every in-flight and queued request, drains the worker pool and exits
+// every admitted request — running or waiting for an arena — and exits
 // 0 — smoke tests assert exactly that. With -addr host:0 the kernel
 // picks the port; -port-file publishes the bound address for scripts.
 // With -coord-state-dir the sweep coordinator journals its job state
@@ -39,10 +40,10 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers    = flag.Int("workers", 0, "solve workers, each with its own warmed arena (0: one per CPU)")
-		queue      = flag.Int("queue", 0, "admission queue depth before 429 shedding (0: 4x workers)")
+		workers    = flag.Int("workers", 0, "warmed solve arenas, so solve/verify requests run at once (0: one per CPU)")
+		queue      = flag.Int("queue", 0, "admitted requests that may wait for an arena before 429 shedding (0: 4x workers)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
-		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
+		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "cap on every request deadline, -timeout included")
 		maxOps     = flag.Int("max-ops", 2000, "largest accepted instance, in operators")
 		sweepTTL   = flag.Duration("sweep-lease-ttl", 0, "default sweep shard lease deadline, rounded up to whole milliseconds (0: coordinator default 30s)")
 		stateDir   = flag.String("coord-state-dir", "", "journal + snapshot sweep coordinator state here and recover it on restart (empty: in-memory only)")
@@ -108,8 +109,9 @@ func run(addr, portFile string, cfg serve.Config) error {
 	stop()
 	fmt.Fprintln(os.Stderr, "serve: draining (signal received)")
 
-	// Stop accepting and wait for in-flight handlers — each blocked on
-	// its queued job — then drain the worker pool itself.
+	// Stop accepting and wait for in-flight handlers, each running its
+	// request or waiting for an arena; Close then waits out the arena
+	// warmers and seals the sweep coordinator.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {

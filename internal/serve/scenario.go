@@ -21,10 +21,10 @@ import (
 // comparison, a from-scratch portfolio re-solve), so a client can drive
 // a long-lived deployment through workload changes without ever
 // re-shipping the platform state. Like the sweep routes these never
-// touch the worker pool: a single event's repair is far cheaper than a
+// borrow a solve arena: a single event's repair is far cheaper than a
 // cold solve, sessions are serialized by their own mutex, and the work
 // runs inline on the HTTP goroutine, so churn traffic can neither
-// occupy nor be shed by the solve queue.
+// occupy an arena nor be shed by solve admission.
 //
 //	POST   /v1/scenario              create a session (initial solve; optional
 //	                                 generated event stream) -> {"id": ...}
@@ -144,18 +144,6 @@ type ScenarioStatus struct {
 	Rejected int                   `json:"rejected"`
 	Moved    int                   `json:"moved"`
 	Trace    []ScenarioEventResult `json:"trace,omitempty"`
-}
-
-// scenarioTimeout clamps a client timeout like the solve endpoints do.
-func (s *Server) scenarioTimeout(ms int64) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
 }
 
 // driftModelFor parses the wire drift-model name.
@@ -331,6 +319,8 @@ func (s *Server) noteEvent(ses *scenarioSession, er churn.EventResult) {
 	s.stats.churnMoved.Add(int64(er.Moved))
 }
 
+// handleScenarioCreate runs the initial solve (plus any generated
+// events) and registers the session.
 func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	body, herr := readBody(r, maxBodyBytes)
 	var create *scenarioCreate
@@ -341,13 +331,6 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
-	s.createScenario(w, r, create)
-}
-
-// createScenario runs the initial solve (plus any generated events)
-// and registers the session. Split from the handler so the parse
-// errors above share one exit.
-func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, create *scenarioCreate) {
 	req := create.req
 	sc := churn.NewScenario(create.cfg, req.Seed)
 	// events == 0 on the wire means "no generated stream" (a session
@@ -362,7 +345,7 @@ func (s *Server) createScenario(w http.ResponseWriter, r *http.Request, create *
 		Budget: time.Duration(req.BudgetMS) * time.Millisecond,
 	})
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.scenarioTimeout(req.TimeoutMS))
+	ctx, cancel, _ := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
 	ses := &scenarioSession{eng: eng}
@@ -436,8 +419,7 @@ func eventFor(req ScenarioEventRequest) (churn.Event, *httpError) {
 
 func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioEventRequest
-	if herr := decodeBody(r, maxBodyBytes, &req); herr != nil {
-		s.clientError(w, herr.status, herr.msg)
+	if !s.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	ev, herr := eventFor(req)
@@ -449,7 +431,7 @@ func (s *Server) handleScenarioEvent(w http.ResponseWriter, r *http.Request) {
 	if ses == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.scenarioTimeout(req.TimeoutMS))
+	ctx, cancel, _ := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
 	// One writer at a time: the engine mutates the incumbent in place,

@@ -1,14 +1,17 @@
 // Package serve is the allocation daemon behind cmd/serve: it turns the
 // repository's near-zero-alloc solve pipeline into a long-running HTTP
-// service. A fixed-size pool of workers — each owning a warmed
-// per-worker arena (instance.Generator, heuristics.SolveContext,
-// stream.Runner), never shared, mirroring the per-worker
-// isolation of par.ForEachWorker — drains a bounded admission queue fed
-// by the HTTP handlers. When the queue is full the server sheds load
-// with 429 + Retry-After instead of building an unbounded backlog;
-// per-request deadlines ride the standard context cancellation, checked
-// between the portfolio's heuristics; Close drains gracefully (stop
-// admitting, finish in-flight, no goroutine outlives the call).
+// service. Every request runs on its own HTTP goroutine. A solve or
+// verify borrows one of a fixed set of warmed arenas
+// (instance.Generator, heuristics.SolveContext, stream.Runner) for the
+// length of its run — never shared, mirroring the per-worker isolation
+// of par.ForEachWorker — and gives it back before writing its answer.
+// At most Workers+QueueDepth solve/verify requests are admitted at
+// once; beyond that the server sheds load with 429 + Retry-After
+// instead of building an unbounded backlog. Per-request deadlines ride
+// the standard context cancellation, checked while waiting for an
+// arena and between the portfolio's heuristics; Close drains
+// gracefully (stop admitting, finish in-flight, no goroutine outlives
+// the call).
 //
 // Endpoints:
 //
@@ -28,12 +31,12 @@
 //	                 arrival that would, is refused with 413
 //	GET  /healthz    liveness ("ok")
 //	GET  /statsz     JSON counters: requests, rejections, in-flight,
-//	                 p50/p99 latency, per-worker arena reuse stats,
+//	                 p50/p99 latency, per-arena reuse stats,
 //	                 sweep coordinator lease/re-lease/merge counters,
 //	                 churn session/outcome/migration counters
 //
 // Every response the solve and verify endpoints produce is a pure
-// function of the request body: workers carry no identity into results,
+// function of the request body: arenas carry no identity into results,
 // randomness is reseeded per request from the request's seed, and
 // portfolio ties break in the paper's fixed heuristic order.
 package serve
@@ -52,24 +55,25 @@ import (
 	"repro/internal/heuristics"
 )
 
-// Config tunes the daemon. The zero value serves with one worker per
-// CPU, a queue of four waiting requests per worker, a 10s default /
-// 60s maximum per-request deadline and a 2000-operator instance cap.
+// Config tunes the daemon. The zero value serves with one arena per
+// CPU, room for four waiting requests per arena, a 10s default / 60s
+// maximum per-request deadline and a 2000-operator instance cap.
 type Config struct {
-	// Workers is the number of solve workers (and warmed arenas);
-	// <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the number of warmed solve arenas, and so of solve and
+	// verify requests that run at once; <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth bounds how many admitted requests may wait for a
-	// worker; beyond it the server sheds load with 429. <= 0 means
-	// 4*Workers.
+	// QueueDepth bounds how many admitted solve and verify requests may
+	// wait for an arena; beyond it the server sheds load with 429. <= 0
+	// means 4*Workers.
 	QueueDepth int
 	// DefaultTimeout applies when a request carries no timeout_ms;
-	// <= 0 means 10s.
+	// <= 0 means 10s. MaxTimeout caps it like any other deadline.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines; <= 0 means 60s.
+	// MaxTimeout caps every request's deadline; <= 0 means 60s.
 	MaxTimeout time.Duration
 	// MaxOps rejects instances larger than this many operators with
-	// 413 before they reach a worker; it also refuses scenario sessions
+	// 413 before they reach an arena; it also refuses scenario sessions
 	// whose applications, or whose most live operators at once, could
 	// exceed it (judged after the generator's defaults), and arrivals
 	// that would take a session past it. <= 0 means 2000.
@@ -101,27 +105,30 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
+	c.DefaultTimeout = min(c.DefaultTimeout, c.MaxTimeout)
 	if c.MaxOps <= 0 {
 		c.MaxOps = 2000
 	}
 	return c
 }
 
-// Server is the allocation service: an http.Handler backed by the
-// worker pool. Create with New, serve via any http.Server, then Close
-// to drain. Safe for concurrent use by any number of HTTP goroutines.
+// Server is the allocation service: an http.Handler whose solve and
+// verify requests borrow warmed arenas. Create with New, serve via any
+// http.Server, then Close to drain. Safe for concurrent use by any
+// number of HTTP goroutines.
 type Server struct {
-	cfg   Config
-	mux   *http.ServeMux
-	queue chan *job
+	cfg  Config
+	mux  *http.ServeMux
+	envs chan *env // idle arenas; a solve or verify borrows one
 
-	mu       sync.RWMutex // guards draining vs. enqueue races
+	mu       sync.Mutex // orders admission against Close
 	draining bool
-	wg       sync.WaitGroup // worker goroutines
+	admitted int            // solve and verify requests admitted, not yet answered
+	active   sync.WaitGroup // admitted requests and arena warmers
 
 	stats   counters
 	lat     latencyWindow
-	workers []workerStats
+	workers []workerStats // one per arena
 
 	// coord schedules distributed sweep jobs (see sweep.go). It owns no
 	// goroutines — lease expiry is lazy — so Close only has to flush its
@@ -140,18 +147,22 @@ type Server struct {
 	scenSeq   int64
 
 	// testHookJobStart, when set before any request arrives, runs on the
-	// worker goroutine at the start of every job; tests use it to hold
-	// workers busy deterministically (queue-full and deadline paths).
+	// HTTP goroutine of every solve and verify once it holds an arena;
+	// tests use it to hold arenas busy deterministically (queue-full,
+	// deadline and drain paths).
 	testHookJobStart func()
 	// testHookEventStep, when set, runs on the HTTP goroutine just before
 	// every churn-session engine step, under the session mutex; tests use
 	// it to inject a panic into the step.
 	testHookEventStep func()
+	// testHookDeadline, when set, sees every request context
+	// requestContext bounds; tests read its deadline.
+	testHookDeadline func(context.Context)
 }
 
-// New starts the worker pool and returns the ready-to-serve Server.
-// It panics when Config asks for a durable coordinator whose state dir
-// cannot be opened — use Open to handle that error.
+// New opens the Server and returns it ready to serve. It panics when
+// Config asks for a durable coordinator whose state dir cannot be
+// opened — use Open to handle that error.
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
@@ -160,10 +171,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Open starts the worker pool and returns the ready-to-serve Server.
-// Each worker owns its arenas exclusively and warms them immediately,
-// so the first requests do not pay cold-buffer growth. When
-// Config.CoordStateDir is set, the sweep coordinator recovers any
+// Open returns the ready-to-serve Server. Its Workers arenas warm in
+// the background, so Open does not wait for them and the first
+// requests do not pay cold-buffer growth; a request that arrives
+// before any arena is warm waits for one as it would for a busy one.
+// When Config.CoordStateDir is set, the sweep coordinator recovers any
 // journaled job state from it before the first request is served; an
 // unreadable or corrupt state dir fails the open rather than silently
 // dropping committed jobs.
@@ -171,7 +183,7 @@ func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		queue:    make(chan *job, cfg.QueueDepth),
+		envs:     make(chan *env, cfg.Workers),
 		workers:  make([]workerStats, cfg.Workers),
 		parkStop: make(chan struct{}),
 	}
@@ -180,9 +192,11 @@ func Open(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
+		s.stats.solveReqs.Add(1)
 		s.dispatch(w, r, jobSolve)
 	})
 	s.mux.HandleFunc("POST /v1/verify", func(w http.ResponseWriter, r *http.Request) {
+		s.stats.verifyReqs.Add(1)
 		s.dispatch(w, r, jobVerify)
 	})
 	var err error
@@ -195,9 +209,14 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.registerSweep()
 	s.registerScenario()
-	s.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go s.worker(w)
+	s.active.Add(cfg.Workers)
+	for i := range s.workers {
+		go func() {
+			defer s.active.Done()
+			e := &env{stats: &s.workers[i]}
+			e.warm()
+			s.envs <- e
+		}()
 	}
 	return s, nil
 }
@@ -207,10 +226,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Handler returns the server's route mux (identical to using the
-// Server itself as an http.Handler).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // StopParking answers every parked sweep claim with 204 at once and
 // makes later claims answer without parking. Register it with
 // http.Server.RegisterOnShutdown, so a drain never waits out a parked
@@ -219,128 +234,117 @@ func (s *Server) StopParking() {
 	s.parkOnce.Do(func() { close(s.parkStop) })
 }
 
-// Close drains the pool: no further requests are admitted (they get
-// 503), queued and in-flight requests finish and are answered, and
-// every worker goroutine has exited when Close returns. A durable
-// sweep coordinator then takes a final snapshot and fsyncs its
-// journal, so a clean shutdown recovers without replay. Safe to call
-// more than once.
+// Close drains the server: no further solve or verify request is
+// admitted (they get 503), every admitted one finishes and is
+// answered, and Close returns only once every admitted request and
+// every arena warmer has finished. A durable sweep coordinator then
+// takes a final snapshot and fsyncs its journal, so a clean shutdown
+// recovers without replay. Safe to call more than once.
 func (s *Server) Close() {
 	s.StopParking()
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.active.Wait()
 	_ = s.coord.Close()
 }
 
-// admission is the outcome of trying to hand a job to the pool.
-type admission int
-
-const (
-	admitted admission = iota
-	admitFull
-	admitDraining
-)
-
-// enqueue offers the job to the pool without blocking. The read lock
-// orders it against Close: the queue can only be closed while no
-// enqueue is in flight, so sends never hit a closed channel.
-func (s *Server) enqueue(jb *job) admission {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return admitDraining
+// admit counts a solve or verify request in and returns 0, or returns
+// why it is refused: 503 while draining, 429 when Workers+QueueDepth
+// requests are already admitted. Counting in under the mutex orders it
+// against Close, so no request is admitted once Close waits.
+func (s *Server) admit() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.draining:
+		return http.StatusServiceUnavailable
+	case s.admitted >= s.cfg.Workers+s.cfg.QueueDepth:
+		return http.StatusTooManyRequests
 	}
-	select {
-	case s.queue <- jb:
-		return admitted
-	default:
-		return admitFull
-	}
+	s.admitted++
+	s.active.Add(1)
+	return 0
 }
 
-// dispatch parses, admits and awaits one solve/verify request. Request
-// validation that needs no solver state (JSON shape, heuristic names,
-// size caps) happens here on the HTTP goroutine, so malformed traffic
-// never occupies a worker.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind jobKind) {
-	switch kind {
-	case jobSolve:
-		s.stats.solveReqs.Add(1)
-	case jobVerify:
-		s.stats.verifyReqs.Add(1)
+// release counts an answered request out.
+func (s *Server) release() {
+	s.mu.Lock()
+	s.admitted--
+	s.mu.Unlock()
+	s.active.Done()
+}
+
+// requestContext bounds a request by its timeout_ms, or by
+// DefaultTimeout when it sets none, never beyond MaxTimeout.
+func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc, time.Duration) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	if s.testHookDeadline != nil {
+		s.testHookDeadline(ctx)
+	}
+	return ctx, cancel, timeout
+}
+
+// dispatch parses, admits and runs one solve/verify request on its own
+// HTTP goroutine. Validation that needs no arena (JSON shape, heuristic
+// names, size caps) happens before admission, so malformed traffic
+// never occupies an arena.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind jobKind) {
 	body, herr := readBody(r, maxBodyBytes)
+	var (
+		solve     *solveRequest
+		verify    *verifyRequest
+		timeoutMS int64
+	)
+	switch {
+	case herr != nil:
+	case kind == jobSolve:
+		if solve, herr = parseSolveRequest(body, s.cfg.MaxOps); herr == nil {
+			timeoutMS = solve.TimeoutMS
+		}
+	default:
+		if verify, herr = parseVerifyRequest(body, s.cfg.MaxOps); herr == nil {
+			timeoutMS = verify.TimeoutMS
+		}
+	}
 	if herr != nil {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
-	jb := &job{kind: kind, done: make(chan jobResult, 1)}
-	var timeoutMS int64
-	switch kind {
-	case jobSolve:
-		req, herr := parseSolveRequest(body, s.cfg.MaxOps)
-		if herr != nil {
-			s.clientError(w, herr.status, herr.msg)
-			return
-		}
-		jb.solve = req
-		timeoutMS = req.TimeoutMS
-	case jobVerify:
-		req, herr := parseVerifyRequest(body, s.cfg.MaxOps)
-		if herr != nil {
-			s.clientError(w, herr.status, herr.msg)
-			return
-		}
-		jb.verify = req
-		timeoutMS = req.TimeoutMS
-	}
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel, timeout := s.requestContext(r, timeoutMS)
 	defer cancel()
-	jb.ctx = ctx
 
 	start := time.Now()
-	switch s.enqueue(jb) {
-	case admitDraining:
+	switch s.admit() {
+	case http.StatusServiceUnavailable:
 		s.stats.rejectedDrain.Add(1)
 		w.Header().Set("Connection", "close")
 		s.clientError(w, http.StatusServiceUnavailable, "server is draining")
 		return
-	case admitFull:
+	case http.StatusTooManyRequests:
 		s.stats.rejectedFull.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.clientError(w, http.StatusTooManyRequests, "admission queue full")
 		return
 	}
-	select {
-	case res := <-jb.done:
-		s.lat.record(time.Since(start))
-		if res.status >= 500 {
-			s.stats.serverErr.Add(1)
-		} else if res.status >= 400 {
-			s.stats.clientErr.Add(1)
-		} else {
-			s.stats.ok.Add(1)
-		}
-		writeJSON(w, res.status, res.body)
-	case <-ctx.Done():
-		// The worker may still pick the job up; it will see the expired
-		// context, skip the solve and discard its buffered reply.
+	defer s.release()
+	resp, herr, ok := s.run(ctx, solve, verify)
+	switch {
+	case !ok:
 		s.stats.timeouts.Add(1)
 		s.clientError(w, http.StatusGatewayTimeout,
 			fmt.Sprintf("deadline exceeded after %s", timeout))
+		return
+	case herr != nil:
+		s.clientError(w, herr.status, herr.msg)
+	default:
+		s.writeOK(w, resp)
 	}
+	s.lat.record(time.Since(start))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -360,8 +364,7 @@ func (s *Server) clientError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, append(body, '\n'))
 }
 
-// writeOK marshals and writes one 200 reply of the sweep and scenario
-// routes, counting it.
+// writeOK marshals and writes one 200 reply, counting it.
 func (s *Server) writeOK(w http.ResponseWriter, body any) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -402,17 +405,20 @@ func readBody(r *http.Request, limit int) ([]byte, *httpError) {
 	return body, nil
 }
 
-// decodeBody is readBody followed by a JSON decode into dst (400 when
-// the body is not valid JSON for dst).
-func decodeBody(r *http.Request, limit int, dst any) *httpError {
+// decode is readBody followed by a JSON decode into dst. On failure it
+// answers readBody's status, or 400 when the body is not valid JSON for
+// dst, and returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int, dst any) bool {
 	body, herr := readBody(r, limit)
 	if herr != nil {
-		return herr
+		s.clientError(w, herr.status, herr.msg)
+		return false
 	}
 	if err := json.Unmarshal(body, dst); err != nil {
-		return &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
+		s.clientError(w, http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 // heuristicsFor resolves a request's heuristic field: empty or "all"

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -249,7 +250,7 @@ func TestVerifyRejectsInvalidMapping(t *testing.T) {
 }
 
 // TestQueueFullSheds429 pins the admission contract: with the single
-// worker held busy and the queue full, the next request is shed
+// arena held busy and the queue full, the next request is shed
 // immediately with 429 + Retry-After rather than waiting.
 func TestQueueFullSheds429(t *testing.T) {
 	release := make(chan struct{})
@@ -270,11 +271,12 @@ func TestQueueFullSheds429(t *testing.T) {
 		rec := do(t, s, "POST", "/v1/solve", body)
 		results <- result{rec.Code}
 	}
-	go post() // occupies the worker
-	<-started // worker is now provably busy
-	go post() // occupies the queue's single slot
-	// The queued job never reaches the hook; give the enqueue a moment.
-	waitFor(t, func() bool { return len(s.queue) == 1 })
+	go post() // holds the only arena
+	<-started // the arena is now provably busy
+	go post() // takes the queue's single slot, waiting for the arena
+	// The waiting request never reaches the hook; give its admission a
+	// moment.
+	waitFor(t, func() bool { return statsz(t, s).Queued == 1 })
 
 	rec := do(t, s, "POST", "/v1/solve", body)
 	if rec.Code != http.StatusTooManyRequests {
@@ -295,10 +297,9 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded covers both timeout paths: a request whose
-// deadline expires while the worker is busy (answered 504 by the
-// handler) and one that expires before a worker picks it up (the worker
-// skips the solve).
+// TestDeadlineExceeded covers a request whose deadline expires while it
+// waits for the only arena, held busy: it is answered 504 without ever
+// running.
 func TestDeadlineExceeded(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
@@ -317,8 +318,8 @@ func TestDeadlineExceeded(t *testing.T) {
 	}()
 	<-started
 
-	// This request can only wait in the queue; its 1ms budget expires
-	// there and the handler must answer 504 without a worker.
+	// This request can only wait for the arena; its 1ms budget expires
+	// there and the handler must answer 504 without running.
 	rec := do(t, s, "POST", "/v1/solve", []byte(`{"ref":{"n":5,"alpha":0.9,"seed":1},"timeout_ms":1}`))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("queued timeout: status %d, want 504 (%s)", rec.Code, rec.Body.String())
@@ -326,12 +327,126 @@ func TestDeadlineExceeded(t *testing.T) {
 	if got := s.stats.timeouts.Load(); got != 1 {
 		t.Fatalf("timeouts = %d, want 1", got)
 	}
-	once.Do(func() { close(release) })
-	// The worker eventually drains the expired job and skips its solve;
-	// the skip is visible as a job without a solve.
-	waitFor(t, func() bool {
-		return s.workers[0].jobs.Load() >= 2
-	})
+}
+
+// TestRequestDeadlines pins the one deadline rule of every route: a
+// request's timeout_ms, or DefaultTimeout when it sets none, capped at
+// MaxTimeout — the default included, for solves and scenario events
+// alike.
+func TestRequestDeadlines(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, DefaultTimeout: 90 * time.Second, MaxTimeout: 60 * time.Second})
+	var got time.Duration
+	s.testHookDeadline = func(ctx context.Context) {
+		dl, _ := ctx.Deadline()
+		got = time.Until(dl)
+	}
+	id := scenarioStatus(t, do(t, s, "POST", "/v1/scenario",
+		[]byte(`{"scenario":{"min_ops":4,"max_ops":6},"seed":4}`)).Body.Bytes()).ID
+	cases := []struct {
+		name, path, body string
+		want             time.Duration
+	}{
+		{"solve, default", "/v1/solve", `{"ref":{"n":5,"seed":1}}`, 60 * time.Second},
+		{"solve, over the cap", "/v1/solve", `{"ref":{"n":5,"seed":1},"timeout_ms":120000}`, 60 * time.Second},
+		{"solve, under the cap", "/v1/solve", `{"ref":{"n":5,"seed":1},"timeout_ms":500}`, 500 * time.Millisecond},
+		{"event, default", "/v1/scenario/" + id + "/event", `{"kind":"drift","slot":0,"factor":1.1}`, 60 * time.Second},
+		{"event, over the cap", "/v1/scenario/" + id + "/event", `{"kind":"drift","slot":0,"factor":1.1,"timeout_ms":120000}`, 60 * time.Second},
+		{"event, under the cap", "/v1/scenario/" + id + "/event", `{"kind":"drift","slot":0,"factor":1.1,"timeout_ms":500}`, 500 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		got = 0
+		if rec := do(t, s, "POST", tc.path, []byte(tc.body)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tc.name, rec.Code, rec.Body.String())
+		}
+		if got > tc.want || got < tc.want-time.Second {
+			t.Errorf("%s: deadline %s from now, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestArenaAlwaysReturns runs one arena through every way a run can
+// end — a panic, a deadline passed mid-run, a 422 — and then requires
+// a plain solve to be answered promptly: an arena lost on any path
+// would leave it waiting out its deadline.
+func TestArenaAlwaysReturns(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	var hook func()
+	s.testHookJobStart = func() {
+		if hook != nil {
+			hook()
+		}
+	}
+	solve := []byte(`{"ref":{"n":5,"alpha":0.9,"seed":1}}`)
+
+	hook = func() { panic("injected run failure") }
+	if rec := do(t, s, "POST", "/v1/solve", solve); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking solve: %d (%s), want 500", rec.Code, rec.Body.String())
+	}
+
+	before := statsz(t, s)
+	hook = func() { time.Sleep(40 * time.Millisecond) }
+	rec := do(t, s, "POST", "/v1/solve", []byte(`{"ref":{"n":5,"alpha":0.9,"seed":1},"timeout_ms":20}`))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("solve past its deadline: %d (%s), want 504", rec.Code, rec.Body.String())
+	}
+	after := statsz(t, s)
+	if after.Timeouts != before.Timeouts+1 || after.ServerErrors != before.ServerErrors+1 {
+		t.Fatalf("timeouts %d -> %d, server_errors %d -> %d; want each up by 1",
+			before.Timeouts, after.Timeouts, before.ServerErrors, after.ServerErrors)
+	}
+
+	hook = nil
+	weak := `{"ref":{"n":20,"alpha":0.9,"seed":1},"mapping":{"procs":[{"cpu":0,"nic":0}],"assign":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"downloads":[]}}`
+	if rec := do(t, s, "POST", "/v1/verify", []byte(weak)); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("infeasible verify: %d (%s), want 422", rec.Code, rec.Body.String())
+	}
+
+	rec = do(t, s, "POST", "/v1/solve", []byte(`{"ref":{"n":5,"alpha":0.9,"seed":1},"timeout_ms":1000}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("solve after every exit path: %d (%s), want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// TestCloseWaitsForInFlight calls Close with a solve held on the only
+// arena: Close must wait for it, refuse new requests meanwhile, and
+// return once the held solve is answered, leaving no goroutine behind.
+func TestCloseWaitsForInFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	s.testHookJobStart = func() {
+		close(started)
+		<-release
+	}
+	solve := []byte(`{"ref":{"n":5,"alpha":0.9,"seed":1}}`)
+	held := make(chan int)
+	go func() { held <- do(t, s, "POST", "/v1/solve", solve).Code }()
+	<-started
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, func() bool { return statsz(t, s).Draining })
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a solve was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if rec := do(t, s, "POST", "/v1/solve", solve); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("solve during drain: %d (%s), want 503", rec.Code, rec.Body.String())
+	}
+
+	close(release)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held solve: %d, want 200", code)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the held solve was answered")
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestDrainGoroutineLeak is the graceful-drain pin, patterned on the
@@ -405,6 +520,17 @@ func TestStatszCounters(t *testing.T) {
 	if jobs != 1 || solves != 6 || reuses < 1 {
 		t.Fatalf("statsz per-worker: %+v", st.PerWorker)
 	}
+}
+
+// statsz fetches and decodes GET /statsz.
+func statsz(t *testing.T, s *Server) statszResponse {
+	t.Helper()
+	var st statszResponse
+	rec := do(t, s, "GET", "/statsz", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("statsz JSON: %v\n%s", err, rec.Body.String())
+	}
+	return st
 }
 
 // waitFor polls cond with a deadline; used where the interesting state

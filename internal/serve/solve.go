@@ -17,31 +17,13 @@ import (
 	"repro/internal/stream"
 )
 
-// jobKind selects the work a queued job carries.
+// jobKind selects what a solve or verify request runs on its arena.
 type jobKind int
 
 const (
 	jobSolve jobKind = iota
 	jobVerify
 )
-
-// job is one admitted request travelling from an HTTP goroutine to a
-// worker and back. done is buffered so a worker's reply never blocks
-// even when the handler gave up on the deadline.
-type job struct {
-	ctx    context.Context
-	kind   jobKind
-	solve  *solveRequest
-	verify *verifyRequest
-	done   chan jobResult
-}
-
-// jobResult is a fully rendered response: workers build the final bytes
-// so nothing request-scoped outlives the job on the worker side.
-type jobResult struct {
-	status int
-	body   []byte
-}
 
 // CorpusRef names a generated instance by its coordinates: the same
 // (n, alpha, seed) triple the canonical corpus and every sweep derive
@@ -66,7 +48,7 @@ type SolveRequest struct {
 	TimeoutMS int64              `json:"timeout_ms,omitempty"`
 }
 
-// solveRequest is the parsed, validated form handed to a worker.
+// solveRequest is the parsed, validated form run on an arena.
 type solveRequest struct {
 	inst      *instance.Instance // inline instance, nil when ref-derived
 	ref       *CorpusRef
@@ -283,16 +265,17 @@ func parseVerifyRequest(body []byte, maxOps int) (*verifyRequest, *httpError) {
 	}, nil
 }
 
-// env is one worker's private arena set, mirroring the sweep engine's
-// WorkerEnv: an instance generator, a solve context on its mapping
-// arena, a dedicated mapping for verify reconstruction and a stream
-// runner. Never shared; owned by exactly one worker goroutine.
+// env is one arena set, mirroring the sweep engine's WorkerEnv: an
+// instance generator, a solve context on its mapping arena, a dedicated
+// mapping for verify reconstruction and a stream runner, plus the
+// arena's /statsz counters. Never shared: one request holds it at a
+// time.
 type env struct {
 	gen    instance.Generator
 	sc     heuristics.SolveContext
 	vmap   mapping.Mapping
 	runner stream.Runner
-	warmed bool
+	stats  *workerStats
 }
 
 // warm exercises every arena once on a small pinned instance so the
@@ -308,57 +291,46 @@ func (e *env) warm() {
 	if res != nil {
 		e.runner.Simulate(res.Mapping, stream.Options{Results: 30})
 	}
-	e.warmed = true
 }
 
-// worker is one pool goroutine: it owns env w exclusively and drains
-// the admission queue until Close closes it.
-func (s *Server) worker(w int) {
-	defer s.wg.Done()
-	e := &env{}
-	e.warm()
-	ws := &s.workers[w]
-	for jb := range s.queue {
-		s.stats.inFlight.Add(1)
-		jb.done <- s.process(e, ws, jb)
-		s.stats.inFlight.Add(-1)
+// run borrows an arena, runs one solve (or, when solve is nil, verify)
+// on it and gives it back on every exit path. It returns the response
+// to render, or the error to answer with; neither refers to the arena.
+// A panic becomes a 500, so a poisoned request cannot take the arena
+// down. ok is false when the deadline passed first: while waiting for
+// an arena or during the run, in which case a solve stopped at its next
+// heuristic.
+func (s *Server) run(ctx context.Context, solve *solveRequest, verify *verifyRequest) (resp any, herr *httpError, ok bool) {
+	var e *env
+	select {
+	case e = <-s.envs:
+	case <-ctx.Done():
+		return nil, nil, false
 	}
-}
-
-// process runs one job on the worker's env. Panics become 500s so a
-// poisoned request cannot take the worker (and its arena) down.
-func (s *Server) process(e *env, ws *workerStats, jb *job) (res jobResult) {
+	s.stats.inFlight.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			res = errorResult(http.StatusInternalServerError, fmt.Sprintf("internal error: %v", r))
+			herr = &httpError{http.StatusInternalServerError, fmt.Sprintf("internal error: %v", r)}
 		}
+		s.stats.inFlight.Add(-1)
+		s.envs <- e
+		ok = ctx.Err() == nil
 	}()
 	if s.testHookJobStart != nil {
 		s.testHookJobStart()
 	}
-	ws.jobs.Add(1)
-	if jb.ctx.Err() != nil {
-		// Expired while queued: the handler has already answered 504;
-		// this reply goes to the buffered channel and is dropped.
-		return errorResult(http.StatusGatewayTimeout, "deadline exceeded in queue")
+	e.stats.jobs.Add(1)
+	if solve != nil {
+		return e.runSolve(ctx, solve), nil, true
 	}
-	switch jb.kind {
-	case jobSolve:
-		return e.runSolve(ws, jb.ctx, jb.solve)
-	default:
-		return e.runVerify(ws, jb.verify)
-	}
-}
-
-func errorResult(status int, msg string) jobResult {
-	body, _ := json.Marshal(errorResponse{Error: msg})
-	return jobResult{status: status, body: append(body, '\n')}
+	resp, herr = e.runVerify(verify)
+	return resp, herr, true
 }
 
 // instanceFor materializes the request's instance: inline ones pass
-// through, refs are generated on the worker's arena (valid until its
-// next generate — i.e. for the rest of this job, which renders the
-// response before the worker moves on).
+// through, refs are generated on the arena (valid until its next
+// generate — i.e. for the rest of this run, which renders the response
+// before the arena goes back).
 func (e *env) instanceFor(ref *CorpusRef, inline *instance.Instance) *instance.Instance {
 	if inline != nil {
 		return inline
@@ -366,11 +338,12 @@ func (e *env) instanceFor(ref *CorpusRef, inline *instance.Instance) *instance.I
 	return e.gen.Generate(instance.Config{NumOps: ref.N, Alpha: ref.Alpha}, ref.Seed)
 }
 
-// runSolve executes the requested heuristics serially on this worker's
-// arena through SolveContext.Portfolio, which keeps the winner on the
+// runSolve executes the requested heuristics serially on this arena
+// through SolveContext.Portfolio, which keeps the winner on the
 // context's second arena for rendering. Ties break in the paper's fixed
-// heuristic order, so the response never depends on scheduling.
-func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) jobResult {
+// heuristic order, so the response never depends on scheduling. It
+// returns nil when the deadline passed mid-portfolio.
+func (e *env) runSolve(ctx context.Context, req *solveRequest) *SolveResponse {
 	in := e.instanceFor(req.ref, req.inst)
 	resp := SolveResponse{
 		LowerBound: bounds.CostLowerBound(in),
@@ -378,10 +351,7 @@ func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) 
 	}
 	bestRes, err := e.sc.Portfolio(ctx, in, req.hs, heuristics.Options{Seed: req.Seed}, math.Inf(1),
 		func(h heuristics.Heuristic, res *heuristics.Result, err error) {
-			ws.solves.Add(1)
-			if e.warmed {
-				ws.arenaReuses.Add(1)
-			}
+			e.stats.solves.Add(1)
 			o := OutcomeJSON{Heuristic: h.Name()}
 			if err != nil {
 				o.Error = err.Error()
@@ -391,7 +361,7 @@ func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) 
 			resp.Outcomes = append(resp.Outcomes, o)
 		})
 	if err != nil {
-		return errorResult(http.StatusGatewayTimeout, "deadline exceeded mid-portfolio")
+		return nil
 	}
 	if bestRes != nil {
 		resp.Feasible = true
@@ -402,24 +372,20 @@ func (e *env) runSolve(ws *workerStats, ctx context.Context, req *solveRequest) 
 			Mapping:   buildMappingSpec(bestRes.Mapping),
 		}
 	}
-	body, err := json.Marshal(&resp)
-	if err != nil {
-		return errorResult(http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-	}
-	return jobResult{status: http.StatusOK, body: append(body, '\n')}
+	return &resp
 }
 
-// runVerify rebuilds the mapping on the worker's verify arena and
+// runVerify rebuilds the mapping on this arena's verify mapping and
 // executes it on the stream engine.
-func (e *env) runVerify(ws *workerStats, req *verifyRequest) jobResult {
+func (e *env) runVerify(req *verifyRequest) (*VerifyResponse, *httpError) {
 	in := e.instanceFor(req.ref, req.inst)
 	if herr := rebuildMapping(&e.vmap, in, &req.spec); herr != nil {
-		return errorResult(herr.status, herr.msg)
+		return nil, herr
 	}
-	ws.sims.Add(1)
+	e.stats.sims.Add(1)
 	rep, err := e.runner.Simulate(&e.vmap, stream.Options{Results: req.Results})
 	if err != nil {
-		return errorResult(http.StatusUnprocessableEntity, fmt.Sprintf("simulation failed: %v", err))
+		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("simulation failed: %v", err)}
 	}
 	resp := VerifyResponse{
 		OK:         rep.Throughput >= 0.9*in.Rho,
@@ -430,11 +396,7 @@ func (e *env) runVerify(ws *workerStats, req *verifyRequest) jobResult {
 		SimTime:    rep.SimTime,
 		Events:     rep.Events,
 	}
-	body, err := json.Marshal(&resp)
-	if err != nil {
-		return errorResult(http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
-	}
-	return jobResult{status: http.StatusOK, body: append(body, '\n')}
+	return &resp, nil
 }
 
 // buildMappingSpec renders a solved mapping in compact processor
@@ -480,8 +442,8 @@ func buildMappingSpec(m *mapping.Mapping) MappingSpec {
 	return spec
 }
 
-// rebuildMapping reconstructs a MappingSpec onto the worker's verify
-// arena and validates it against the full steady-state constraint
+// rebuildMapping reconstructs a MappingSpec onto the arena's verify
+// mapping and validates it against the full steady-state constraint
 // system. Index errors are 400s; a well-formed but infeasible mapping
 // is a 422.
 func rebuildMapping(arena *mapping.Mapping, in *instance.Instance, spec *MappingSpec) *httpError {

@@ -12,7 +12,7 @@ import (
 )
 
 // counters are the server-wide monotonic counters behind /statsz.
-// Written with atomics from HTTP goroutines and workers; read without
+// Written with atomics from HTTP goroutines; read without
 // coordination (a statsz snapshot need not be a consistent cut).
 type counters struct {
 	started       time.Time
@@ -39,13 +39,12 @@ type counters struct {
 	churnPanics    atomic.Int64
 }
 
-// workerStats are one worker's counters; each worker writes only its
-// own entry, so there is no cross-worker contention.
+// workerStats are one arena's counters, written only by the request
+// holding the arena.
 type workerStats struct {
-	jobs        atomic.Int64 // jobs taken off the queue
-	solves      atomic.Int64 // heuristic solves executed
-	sims        atomic.Int64 // stream-engine simulations executed
-	arenaReuses atomic.Int64 // solves served from an already-warm arena
+	jobs   atomic.Int64 // solve and verify requests run on the arena
+	solves atomic.Int64 // heuristic solves executed
+	sims   atomic.Int64 // stream-engine simulations executed
 }
 
 // latencyWindow keeps the last windowSize request latencies (admitted
@@ -97,7 +96,7 @@ type statszResponse struct {
 	UptimeS    float64 `json:"uptime_s"`
 	Workers    int     `json:"workers"`
 	QueueDepth int     `json:"queue_depth"`
-	Queued     int     `json:"queued"`
+	Queued     int     `json:"queued"` // admitted, waiting for an arena
 	InFlight   int64   `json:"in_flight"`
 	Draining   bool    `json:"draining"`
 
@@ -116,7 +115,7 @@ type statszResponse struct {
 		P99MS float64 `json:"p99_ms"`
 	} `json:"latency"`
 
-	PerWorker []workerStatsJSON `json:"per_worker"`
+	PerWorker []workerStatsJSON `json:"per_worker"` // one entry per arena
 
 	// Sweep carries the distributed sweep coordinator's lifetime
 	// counters: jobs, leases granted, renewals, releases (expired leases
@@ -141,6 +140,9 @@ type statszResponse struct {
 	} `json:"churn"`
 }
 
+// workerStatsJSON is one arena's counters. Arenas are warmed before
+// they are first lent, so every solve reuses a warm arena and
+// arena_reuses equals solves.
 type workerStatsJSON struct {
 	Worker      int   `json:"worker"`
 	Jobs        int64 `json:"jobs"`
@@ -150,15 +152,16 @@ type workerStatsJSON struct {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
+	inFlight := s.stats.inFlight.Load()
+	s.mu.Lock()
+	draining, admitted := s.draining, s.admitted
+	s.mu.Unlock()
 	resp := statszResponse{
 		UptimeS:    time.Since(s.stats.started).Seconds(),
 		Workers:    s.cfg.Workers,
 		QueueDepth: s.cfg.QueueDepth,
-		Queued:     len(s.queue),
-		InFlight:   s.stats.inFlight.Load(),
+		Queued:     max(0, admitted-int(inFlight)),
+		InFlight:   inFlight,
 		Draining:   draining,
 
 		SolveRequests:    s.stats.solveReqs.Load(),
@@ -184,12 +187,13 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	resp.Churn.Panics = s.stats.churnPanics.Load()
 	for i := range s.workers {
 		ws := &s.workers[i]
+		solves := ws.solves.Load()
 		resp.PerWorker = append(resp.PerWorker, workerStatsJSON{
 			Worker:      i,
 			Jobs:        ws.jobs.Load(),
-			Solves:      ws.solves.Load(),
+			Solves:      solves,
 			Sims:        ws.sims.Load(),
-			ArenaReuses: ws.arenaReuses.Load(),
+			ArenaReuses: solves,
 		})
 	}
 	body, err := json.MarshalIndent(&resp, "", "  ")

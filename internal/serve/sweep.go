@@ -10,12 +10,12 @@ import (
 )
 
 // Sweep endpoints: the distributed sweep coordinator (internal/coord)
-// mounted on the daemon. Unlike solve/verify these never touch the
-// worker pool — coordination is cheap mutex-guarded bookkeeping, and
+// mounted on the daemon. Unlike solve/verify these never borrow a
+// solve arena — coordination is cheap mutex-guarded bookkeeping, and
 // the actual shard computation happens in external sweepworker
-// processes — so sweep traffic can neither occupy nor be shed by the
-// solve queue. The final merge runs inline on the HTTP goroutine of
-// whichever worker completes the last shard.
+// processes — so sweep traffic can neither occupy an arena nor be shed
+// by solve admission. The final merge runs inline on the HTTP goroutine
+// of whichever worker completes the last shard.
 //
 //	POST /v1/sweep                submit a job            -> {"id": ...}
 //	GET  /v1/sweep/{id}           progress snapshot
@@ -79,8 +79,7 @@ func (s *Server) sweepError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec coord.SweepJob
-	if herr := decodeBody(r, maxSweepBodyBytes, &spec); herr != nil {
-		s.clientError(w, herr.status, herr.msg)
+	if !s.decode(w, r, maxSweepBodyBytes, &spec) {
 		return
 	}
 	id, err := s.coord.Submit(spec)
@@ -113,8 +112,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID string) {
 	var req coord.ClaimRequest
-	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
-		s.clientError(w, herr.status, herr.msg)
+	if !s.decode(w, r, maxSweepBodyBytes, &req) {
 		return
 	}
 	wait := time.Duration(min(req.WaitMS, coord.MaxClaimWait.Milliseconds())) * time.Millisecond
@@ -166,8 +164,7 @@ func (s *Server) claimWait(ctx context.Context, jobID, worker string, wait time.
 
 func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 	var req coord.RenewRequest
-	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
-		s.clientError(w, herr.status, herr.msg)
+	if !s.decode(w, r, maxSweepBodyBytes, &req) {
 		return
 	}
 	ttlMS, err := s.coord.Renew(r.PathValue("id"), req.Shard, req.Token)
@@ -180,8 +177,7 @@ func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 	var req coord.CompleteRequest
-	if herr := decodeBody(r, maxSweepBodyBytes, &req); herr != nil {
-		s.clientError(w, herr.status, herr.msg)
+	if !s.decode(w, r, maxSweepBodyBytes, &req) {
 		return
 	}
 	err := s.coord.Complete(r.PathValue("id"), req.Shard, req.Token, req.Worker, []byte(req.Cells))
