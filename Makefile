@@ -24,7 +24,8 @@ race:
 # Ten seconds of coverage-guided fuzzing per target: the solve/verify
 # request decoders (untrusted HTTP bodies, inline instances included),
 # the scenario create body's validation against the operator cap, the
-# sweep submit body against the coordinator's job bound,
+# scenario event body on a live session (the incumbent must stay
+# valid), the sweep submit body against the coordinator's job bound,
 # the two journals' rollback and decode paths, and the shard-cell
 # artifacts workers hand to the sweep coordinator's Complete. A failing
 # input is written under the package's testdata/fuzz for replay by
@@ -32,6 +33,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzScenarioEvent$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepSubmit$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping

@@ -420,11 +420,11 @@ func (e *Engine) repair(ctx context.Context, in *instance.Instance, ev Event) (O
 	feasible := true
 	if ev.Kind == Drift {
 		for p := range m.Procs {
-			if !m.Procs[p].Alive || m.ProcFeasible(p) == nil {
+			if !m.Procs[p].Alive || m.ProcFeasible(p) {
 				continue
 			}
 			feasible = false
-			e.opsBuf = append(e.opsBuf[:0], m.OpsOn(p)...)
+			e.opsBuf = m.AppendOpsOn(e.opsBuf[:0], p)
 			for _, op := range e.opsBuf {
 				m.Unplace(op)
 			}

@@ -95,11 +95,6 @@ type Config struct {
 	// SnapshotEvery is the number of journal appends between shard-table
 	// snapshots (journal truncation points); <= 0 means 256.
 	SnapshotEvery int
-	// SyncInterval is the group-commit window: non-critical journal
-	// records (claim/renew) are fsynced at most this long after they are
-	// written, batching the lease hot path's syncs. Critical records
-	// (submit/complete/merge) always sync immediately. <= 0 means 100ms.
-	SyncInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -120,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 256
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = 100 * time.Millisecond
 	}
 	return c
 }

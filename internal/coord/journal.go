@@ -23,7 +23,7 @@ package coord
 // replay equivalent to the live history — but fsync is batched:
 // critical records (submit, complete, merge, open) sync immediately,
 // while the claim/renew hot path only syncs when the group-commit
-// window (Config.SyncInterval) has elapsed, when the next critical
+// window (syncInterval, 100 ms) has elapsed, when the next critical
 // record lands, on snapshot, or on Close. Losing an unsynced
 // claim/renew to a machine crash is safe: the shard recovers as
 // pending, the re-issued lease gets a fresh token, and the old
@@ -163,6 +163,9 @@ func decodeJournal(data []byte) ([]record, int) {
 // write error poisoned the file).
 var errJournalClosed = errors.New("journal closed")
 
+// syncInterval is the group-commit window for claims and renews.
+const syncInterval = 100 * time.Millisecond
+
 // journal is the open WAL of a durable coordinator. All access is
 // guarded by the coordinator mutex; appends happen inline in the
 // operation that they record.
@@ -182,7 +185,7 @@ type journal struct {
 // append carried an fsync. A write error closes the journal: bytes
 // may have landed torn, and appending after them would strand every
 // later record behind an undecodable frame.
-func (jn *journal) append(r *record, syncInterval time.Duration, now time.Time) (int, bool, error) {
+func (jn *journal) append(r *record, now time.Time) (int, bool, error) {
 	if jn.closed {
 		return 0, false, errJournalClosed
 	}

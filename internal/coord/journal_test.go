@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // frameRecords encodes a sequence of records into one journal byte
@@ -184,4 +185,48 @@ func FuzzJournalDecode(f *testing.F) {
 				len(again), validAgain, len(recs), valid)
 		}
 	})
+}
+
+// TestGroupCommitWindow pins the group-commit window on a fake clock: a
+// claim or renew appended less than syncInterval after the last fsync
+// adds no JournalSyncs, one appended syncInterval or more after adds
+// one, and a complete always adds one.
+func TestGroupCommitWindow(t *testing.T) {
+	clk := newFakeClock()
+	c := openDurable(t, t.TempDir(), clk, nil)
+	defer c.Close()
+	id, err := c.Submit(testJob(2)) // critical: the last fsync is now
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	var a, b *Lease
+	steps := []struct {
+		name    string
+		advance time.Duration
+		do      func() error
+		syncs   int64
+	}{
+		{"claim inside the window", syncInterval - time.Millisecond,
+			func() (err error) { a, err = c.Claim(id, "a"); return err }, 0},
+		{"renew at the window's end", time.Millisecond,
+			func() error { _, err := c.Renew(id, a.Shard, a.Token); return err }, 1},
+		{"claim inside the window", syncInterval / 2,
+			func() (err error) { b, err = c.Claim(id, "b"); return err }, 0},
+		{"complete inside the window", 0,
+			func() error { return c.Complete(id, a.Shard, a.Token, "a", shardBytes(t, a)) }, 1},
+		{"renew inside the window", syncInterval - time.Millisecond,
+			func() error { _, err := c.Renew(id, b.Shard, b.Token); return err }, 0},
+		{"renew past the window", 2 * syncInterval,
+			func() error { _, err := c.Renew(id, b.Shard, b.Token); return err }, 1},
+	}
+	for _, s := range steps {
+		clk.Advance(s.advance)
+		before := c.StatsSnapshot().JournalSyncs
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := c.StatsSnapshot().JournalSyncs - before; got != s.syncs {
+			t.Fatalf("%s: %d fsyncs, want %d", s.name, got, s.syncs)
+		}
+	}
 }

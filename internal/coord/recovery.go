@@ -387,7 +387,7 @@ func (c *Coordinator) logRecord(r *record) error {
 	if c.jnl == nil {
 		return nil
 	}
-	n, synced, err := c.jnl.append(r, c.cfg.SyncInterval, c.cfg.Now())
+	n, synced, err := c.jnl.append(r, c.cfg.Now())
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}

@@ -155,7 +155,7 @@ func Solve(in *instance.Instance, lim Limits) (*Result, error) {
 		return nil, fmt.Errorf("exact: %w", heuristics.ErrInfeasible)
 	}
 	res := &Result{
-		Procs:   len(bestMapping.AliveProcs()),
+		Procs:   bestMapping.NumAlive(),
 		Cost:    bestMapping.Cost(),
 		Mapping: bestMapping,
 		Nodes:   nodes,

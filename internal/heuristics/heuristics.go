@@ -552,8 +552,8 @@ func placeWithGrouping(m *mapping.Mapping, p, op int) error {
 	}
 	// Last resort before declaring failure: co-locate with any existing
 	// processor that can take the operator.
-	for _, q := range m.AliveProcs() {
-		if q != p && m.TryPlace(q, op) {
+	for q := range m.Procs {
+		if q != p && m.Procs[q].Alive && m.TryPlace(q, op) {
 			return nil
 		}
 	}

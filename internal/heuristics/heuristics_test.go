@@ -210,9 +210,9 @@ func TestHomogeneousCatalogSkipsDowngrade(t *testing.T) {
 	p.Catalog = platform.Homogeneous(4, 4)
 	in := instance.Generate(instance.Config{NumOps: 20, Alpha: 0.9, Platform: p}, 2)
 	res := solveOK(t, in, SubtreeBottomUp{})
-	for _, pid := range res.Mapping.AliveProcs() {
-		if res.Mapping.Procs[pid].Config != (platform.Config{CPU: 0, NIC: 0}) {
-			t.Fatalf("homogeneous catalog produced config %+v", res.Mapping.Procs[pid].Config)
+	for _, proc := range res.Mapping.Procs {
+		if proc.Alive && proc.Config != (platform.Config{CPU: 0, NIC: 0}) {
+			t.Fatalf("homogeneous catalog produced config %+v", proc.Config)
 		}
 	}
 }

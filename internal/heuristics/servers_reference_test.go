@@ -33,7 +33,10 @@ func newRefSelectionState(m *mapping.Mapping) *refSelectionState {
 	for l := range in.Platform.Servers {
 		st.serverLeft[l] = in.Platform.Servers[l].NICMBps
 	}
-	for _, p := range m.AliveProcs() {
+	for p := range m.Procs {
+		if !m.Procs[p].Alive {
+			continue
+		}
 		for _, k := range m.NeededObjects(p) {
 			st.pending[[2]int{p, k}] = true
 		}

@@ -157,7 +157,10 @@ func TestSelectionCoversExactlyNeededObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Mapping
-	for _, p := range m.AliveProcs() {
+	for p := range m.Procs {
+		if !m.Procs[p].Alive {
+			continue
+		}
 		needed := m.NeededObjects(p)
 		if len(needed) != len(m.DL[p]) {
 			t.Fatalf("proc %d: %d needed objects, %d downloads", p, len(needed), len(m.DL[p]))

@@ -29,9 +29,11 @@
 // Each update is O(degree) — a sorted insert or delete plus at most two
 // leaf refcount bumps. Every load query (ComputeLoad, DownloadLoad,
 // CommLoad, NICLoad, LinkTraffic, NeededObjects) then folds over this
-// per-processor state in O(|ops on p|) instead of O(N), and ProcFeasible
-// sums p's communication load and checks all (5)-links touching p in one
-// pass over opsOn[p] instead of an O(P·N) all-pairs scan.
+// per-processor state in O(|ops on p|) instead of O(N). ProcFeasible, the
+// one exact per-processor walk, folds p's loads and checks all (5)-links
+// touching p in one pass over opsOn[p] instead of an O(P·N) all-pairs
+// scan, and answers an allocation-free verdict; only Validate words the
+// first violation (compute, then NIC, then the lowest-numbered link).
 //
 // The queries are deliberately NOT running float accumulators: they
 // re-fold the per-processor lists on every call, in exactly the ascending
@@ -57,7 +59,7 @@
 // # Running load estimates
 //
 // A probe still needs a verdict for every affected processor, and the
-// exact walk behind it (procFeasible) re-folds each processor's
+// exact walk behind it (ProcFeasible) re-folds each processor's
 // operators, crossing edges and K object refcounts. Most probes are
 // nowhere near a capacity, so TryPlace first asks a running estimate.
 // Each processor carries loadEst{comp, dl, comm, err}: attach and
@@ -69,7 +71,7 @@
 // differs from that exact sum by at most γ·(|est|+err), with
 // γ = (3·|opsOn|+K+4)·2⁻⁵², so a constraint is decided when its
 // estimate is farther than err + γ·(|est|+err) from capacity+Eps; every
-// other check falls back to procFeasible, which also resyncs the
+// other check falls back to ProcFeasible, which also resyncs the
 // estimate from the canonical sums it computes. Each link's traffic is a
 // subset of the processor's crossing edges, so comm fitting the link
 // capacity proves every link fits. The verdict is therefore always the

@@ -146,7 +146,7 @@ func classify(est, slack, limit float64) estVerdict {
 	return undecided
 }
 
-// estimate decides procFeasible(p) from p's running estimate where it
+// estimate decides ProcFeasible(p) from p's running estimate where it
 // can.
 func (m *Mapping) estimate(p int) estVerdict {
 	return m.judge(&m.est[p], len(m.opsOn[p]), m.Procs[p].Config)
@@ -161,7 +161,7 @@ func nicBox(e *loadEst, g float64) (nic, nicSlack float64) {
 	return nic, slack(nic, 2*e.err+ulp*math.Abs(nic), g)
 }
 
-// judge decides procFeasible for a processor with configuration cfg,
+// judge decides ProcFeasible for a processor with configuration cfg,
 // hosting n operators, whose running estimate is e. Each (5)-link of
 // the processor carries a subset of its crossing edges, so a comm
 // estimate that fits the link capacity proves every link does; an
@@ -186,7 +186,7 @@ func (m *Mapping) judge(e *loadEst, n int, cfg platform.Config) estVerdict {
 	return undecided
 }
 
-// feasible is procFeasible(p), decided by p's estimate where possible.
+// feasible is ProcFeasible(p), decided by p's estimate where possible.
 func (m *Mapping) feasible(p int) bool {
 	v := m.estimate(p)
 	if testHookEstimate != nil {
@@ -198,10 +198,10 @@ func (m *Mapping) feasible(p int) bool {
 	case overflows:
 		return false
 	}
-	return m.procFeasible(p)
+	return m.ProcFeasible(p)
 }
 
-// resyncEst resets p's estimate to the canonical sums procFeasible just
+// resyncEst resets p's estimate to the canonical sums check just
 // computed, with err their own rounding bound, so long-lived mappings
 // (refinement, churn repair) keep err small. A void estimate stays void.
 func (m *Mapping) resyncEst(p int, comp, dl, comm float64) {

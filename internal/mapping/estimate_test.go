@@ -193,7 +193,7 @@ func FuzzProbeEstimates(f *testing.F) {
 		m.SetJournal(true)
 		var marks []Mark
 		for step, b := range prog {
-			alive := m.AliveProcs()
+			alive := AliveList(m)
 			pick := func() int { return alive[r.Intn(len(alive))] }
 			switch b % 11 {
 			case 0:

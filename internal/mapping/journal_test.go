@@ -109,7 +109,7 @@ func (d *journalDriver) mutate(action int, r *rand.Rand) {
 	m, in := d.m, d.in
 	n := in.Tree.NumOps()
 	op := r.Intn(n)
-	alive := m.AliveProcs()
+	alive := AliveList(m)
 	pick := func() int { return alive[r.Intn(len(alive))] }
 	switch action % 9 {
 	case 0:

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/apptree"
@@ -69,9 +70,9 @@ type scratch struct {
 	affected []int     // TryPlace: procs to re-check
 	prev     []int     // TryPlace: rollback assignments
 	ops      []int     // MoveAll: operator gather buffer
-	linkOn   []bool    // ProcFeasible: per processor, link accumulator active
-	linkAmt  []float64 // ProcFeasible: link traffic per processor; CheckInvariants: fresh loads; Validate: server loads
-	linkTo   []int     // ProcFeasible: processors with accumulated traffic
+	linkOn   []bool    // check: per processor, link accumulator active
+	linkAmt  []float64 // check: link traffic per processor; CheckInvariants: fresh loads; Validate: server loads past those
+	linkTo   []int     // check: processors with accumulated traffic
 	refCnt   []int32   // CheckInvariants: fresh P×K leaf recount, Validate's needed objects
 
 	// EvalMove's shadow of the move it replays, over every processor and
@@ -102,7 +103,7 @@ func (m *Mapping) scratchFor() *scratch {
 		b := make([]bool, 2*pc)
 		s.procSeen, s.linkOn = b[:pc:pc], b[pc:]
 	}
-	if n := max(2*pc, len(m.Inst.Platform.Servers)*(1+pc)); len(s.linkAmt) < n {
+	if n := max(2*pc, pc+len(m.Inst.Platform.Servers)*(1+pc)); len(s.linkAmt) < n {
 		s.linkAmt = make([]float64, n)
 	}
 	if len(s.refCnt) < pc*K {
@@ -363,17 +364,6 @@ func (m *Mapping) OpsOn(p int) []int {
 // materializing the list.
 func (m *Mapping) NumOpsOn(p int) int { return len(m.opsOn[p]) }
 
-// AliveProcs returns the ids of processors not yet sold.
-func (m *Mapping) AliveProcs() []int {
-	var out []int
-	for p := range m.Procs {
-		if m.Procs[p].Alive {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Complete reports whether every operator is assigned.
 func (m *Mapping) Complete() bool {
 	for _, p := range m.Assign {
@@ -584,62 +574,59 @@ func (m *Mapping) gatherLinks(p int, s *scratch) (touched []int, comm float64) {
 	return touched, comm
 }
 
-// ProcFeasible checks constraints (1), (2) and every (5)-link touching p
-// for the current (possibly partial) assignment. It returns nil or a
-// descriptive error. One pass over p's operators accumulates both p's
-// communication load and the traffic of every touched link, so the cost
-// is O(|ops on p|) rather than the historical all-pairs O(P·N) scan;
-// links are checked in ascending processor order, so both the verdict
-// and the reported violation are identical to the historical
-// implementation's.
-func (m *Mapping) ProcFeasible(p int) error {
-	cat := m.Inst.Platform.Catalog
-	if load, cap := m.ComputeLoad(p), cat.SpeedUnits(m.Procs[p].Config); load > cap+eps {
-		return fmt.Errorf("mapping: processor %d compute overload %.3f > %.3f units/s", p, load, cap)
-	}
-	s := m.scratchFor()
-	touched, comm := m.gatherLinks(p, s)
-	var err error
-	if load, cap := m.DownloadLoad(p)+comm, cat.BandwidthMBps(m.Procs[p].Config); load > cap+eps {
-		err = fmt.Errorf("mapping: processor %d NIC overload %.3f > %.3f MB/s", p, load, cap)
-	}
-	// Ascending q, like the historical scan over all processor pairs.
-	for i := 1; i < len(touched); i++ {
-		for j := i; j > 0 && touched[j] < touched[j-1]; j-- {
-			touched[j], touched[j-1] = touched[j-1], touched[j]
-		}
-	}
-	for _, q := range touched {
-		if tr := s.linkAmt[q]; err == nil && tr > m.Inst.Platform.ProcLinkMBps+eps {
-			err = fmt.Errorf("mapping: link %d-%d overload %.3f > %.3f MB/s", p, q, tr, m.Inst.Platform.ProcLinkMBps)
-		}
-		s.linkOn[q] = false
-	}
-	s.linkTo = touched[:0]
-	return err
+// Kinds of violation check reports, in the order it looks for them.
+const (
+	noViolation = iota
+	computeOverload
+	nicOverload
+	linkOverload
+)
+
+// violation is the first of constraints (1), (2) and (5) a processor
+// breaks: its kind, the load against the capacity and, for a (5)-link,
+// the processor q at the link's other end.
+type violation struct {
+	kind, q   int
+	load, cap float64
 }
 
-// procFeasible is ProcFeasible as a bare verdict: the same checks,
-// without materializing the diagnostic error. It is the exact walk
-// behind TryPlace's probes that p's running estimate leaves undecided,
-// so it also resyncs that estimate from the canonical sums it computes.
-func (m *Mapping) procFeasible(p int) bool {
-	cat := m.Inst.Platform.Catalog
+// ProcFeasible reports whether processor p meets constraints (1), (2)
+// and every (5)-link touching p under the current (possibly partial)
+// assignment. It is the exact walk behind TryPlace's undecided probes
+// and allocates nothing.
+func (m *Mapping) ProcFeasible(p int) bool { return m.check(p).kind == noViolation }
+
+// check is the one exact per-processor walk. It computes p's compute,
+// download and comm loads once, gathers the traffic of every link
+// touching p in the same pass over p's operators, and reports the first
+// violation: compute, then NIC, then the overloaded link with the
+// lowest-numbered peer. While the running estimates are live it resyncs
+// p's from the canonical sums it computed.
+func (m *Mapping) check(p int) violation {
+	cat, cfg := m.Inst.Platform.Catalog, m.Procs[p].Config
 	comp := m.ComputeLoad(p)
 	s := m.scratchFor()
 	touched, comm := m.gatherLinks(p, s)
 	dl := m.DownloadLoad(p)
-	ok := !(comp > cat.SpeedUnits(m.Procs[p].Config)+eps) &&
-		!(dl+comm > cat.BandwidthMBps(m.Procs[p].Config)+eps)
+	var v violation
+	if c := cat.SpeedUnits(cfg); comp > c+eps {
+		v = violation{kind: computeOverload, load: comp, cap: c}
+	} else if c := cat.BandwidthMBps(cfg); dl+comm > c+eps {
+		v = violation{kind: nicOverload, load: dl + comm, cap: c}
+	}
+	c := m.Inst.Platform.ProcLinkMBps
 	for _, q := range touched {
-		if s.linkAmt[q] > m.Inst.Platform.ProcLinkMBps+eps {
-			ok = false
+		over := s.linkAmt[q] > c+eps
+		if over && (v.kind == noViolation || v.kind == linkOverload && q < v.q) {
+			v = violation{kind: linkOverload, q: q, load: s.linkAmt[q], cap: c}
 		}
 		s.linkOn[q] = false
 	}
 	s.linkTo = touched[:0]
-	m.resyncEst(p, comp, dl, comm)
-	return ok
+	if m.estLive() {
+		m.resyncEst(p, comp, dl, comm)
+	}
+	return v
 }
 
 // Eps absorbs float rounding in constraint comparisons: a load may exceed
@@ -659,7 +646,7 @@ const eps = Eps
 // ops, the placement is rolled back and false is returned. Each affected
 // processor is judged by its running load estimate where the estimate's
 // error bound decides every constraint, and by the exact walk of
-// procFeasible otherwise, so the verdict is always the exact walk's.
+// ProcFeasible otherwise, so the verdict is always the exact walk's.
 func (m *Mapping) TryPlace(p int, ops ...int) bool {
 	if testHookTryPlace != nil {
 		// A copy, so that ops does not escape on the production path.
@@ -874,8 +861,7 @@ func (m *Mapping) CheckInvariants() error {
 	s := m.scratchFor()
 	cnt := s.refCnt[:P*K]
 	clear(cnt)
-	// The fresh sums borrow the link accumulator, idle outside
-	// ProcFeasible.
+	// The fresh sums borrow the link accumulator, idle outside check.
 	comp, comm := s.linkAmt[:P], s.linkAmt[P:2*P]
 	clear(comp)
 	clear(comm)
@@ -936,9 +922,9 @@ func (m *Mapping) CheckInvariants() error {
 //     actually holds the object (and no spurious downloads),
 //   - constraints (1) through (5).
 //
-// The needed objects come from CheckInvariants' fresh recount, and one
-// range over every alive processor's download table fills the server NIC
-// and server-link loads, so the whole check is O(N + P·K + L·P).
+// The needed objects come from CheckInvariants' fresh recount, and the
+// pass that checks each one's download also fills the server NIC and
+// server-link loads, so the whole check is O(N + P·K + L·P).
 func (m *Mapping) Validate() error {
 	in := m.Inst
 	for op, p := range m.Assign {
@@ -952,8 +938,14 @@ func (m *Mapping) Validate() error {
 	if err := m.CheckInvariants(); err != nil {
 		return err
 	}
+	// Server loads (3) and (4) sum over processors ascending and each
+	// one's downloads in object order, never in map order. They sit past
+	// the per-processor link traffic check accumulates.
 	s := m.scratchFor()
-	K := in.NumTypes
+	K, L, P := in.NumTypes, len(in.Platform.Servers), len(m.Procs)
+	nic, link := s.linkAmt[P:P+L], s.linkAmt[P+L:P+L+L*P]
+	clear(nic)
+	clear(link)
 	for p := range m.Procs {
 		if !m.Procs[p].Alive {
 			continue
@@ -978,38 +970,19 @@ func (m *Mapping) Validate() error {
 				return fmt.Errorf("mapping: processor %d missing download for object %d", p, k)
 			case l == NoServer:
 				return fmt.Errorf("mapping: processor %d object %d has no server selected", p, k)
-			default:
-				holds := false
-				for _, h := range in.Holders[k] {
-					if h == l {
-						holds = true
-					}
-				}
-				if !holds {
-					return fmt.Errorf("mapping: processor %d downloads object %d from server %d which does not hold it", p, k, l)
-				}
+			case !slices.Contains(in.Holders[k], l):
+				return fmt.Errorf("mapping: processor %d downloads object %d from server %d which does not hold it", p, k, l)
 			}
+			nic[l] += in.Rate(k)
+			link[l*P+p] += in.Rate(k)
 		}
-		if err := m.ProcFeasible(p); err != nil {
-			return err
-		}
-	}
-	// Server loads: NIC per server (3) and per (server, processor) link
-	// (4), each summed over processors ascending like ServerLoad and
-	// ServerLinkLoad.
-	L, P := len(in.Platform.Servers), len(m.Procs)
-	nic, link := s.linkAmt[:L], s.linkAmt[L:L+L*P]
-	clear(nic)
-	clear(link)
-	for p := range m.Procs {
-		if !m.Procs[p].Alive {
-			continue
-		}
-		for k, l := range m.DL[p] {
-			if l >= 0 && l < L {
-				nic[l] += in.Rate(k)
-				link[l*P+p] += in.Rate(k)
-			}
+		switch v := m.check(p); v.kind {
+		case computeOverload:
+			return fmt.Errorf("mapping: processor %d compute overload %.3f > %.3f units/s", p, v.load, v.cap)
+		case nicOverload:
+			return fmt.Errorf("mapping: processor %d NIC overload %.3f > %.3f MB/s", p, v.load, v.cap)
+		case linkOverload:
+			return fmt.Errorf("mapping: link %d-%d overload %.3f > %.3f MB/s", p, v.q, v.load, v.cap)
 		}
 	}
 	for l := range in.Platform.Servers {

@@ -11,6 +11,18 @@ import (
 	"repro/internal/platform"
 )
 
+// AliveList lists the processors not yet sold, ascending. It is test-only;
+// the external test package reaches it too.
+func AliveList(m *Mapping) []int {
+	var out []int
+	for p := range m.Procs {
+		if m.Procs[p].Alive {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // fixedInstance builds a hand-checkable instance: the paper's Figure 1(a)
 // tree with object sizes {10, 20, 30} MB, frequency 1/2 s, alpha = 1,
 // rho = 1, objects held as o1->{S0}, o2->{S0,S1}, o3->{S2}.
@@ -58,7 +70,7 @@ func TestBuySellPlace(t *testing.T) {
 	in := fixedInstance()
 	m := New(in)
 	p := m.Buy(bestConfig(in))
-	if len(m.AliveProcs()) != 1 {
+	if len(AliveList(m)) != 1 {
 		t.Fatal("bought processor not alive")
 	}
 	m.Place(0, p)
@@ -72,7 +84,7 @@ func TestBuySellPlace(t *testing.T) {
 	m.Unplace(0)
 	m.Unplace(1)
 	m.Sell(p)
-	if len(m.AliveProcs()) != 0 {
+	if len(AliveList(m)) != 0 {
 		t.Fatal("sold processor still alive")
 	}
 }
@@ -426,24 +438,24 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 				case 0:
 					m.Buy(in.Platform.Catalog.MostExpensive())
 				case 1: // sell a random empty processor, if any
-					for _, p := range m.AliveProcs() {
+					for _, p := range AliveList(m) {
 						if m.NumOpsOn(p) == 0 {
 							m.Sell(p)
 							break
 						}
 					}
 				case 2:
-					if alive := m.AliveProcs(); len(alive) > 0 {
+					if alive := AliveList(m); len(alive) > 0 {
 						m.Place(op, alive[r.Intn(len(alive))])
 					}
 				case 3:
 					m.Unplace(op)
 				case 4:
-					if alive := m.AliveProcs(); len(alive) > 0 {
+					if alive := AliveList(m); len(alive) > 0 {
 						m.TryPlace(alive[r.Intn(len(alive))], op)
 					}
 				case 5:
-					if alive := m.AliveProcs(); len(alive) >= 2 {
+					if alive := AliveList(m); len(alive) >= 2 {
 						m.MoveAll(alive[r.Intn(len(alive))], alive[r.Intn(len(alive))])
 					}
 				}
@@ -462,7 +474,7 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 			}
 			check("completion")
 			if complete {
-				for _, q := range m.AliveProcs() {
+				for _, q := range AliveList(m) {
 					for _, k := range m.NeededObjects(q) {
 						m.SelectServer(q, k, in.Holders[k][0])
 					}
@@ -558,12 +570,35 @@ func TestResetSteadyStateAllocs(t *testing.T) {
 		m.Place(0, p)
 		m.PresizeDL(p, 2)
 		m.SelectServer(p, 0, in.Holders[0][0])
-		if err := m.ProcFeasible(p); err != nil {
-			t.Fatal(err)
+		if !m.ProcFeasible(p) {
+			t.Fatalf("processor %d infeasible", p)
 		}
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
 		t.Fatalf("steady-state Reset cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestProcFeasibleOverloadAllocs pins the probe verdict as allocation
+// free: on a warmed mapping, ProcFeasible walks a processor whose links
+// all overload and answers false without allocating.
+func TestProcFeasibleOverloadAllocs(t *testing.T) {
+	in := instance.Generate(instance.Config{NumOps: 20, Alpha: 0.9}, 1)
+	pl := *in.Platform
+	pl.ProcLinkMBps = 1e-6
+	in.Platform = &pl
+	m := New(in)
+	cfg := in.Platform.Catalog.MostExpensive()
+	procs := [...]int{m.Buy(cfg), m.Buy(cfg), m.Buy(cfg)}
+	for op := range m.Assign {
+		m.Place(op, procs[op%len(procs)])
+	}
+	p := procs[0]
+	if m.ProcFeasible(p) {
+		t.Fatal("processor with overloaded links judged feasible")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.ProcFeasible(p) }); allocs > 0 {
+		t.Fatalf("ProcFeasible on an overloaded processor allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -136,11 +136,14 @@ type boundaryKind struct {
 	set func(pl *platform.Platform, c float64)
 	// limit is the capacity+Eps the constraint checks compare against.
 	limit func(pl *platform.Platform) float64
+	// server marks constraints (3) and (4), which no probe checks: their
+	// boundary is held by Validate and the server selection alone.
+	server bool
 }
 
 func maxOver(m *mapping.Mapping, f func(p int) float64) (int, int, float64) {
 	best, bp := -1.0, -1
-	for _, p := range m.AliveProcs() {
+	for _, p := range mapping.AliveList(m) {
 		if l := f(p); l > best {
 			best, bp = l, p
 		}
@@ -173,8 +176,8 @@ var boundaryKinds = []boundaryKind{
 		name: "link",
 		load: func(m *mapping.Mapping) (int, int, float64) {
 			best, bp, bq := -1.0, -1, -1
-			for _, p := range m.AliveProcs() {
-				for _, q := range m.AliveProcs() {
+			for _, p := range mapping.AliveList(m) {
+				for _, q := range mapping.AliveList(m) {
 					if l := m.LinkTraffic(p, q); p != q && l > best {
 						best, bp, bq = l, p, q
 					}
@@ -185,6 +188,61 @@ var boundaryKinds = []boundaryKind{
 		set:   func(pl *platform.Platform, c float64) { pl.ProcLinkMBps = c },
 		limit: func(pl *platform.Platform) float64 { return pl.ProcLinkMBps + mapping.Eps },
 	},
+	{
+		// Every server gets the same NIC, so the busiest server carries
+		// the boundary load.
+		name: "server-nic",
+		load: func(m *mapping.Mapping) (int, int, float64) {
+			best, bl := -1.0, -1
+			for l := range m.Inst.Platform.Servers {
+				load := 0.0
+				for _, p := range mapping.AliveList(m) {
+					load = addDownloads(m, l, p, load)
+				}
+				if load > best {
+					best, bl = load, l
+				}
+			}
+			return bl, bl, best
+		},
+		set: func(pl *platform.Platform, c float64) {
+			for l := range pl.Servers {
+				pl.Servers[l].NICMBps = c
+			}
+		},
+		limit:  func(pl *platform.Platform) float64 { return pl.Servers[0].NICMBps + mapping.Eps },
+		server: true,
+	},
+	{
+		name: "server-link",
+		load: func(m *mapping.Mapping) (int, int, float64) {
+			best, bl, bp := -1.0, -1, -1
+			for l := range m.Inst.Platform.Servers {
+				for _, p := range mapping.AliveList(m) {
+					if load := addDownloads(m, l, p, 0); load > best {
+						best, bl, bp = load, l, p
+					}
+				}
+			}
+			return bl, bp, best
+		},
+		set:    func(pl *platform.Platform, c float64) { pl.ServerLinkMBps = c },
+		limit:  func(pl *platform.Platform) float64 { return pl.ServerLinkMBps + mapping.Eps },
+		server: true,
+	},
+}
+
+// addDownloads adds the rates of p's downloads from server l to acc,
+// objects ascending, so that chained calls over the processors round
+// exactly like Validate's server sums. (ServerLoad and ServerLinkLoad
+// range over the download maps in random order.)
+func addDownloads(m *mapping.Mapping, l, p int, acc float64) float64 {
+	for k := 0; k < m.Inst.NumTypes; k++ {
+		if srv, ok := m.DL[p][k]; ok && srv == l {
+			acc += m.Inst.Rate(k)
+		}
+	}
+	return acc
 }
 
 // ulpsBetween is the signed number of float64 steps from a to b (both
@@ -217,13 +275,15 @@ func onInstance(m *mapping.Mapping, in *instance.Instance) *mapping.Mapping {
 
 // TestCapacityBoundaryAdmission is the capacity-boundary scan. For each
 // of the six heuristics it solves homogeneous instances, then moves the
-// CPU speed, the NIC bandwidth or the processor-link bandwidth so that
-// the solution's highest load of that kind lands within ±4 ulps of
-// capacity+Eps. On every such boundary instance, re-probing an operator
-// of the loaded processor must give the exact walk's verdict, through
-// the exact fallback; Validate must agree with it; and a fresh solve of
-// the boundary instance must either validate or report infeasibility,
-// never produce a mapping Validate rejects.
+// CPU speed, the NIC bandwidth, the processor-link bandwidth, the server
+// NIC or the server-link bandwidth so that the solution's highest load
+// of that kind lands within ±4 ulps of capacity+Eps. On every such
+// boundary instance Validate must accept the solution exactly when the
+// load fits; for the processor kinds, re-probing an operator of the
+// loaded processor must give the exact walk's verdict, through the exact
+// fallback; and a fresh solve of the boundary instance, whose server
+// selection meets the server boundaries, must either validate or report
+// infeasibility, never produce a mapping Validate rejects.
 func TestCapacityBoundaryAdmission(t *testing.T) {
 	scanned := map[string]int{}
 	for _, h := range heuristics.All() {
@@ -253,6 +313,7 @@ func TestCapacityBoundaryAdmission(t *testing.T) {
 					cat.CPUs = slices.Clone(cat.CPUs)
 					cat.NICs = slices.Clone(cat.NICs)
 					pl.Catalog = &cat
+					pl.Servers = slices.Clone(pl.Servers)
 					kind.set(&pl, c)
 					bin.Platform = &pl
 					limit := kind.limit(&pl)
@@ -263,7 +324,11 @@ func TestCapacityBoundaryAdmission(t *testing.T) {
 					seen[limit] = true
 					scanned[kind.name]++
 					name := fmt.Sprintf("%s/seed=%d/%s/%+d ulps", h.Name(), seed, kind.name, off)
-					checkBoundary(t, name, h, seed, res.Mapping, &bin, p, q, load <= limit)
+					if kind.server {
+						checkServerBoundary(t, name, h, seed, res.Mapping, &bin, load <= limit)
+					} else {
+						checkBoundary(t, name, h, seed, res.Mapping, &bin, p, q, load <= limit)
+					}
 				}
 			}
 		}
@@ -331,6 +396,26 @@ func checkBoundary(t *testing.T, name string, h heuristics.Heuristic, seed int64
 	if err := m.Validate(); (err == nil) != fits {
 		t.Fatalf("%s: Validate after the probe = %v, want fits=%v", name, err, fits)
 	}
+	checkResolve(t, name, h, seed, in)
+}
+
+// checkServerBoundary runs the admission checks on boundary instance in,
+// where a server NIC or server link carries the boundary load of
+// solution sol, which fits exactly when fits: Validate must accept sol's
+// downloads exactly when they fit, and a fresh solve's server selection
+// must agree with Validate.
+func checkServerBoundary(t *testing.T, name string, h heuristics.Heuristic, seed int64, sol *mapping.Mapping, in *instance.Instance, fits bool) {
+	t.Helper()
+	if err := onInstance(sol, in).Validate(); (err == nil) != fits {
+		t.Fatalf("%s: Validate = %v, want fits=%v", name, err, fits)
+	}
+	checkResolve(t, name, h, seed, in)
+}
+
+// checkResolve solves boundary instance in afresh: the solve must either
+// report infeasibility or produce a mapping Validate accepts.
+func checkResolve(t *testing.T, name string, h heuristics.Heuristic, seed int64, in *instance.Instance) {
+	t.Helper()
 	res, err := heuristics.Solve(in, h, heuristics.Options{Seed: seed})
 	switch {
 	case err != nil && !errors.Is(err, heuristics.ErrInfeasible):

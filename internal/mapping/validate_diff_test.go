@@ -67,7 +67,7 @@ func withPlatform(m *mapping.Mapping, edit func(*platform.Platform)) *mapping.Ma
 func mutants(m *mapping.Mapping) map[string]*mapping.Mapping {
 	in := m.Inst
 	out := map[string]*mapping.Mapping{}
-	alive := m.AliveProcs()
+	alive := mapping.AliveList(m)
 	p0, pN := alive[0], -1 // pN: the last processor with a download
 	for _, p := range alive {
 		if len(m.DL[p]) > 0 {

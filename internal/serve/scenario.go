@@ -59,6 +59,7 @@ type scenarioSession struct {
 // registerScenario mounts the churn-session routes on the server mux.
 func (s *Server) registerScenario() {
 	s.scenarios = make(map[string]*scenarioSession)
+	s.scenSlots = make(chan struct{}, maxScenarios)
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenarioCreate)
 	s.mux.HandleFunc("POST /v1/scenario/{id}/event", s.handleScenarioEvent)
 	s.mux.HandleFunc("GET /v1/scenario/{id}", s.handleScenarioStatus)
@@ -331,6 +332,23 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, herr.status, herr.msg)
 		return
 	}
+	// Take a session slot before the work, so that at the cap a create
+	// answers 429 without generating events or solving. Every exit
+	// before registration hands the slot back.
+	select {
+	case s.scenSlots <- struct{}{}:
+	default:
+		s.clientError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("at most %d live scenario sessions; DELETE one first", maxScenarios))
+		return
+	}
+	ses := &scenarioSession{}
+	defer func() {
+		if ses.id == "" {
+			<-s.scenSlots
+		}
+	}()
+
 	req := create.req
 	sc := churn.NewScenario(create.cfg, req.Seed)
 	// events == 0 on the wire means "no generated stream" (a session
@@ -339,7 +357,7 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Scenario.Events == 0 {
 		sc.Events = nil
 	}
-	eng := churn.NewEngine(churn.Options{
+	ses.eng = churn.NewEngine(churn.Options{
 		Policy: create.policy,
 		Seed:   req.Seed,
 		Budget: time.Duration(req.BudgetMS) * time.Millisecond,
@@ -348,9 +366,8 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, _ := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	ses := &scenarioSession{eng: eng}
 	var trace []ScenarioEventResult
-	if err := eng.Start(sc); err != nil {
+	if err := ses.eng.Start(sc); err != nil {
 		if errors.Is(err, heuristics.ErrInfeasible) {
 			s.clientError(w, http.StatusUnprocessableEntity, err.Error())
 		} else {
@@ -359,7 +376,7 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, ev := range sc.Events {
-		er, err := eng.Step(ctx, ev)
+		er, err := ses.eng.Step(ctx, ev)
 		if err != nil {
 			s.stats.timeouts.Add(1)
 			s.clientError(w, http.StatusGatewayTimeout,
@@ -371,12 +388,6 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.scenMu.Lock()
-	if len(s.scenarios) >= maxScenarios {
-		s.scenMu.Unlock()
-		s.clientError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("at most %d live scenario sessions; DELETE one first", maxScenarios))
-		return
-	}
 	s.scenSeq++
 	ses.id = fmt.Sprintf("c%06d", s.scenSeq)
 	s.scenarios[ses.id] = ses
@@ -506,6 +517,7 @@ func (s *Server) handleScenarioDelete(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario session %q", id))
 		return
 	}
+	<-s.scenSlots
 	s.writeOK(w, struct {
 		ID     string `json:"id"`
 		Closed bool   `json:"closed"`

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/churn"
+	"repro/internal/mapping"
 )
 
 // scenarioStatus decodes a create/status response body.
@@ -217,6 +218,64 @@ func TestScenarioSessionCap(t *testing.T) {
 	}
 }
 
+// FuzzScenarioEvent sends random event bodies through the event
+// handler, each to a fresh session of two small applications under a
+// 24-operator cap. Every body must answer 200 or 4xx, never 5xx or a
+// panic; the one exception is a 504 for a body that set its own
+// timeout_ms, since the event may outrun a deadline the client chose.
+// After every 200 the incumbent IncumbentInto rebuilds must pass
+// Validate.
+func FuzzScenarioEvent(f *testing.F) {
+	for _, body := range []string{
+		`{"kind":"arrive","num_ops":5,"tree_seed":11,"rho":1}`,
+		`{"kind":"arrive","num_ops":-3}`,
+		`{"kind":"arrive","num_ops":40}`,
+		`{"kind":"arrive","num_ops":4,"rho":1e300}`,
+		`{"kind":"drift","slot":0,"factor":1.4}`,
+		`{"kind":"drift","slot":1,"factor":-2}`,
+		`{"kind":"drift","slot":0,"factor":1e-300}`,
+		`{"kind":"depart","slot":1}`,
+		`{"kind":"depart","slot":-1}`,
+		`{"kind":"drift","slot":0,"factor":1.2,"timeout_ms":1}`,
+		`{"kind":"teleport"}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Config{Workers: 1, MaxOps: 24})
+	f.Cleanup(s.Close)
+	create := []byte(`{"scenario":{"initial_apps":2,"min_ops":3,"max_ops":6,"max_apps":3},"seed":5}`)
+	var m mapping.Mapping
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(t, s, "POST", "/v1/scenario", create)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("create: %d (%s)", rec.Code, rec.Body.String())
+		}
+		id := scenarioStatus(t, rec.Body.Bytes()).ID
+		defer do(t, s, "DELETE", "/v1/scenario/"+id, nil)
+		rec = do(t, s, "POST", "/v1/scenario/"+id+"/event", body)
+		var req ScenarioEventRequest
+		clientDeadline := json.Unmarshal(body, &req) == nil && req.TimeoutMS > 0
+		switch {
+		case rec.Code == http.StatusOK:
+		case rec.Code >= 400 && rec.Code < 500,
+			rec.Code == http.StatusGatewayTimeout && clientDeadline:
+			return
+		default:
+			t.Fatalf("event %q: %d (%s)", body, rec.Code, rec.Body.String())
+		}
+		s.scenMu.Lock()
+		ses := s.scenarios[id]
+		s.scenMu.Unlock()
+		if err := ses.eng.IncumbentInto(&m); err != nil {
+			t.Fatalf("event %q: rebuild incumbent: %v", body, err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("event %q: incumbent invalid: %v", body, err)
+		}
+	})
+}
+
 // TestScenarioStatszCounters checks the churn section of /statsz.
 func TestScenarioStatszCounters(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
@@ -362,4 +421,37 @@ func FuzzScenarioSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScenarioCapBeforeWork requires the session cap to answer before
+// the initial solve: at the cap even an infeasible create answers 429,
+// and a create that fails below the cap gives its reserved slot back.
+func TestScenarioCapBeforeWork(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	infeasible := []byte(`{"scenario":{"initial_apps":1,"min_ops":3,"max_ops":3,"rho":1e12},"seed":1}`)
+	feasible := []byte(`{"scenario":{"initial_apps":1,"min_ops":3,"max_ops":3},"seed":1}`)
+	// Stand-in sessions fill all but one slot.
+	s.scenMu.Lock()
+	for i := 0; i < maxScenarios-1; i++ {
+		s.scenarios[fmt.Sprintf("filler%d", i)] = &scenarioSession{}
+		s.scenSlots <- struct{}{}
+	}
+	s.scenMu.Unlock()
+	for i := 0; i < 2; i++ {
+		if rec := do(t, s, "POST", "/v1/scenario", infeasible); rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("infeasible create %d below the cap: %d (%s), want 422", i, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, s, "POST", "/v1/scenario", feasible); rec.Code != http.StatusOK {
+		t.Fatalf("create into the last slot after failed creates: %d (%s)", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, "POST", "/v1/scenario", infeasible); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("infeasible create at the cap: %d (%s), want 429", rec.Code, rec.Body.String())
+	}
+	s.scenMu.Lock()
+	taken, live := len(s.scenSlots), len(s.scenarios)
+	s.scenMu.Unlock()
+	if taken != live {
+		t.Fatalf("%d slots taken by %d live sessions after every create answered", taken, live)
+	}
 }

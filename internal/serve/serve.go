@@ -141,10 +141,12 @@ type Server struct {
 
 	// scenarios are the live churn sessions (see scenario.go). Sessions
 	// own no goroutines — events run inline on HTTP goroutines — so
-	// Close has nothing extra to drain here either.
+	// Close has nothing extra to drain here either. scenSlots holds one
+	// token per live session and per create still solving.
 	scenMu    sync.Mutex
 	scenarios map[string]*scenarioSession
 	scenSeq   int64
+	scenSlots chan struct{}
 
 	// testHookJobStart, when set before any request arrives, runs on the
 	// HTTP goroutine of every solve and verify once it holds an arena;
