@@ -26,8 +26,9 @@ race:
 # the scenario create body's validation against the operator cap, the
 # scenario event body on a live session (the incumbent must stay
 # valid), the sweep submit body against the coordinator's job bound,
-# the two journals' rollback and decode paths, and the shard-cell
-# artifacts workers hand to the sweep coordinator's Complete. A failing
+# batch complete bodies against a live durable sweep job, the two
+# journals' rollback and decode paths, and the shard-cell artifacts
+# workers hand to the sweep coordinator's Complete. A failing
 # input is written under the package's testdata/fuzz for replay by
 # `make test`.
 fuzz-smoke:
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzScenarioEvent$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepSubmit$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepComplete$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord

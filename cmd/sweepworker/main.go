@@ -1,9 +1,13 @@
 // Command sweepworker computes shards for a streamalloc daemon's
 // distributed sweep coordinator (cmd/serve + internal/coord). It
-// claims shard leases in a loop, heartbeats renewals while computing,
-// ships completed cells back with the claim for its next lease folded
-// into the same request, and exits cleanly on SIGINT/SIGTERM without
-// leaking goroutines. Any number of workers may point at the same
+// claims one shard lease, computes it, and ships the cells back with a
+// claim for a fair share of a job's pending shards folded into the same
+// request: ⌊pending / (2·holders)⌋ leases, where holders counts the
+// workers holding a lease on the job, itself included. It computes that
+// queue of leases in order and delivers all their cells in one request,
+// which claims the next share. One heartbeat goroutine renews every
+// held lease while it computes. It exits cleanly on SIGINT/SIGTERM
+// without leaking goroutines. Any number of workers may point at the same
 // coordinator; determinism (per-cell seeds are pure functions of grid
 // coordinates) makes every lease idempotent, so workers can die,
 // straggle or double-complete without corrupting the merged figure.
@@ -29,7 +33,7 @@
 //
 //	-slow D      sleep D before computing each shard (straggler)
 //	-no-renew    skip heartbeat renewals, letting slow leases expire
-//	-abandon N   exit after claiming (never completing) N leases
+//	-abandon N   exit once N leases were claimed, completing none it holds
 package main
 
 import (

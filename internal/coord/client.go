@@ -250,37 +250,54 @@ func (c *Client) Renew(ctx context.Context, l *Lease) (time.Duration, error) {
 // ErrDuplicate; ErrLeaseLost means the lease was re-issued and the
 // result was refused.
 func (c *Client) Complete(ctx context.Context, l *Lease, worker string, cells []byte) error {
-	_, err := c.complete(ctx, l, worker, cells, nil)
-	return err
+	outcomes, _, err := c.completeShards(ctx, l.Job, worker, []ShardResult{{Shard: l.Shard, Token: l.Token, Cells: cells}}, nil)
+	if err != nil {
+		return err
+	}
+	return outcomes[0]
 }
 
-// CompleteAndClaim is Complete that also claims the worker's next
-// lease in the same round trip — from nextJob when non-empty,
-// otherwise from any running job — once the result is accepted, a
-// duplicate included. next is nil when nothing was claimable, or the
-// coordinator predates the folded claim; the caller then claims on its
-// own.
-func (c *Client) CompleteAndClaim(ctx context.Context, l *Lease, worker string, cells []byte, nextJob string) (next *Lease, err error) {
-	return c.complete(ctx, l, worker, cells, &NextClaim{Job: nextJob})
+// CompleteAndClaimShare delivers the results of several leases of one
+// job in one request and, once one is accepted (a duplicate included),
+// claims the worker's next fair share in the same round trip — from
+// nextJob when non-empty, otherwise from any running job. outcomes
+// holds each result's own outcome as Complete would return it: nil,
+// ErrDuplicate, ErrLeaseLost, or the coordinator's reason for refusing
+// the cells. next is empty when nothing was claimable; the caller then
+// claims on its own.
+func (c *Client) CompleteAndClaimShare(ctx context.Context, jobID, worker string, results []ShardResult, nextJob string) (outcomes []error, next []*Lease, err error) {
+	return c.completeShards(ctx, jobID, worker, results, &NextClaim{Job: nextJob, Share: true})
 }
 
-func (c *Client) complete(ctx context.Context, l *Lease, worker string, cells []byte, next *NextClaim) (*Lease, error) {
+func (c *Client) completeShards(ctx context.Context, jobID, worker string, results []ShardResult, next *NextClaim) ([]error, []*Lease, error) {
+	req := CompleteRequest{Worker: worker, Items: make([]CompleteItem, len(results)), Next: next}
+	for i, r := range results {
+		req.Items[i] = CompleteItem{Shard: r.Shard, Token: r.Token, Cells: string(r.Cells)}
+	}
 	var out CompleteResponse
-	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+l.Job+"/complete",
-		CompleteRequest{Shard: l.Shard, Token: l.Token, Worker: worker, Cells: string(cells), Next: next}, &out)
-	switch status {
-	case http.StatusConflict:
-		return nil, ErrLeaseLost
-	case http.StatusNotFound:
-		return nil, ErrUnknownJob
+	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+jobID+"/complete", req, &out)
+	if status == http.StatusNotFound {
+		return nil, nil, ErrUnknownJob
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if out.Duplicate {
-		return out.Next, ErrDuplicate
+	if len(out.Items) != len(results) {
+		return nil, nil, fmt.Errorf("POST /v1/sweep/%s/complete: reply answers %d of %d items", jobID, len(out.Items), len(results))
 	}
-	return out.Next, nil
+	outcomes := make([]error, len(results))
+	for i, it := range out.Items {
+		switch it.Outcome {
+		case OutcomeAccepted:
+		case OutcomeDuplicate:
+			outcomes[i] = ErrDuplicate
+		case OutcomeLeaseLost:
+			outcomes[i] = ErrLeaseLost
+		default:
+			outcomes[i] = fmt.Errorf("coord: shard %d %s: %s", it.Shard, it.Outcome, it.Error)
+		}
+	}
+	return outcomes, out.Leases, nil
 }
 
 // Result fetches the merged figure's .dat text; ErrNotDone while

@@ -17,6 +17,14 @@
 //	   ▲                  │
 //	   └──deadline passed─┘   (re-lease; Releases counter)
 //
+// Workers take shards in fair-share batches: a worker's first claim is
+// one lease, and each complete delivers the cells of every lease it
+// holds on one job and claims a fair share of a job's pending shards,
+// ⌊pending / (2·holders)⌋ (guided self-scheduling), in the same round
+// trip. A batch journals the records its shards would journal one at a
+// time, with one fsync, so a job costs a few round trips and fsyncs
+// instead of one per shard.
+//
 // The Coordinator is purely reactive bookkeeping: it owns no
 // goroutines and no timers (lease expiry is evaluated lazily on every
 // claim/progress/renew), so a server embedding one has nothing extra
@@ -265,17 +273,13 @@ func (c *Coordinator) expireLeases(j *job, now time.Time) {
 	}
 }
 
-// shardOf resolves a job id and shard index: ErrUnknownJob for an
-// unknown job, ErrLeaseLost for an index no lease can name.
-func (c *Coordinator) shardOf(jobID string, idx int) (*job, *shard, error) {
-	j, ok := c.jobs[jobID]
-	if !ok {
-		return nil, nil, ErrUnknownJob
-	}
+// shardAt resolves a shard index of j: ErrLeaseLost for an index no
+// lease can name.
+func (j *job) shardAt(idx int) (*shard, error) {
 	if idx < 0 || idx >= len(j.Shards) {
-		return nil, nil, fmt.Errorf("coord: shard %d out of range [0, %d): %w", idx, len(j.Shards), ErrLeaseLost)
+		return nil, fmt.Errorf("coord: shard %d out of range [0, %d): %w", idx, len(j.Shards), ErrLeaseLost)
 	}
-	return j, &j.Shards[idx], nil
+	return &j.Shards[idx], nil
 }
 
 // Claim leases the lowest pending shard of jobID — or, with jobID
@@ -284,6 +288,26 @@ func (c *Coordinator) shardOf(jobID string, idx int) (*job, *shard, error) {
 // Returns ErrNoWork when every shard is leased or done but the job is
 // unfinished, and ErrJobDone when a specifically named job finished.
 func (c *Coordinator) Claim(jobID, worker string) (*Lease, error) {
+	leases, err := c.claim(jobID, worker, false)
+	if err != nil {
+		return nil, err
+	}
+	return leases[0], nil
+}
+
+// ClaimShare is Claim for a fair share of one job: the lowest
+// ⌊pending / (2·holders)⌋ pending shards, at least one, where holders
+// counts the distinct workers holding a lease on that job, the
+// claimer included. The share shrinks as the job drains, so its tail
+// still spreads over every worker (guided self-scheduling). Each
+// lease is journaled as the claim record Claim would write for it.
+func (c *Coordinator) ClaimShare(jobID, worker string) ([]*Lease, error) {
+	return c.claim(jobID, worker, true)
+}
+
+// claim is the one claim path: one lease, or with share a fair share
+// of the first job that has a pending shard.
+func (c *Coordinator) claim(jobID, worker string, share bool) ([]*Lease, error) {
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -305,34 +329,65 @@ func (c *Coordinator) Claim(jobID, worker string) (*Lease, error) {
 		}
 		sawRunning = true
 		c.expireLeases(j, now)
-		for i := range j.Shards {
+		n := 1
+		if share {
+			n = j.share(worker)
+		}
+		recs := make([]record, 0, n)
+		for i := 0; i < len(j.Shards) && len(recs) < n; i++ {
 			if j.Shards[i].State != shardPending {
 				continue
 			}
-			seq := c.seq + 1
-			r := record{
+			seq := c.seq + len(recs) + 1
+			recs = append(recs, record{
 				Type: recClaim, Job: j.ID, Shard: i, Seq: seq,
 				Token: c.leaseToken(seq), Worker: worker, Deadline: now.Add(j.ttl()).UnixNano(),
-			}
-			if err := c.commit(r); err != nil {
-				return nil, err
-			}
-			return &Lease{
+			})
+		}
+		if len(recs) == 0 {
+			continue
+		}
+		if err := c.commit(recs...); err != nil {
+			return nil, err
+		}
+		leases := make([]*Lease, len(recs))
+		for i, r := range recs {
+			leases[i] = &Lease{
 				Job:      j.ID,
 				Figure:   j.Spec.Figure,
 				Seeds:    j.Spec.Seeds,
 				BaseSeed: j.Spec.BaseSeed,
-				Shard:    i,
+				Shard:    r.Shard,
 				Shards:   len(j.Shards),
 				Token:    r.Token,
 				TTLMS:    j.Spec.LeaseTTLMS,
-			}, nil
+			}
 		}
+		return leases, nil
 	}
 	if jobID != "" && !sawRunning {
 		return nil, ErrJobDone
 	}
 	return nil, ErrNoWork
+}
+
+// share is the number of shards a share claim by worker takes of j:
+// ⌊pending / (2·holders)⌋, at least one. Called under mu after
+// expireLeases, so an expired lease holds nothing.
+func (j *job) share(worker string) int {
+	pending := 0
+	holders := []string{worker}
+	for i := range j.Shards {
+		switch s := &j.Shards[i]; s.State {
+		case shardPending:
+			pending++
+		case shardLeased:
+			if !slices.Contains(holders, s.Worker) {
+				holders = append(holders, s.Worker)
+			}
+		}
+	}
+	return max(1, pending/(2*len(holders)))
 }
 
 // WorkChanged returns a channel that is closed the next time a job is
@@ -377,7 +432,11 @@ func (c *Coordinator) Renew(jobID string, shardIdx int, token string) (int64, er
 	now := c.cfg.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, s, err := c.shardOf(jobID, shardIdx)
+	j, ok := c.jobs[jobID]
+	if !ok {
+		return 0, ErrUnknownJob
+	}
+	s, err := j.shardAt(shardIdx)
 	if err != nil {
 		return 0, err
 	}
@@ -392,6 +451,14 @@ func (c *Coordinator) Renew(jobID string, shardIdx int, token string) (int64, er
 	return j.Spec.LeaseTTLMS, nil
 }
 
+// ShardResult is one shard's encoded cells, delivered under its lease
+// token.
+type ShardResult struct {
+	Shard int
+	Token string
+	Cells []byte
+}
+
 // Complete records one shard's encoded cells. The first result per
 // shard wins; a duplicate (the shard was re-leased and someone else
 // finished first — or finished twice) returns ErrDuplicate and is
@@ -403,43 +470,85 @@ func (c *Coordinator) Renew(jobID string, shardIdx int, token string) (int64, er
 // state matters. When the last shard lands the merge runs inline and
 // the job transitions to done before Complete returns.
 func (c *Coordinator) Complete(jobID string, shardIdx int, token, worker string, cells []byte) error {
+	errs, err := c.CompleteShards(jobID, worker, []ShardResult{{Shard: shardIdx, Token: token, Cells: cells}})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+// CompleteShards is the one complete path: it records several shards
+// of one job at once, each exactly as Complete would. errs holds each
+// result's own outcome — nil, ErrDuplicate, ErrLeaseLost or a cells
+// error — and a refused result does not refuse the others. The
+// records are those the results would write one Complete at a time,
+// in the same order; they are written with one fsync and applied only
+// after it. err refuses the whole batch: an unknown job, or ErrJournal
+// when the write or fsync failed, in which case nothing changed — bar
+// a batch that finished the job, whose duplicates after the merge may
+// fail to journal once the rest landed.
+func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult) (errs []error, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, s, err := c.shardOf(jobID, shardIdx)
-	if err != nil {
-		return err
+	j, ok := c.jobs[jobID]
+	if !ok {
+		return nil, ErrUnknownJob
 	}
-	if s.State == shardDone {
-		if err := c.commit(record{Type: recDuplicate, Job: j.ID, Shard: shardIdx}); err != nil {
-			return err
+	errs = make([]error, len(results))
+	recs := make([]record, 0, len(results))
+	accepted, last := 0, -1 // complete records, and the index of the last
+	for i, res := range results {
+		s, err := j.shardAt(res.Shard)
+		if err != nil {
+			errs[i] = err
+			continue
 		}
-		return ErrDuplicate
+		if s.State == shardDone || slices.ContainsFunc(recs, func(r record) bool { return r.Type == recComplete && r.Shard == res.Shard }) {
+			recs = append(recs, record{Type: recDuplicate, Job: j.ID, Shard: res.Shard})
+			errs[i] = ErrDuplicate
+			continue
+		}
+		if s.State != shardLeased || s.Token != res.Token {
+			errs[i] = ErrLeaseLost
+			continue
+		}
+		// Check before accepting so a malformed or mismatched artifact
+		// fails the completing worker and leaves the lease in place,
+		// instead of failing the eventual merge for good.
+		sc, err := experiments.DecodeShardCells(bytes.NewReader(res.Cells))
+		if err == nil {
+			err = sc.Check(j.Spec.Figure, j.config(), experiments.Shard{Index: res.Shard, Count: len(j.Shards)})
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("coord: shard %d cells: %w", res.Shard, err)
+			continue
+		}
+		recs = append(recs, record{Type: recComplete, Job: j.ID, Shard: res.Shard, Worker: worker, Cells: res.Cells})
+		accepted, last = accepted+1, len(recs)-1
 	}
-	if s.State != shardLeased || s.Token != token {
-		return ErrLeaseLost
+	if accepted == 0 || j.Done+accepted < len(j.Shards) {
+		if len(recs) > 0 {
+			if err := c.commit(recs...); err != nil {
+				return nil, err
+			}
+		}
+		return errs, nil
 	}
-	// Check before accepting so a malformed or mismatched artifact
-	// fails the completing worker and leaves the lease in place, instead
-	// of failing the eventual merge for good.
-	sc, err := experiments.DecodeShardCells(bytes.NewReader(cells))
-	if err == nil {
-		err = sc.Check(j.Spec.Figure, j.config(), experiments.Shard{Index: shardIdx, Count: len(j.Shards)})
+	// This batch lands the last shard: merge inline on this caller's
+	// goroutine. No other complete can race in — every shard is done,
+	// so concurrent completions are duplicates. The duplicates after
+	// the last complete are journaled after the merge, where single
+	// completes would put them.
+	if err := c.commit(recs[:last+1]...); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return fmt.Errorf("coord: shard %d cells: %w", shardIdx, err)
+	c.merge(j)
+	if last+1 < len(recs) {
+		if err := c.commit(recs[last+1:]...); err != nil {
+			return nil, err
+		}
 	}
-	if err := c.commit(record{
-		Type: recComplete, Job: j.ID, Shard: shardIdx, Worker: worker, Cells: cells,
-	}); err != nil {
-		return err
-	}
-	if j.Done == len(j.Shards) {
-		// Last shard: merge inline on this caller's goroutine. No other
-		// Complete can race in — every shard is done, so concurrent
-		// completions take the duplicate path above.
-		c.merge(j)
-	}
-	return nil
+	return errs, nil
 }
 
 // merge folds the cells of a job whose every shard is done and commits

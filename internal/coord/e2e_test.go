@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -280,5 +282,50 @@ func TestWorkerFoldsClaims(t *testing.T) {
 	}
 	if claims.Load() != 2 || completes.Load() != 3 {
 		t.Fatalf("%d claims and %d completes, want 2 and 3", claims.Load(), completes.Load())
+	}
+}
+
+// TestWorkerTakesFairShares: a lone worker on a 16-shard job takes one
+// lease from its claim, then shares of 7, 4, 2, 1 and 1 from its
+// completes, so it delivers the job in six completes and claims twice:
+// the first lease, and the claim that finds the job done.
+func TestWorkerTakesFairShares(t *testing.T) {
+	pool := serve.New(serve.Config{Workers: 1})
+	defer pool.Close()
+	var claims atomic.Int64
+	var mu sync.Mutex
+	var batches []int // items per complete
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/lease"):
+			claims.Add(1)
+		case strings.HasSuffix(r.URL.Path, "/complete"):
+			var req coord.CompleteRequest
+			body, _ := io.ReadAll(r.Body)
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("complete body: %v", err)
+			}
+			mu.Lock()
+			batches = append(batches, len(req.Items))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		pool.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c := coord.NewClient(ts.URL)
+	id, err := c.Submit(t.Context(), coord.SweepJob{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shards: 16})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := coord.RunWorker(t.Context(), c, coord.WorkerOptions{Name: "w", Job: id, Poll: 10 * time.Millisecond}); err != nil {
+		t.Fatalf("RunWorker: %v", err)
+	}
+	if p, err := c.Progress(t.Context(), id); err != nil || p.State != "done" || p.Done != 16 {
+		t.Fatalf("Progress: %+v %v", p, err)
+	}
+	if want := []int{1, 7, 4, 2, 1, 1}; claims.Load() != 2 || !slices.Equal(batches, want) {
+		t.Fatalf("%d claims and completes of %v shards, want 2 and %v", claims.Load(), batches, want)
 	}
 }

@@ -29,7 +29,9 @@ package coord
 // pending, the re-issued lease gets a fresh token, and the old
 // worker's stale token maps to ErrLeaseLost exactly like any other
 // lost lease. (A process kill loses nothing: written bytes survive in
-// the page cache.)
+// the page cache.) One operation's records — a record per shard of a
+// batch complete or a share claim — go out in one write and share one
+// fsync, and are applied only once both succeeded.
 //
 // Snapshots (snapshot.json): after Config.SnapshotEvery journal
 // appends the whole shard table is marshalled to snapshot.json.tmp,
@@ -166,12 +168,22 @@ var errJournalClosed = errors.New("journal closed")
 // syncInterval is the group-commit window for claims and renews.
 const syncInterval = 100 * time.Millisecond
 
+// walFile is the journal's file: *os.File in production. Tests put a
+// wrapper in its place to make a Write, Sync or Truncate fail.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // journal is the open WAL of a durable coordinator. All access is
 // guarded by the coordinator mutex; appends happen inline in the
 // operation that they record.
 type journal struct {
 	dir      string
-	f        *os.File
+	f        walFile
 	buf      []byte // reused frame buffer
 	lsn      uint64 // last LSN written (or absorbed by the snapshot)
 	dirty    bool   // written but not yet fsynced
@@ -180,30 +192,37 @@ type journal struct {
 	closed   bool
 }
 
-// append frames and writes r (assigning the next LSN), fsyncing per
-// the group-commit policy. Returns the framed size and whether this
-// append carried an fsync. A write error closes the journal: bytes
-// may have landed torn, and appending after them would strand every
-// later record behind an undecodable frame.
-func (jn *journal) append(r *record, now time.Time) (int, bool, error) {
+// append frames recs (assigning consecutive LSNs), writes them with
+// one Write and fsyncs at most once, per the group-commit policy: at
+// once when any of them is critical. Returns the framed size and
+// whether the batch carried an fsync. A write or sync error closes the
+// journal: bytes may have landed torn, and appending after them would
+// strand every later record behind an undecodable frame.
+func (jn *journal) append(recs []record, now time.Time) (int, bool, error) {
 	if jn.closed {
 		return 0, false, errJournalClosed
 	}
-	r.LSN = jn.lsn + 1
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return 0, false, err
+	jn.buf = jn.buf[:0]
+	critical := false
+	for i := range recs {
+		r := &recs[i]
+		r.LSN = jn.lsn + uint64(i) + 1
+		payload, err := json.Marshal(r)
+		if err != nil {
+			return 0, false, err
+		}
+		jn.buf = frameRecord(jn.buf, payload)
+		critical = critical || r.critical()
 	}
-	jn.buf = frameRecord(jn.buf[:0], payload)
 	if _, err := jn.f.Write(jn.buf); err != nil {
 		jn.closed = true
 		return 0, false, err
 	}
-	jn.lsn++
-	jn.appends++
+	jn.lsn += uint64(len(recs))
+	jn.appends += len(recs)
 	jn.dirty = true
 	synced := false
-	if r.critical() || now.Sub(jn.lastSync) >= syncInterval {
+	if critical || now.Sub(jn.lastSync) >= syncInterval {
 		if err := jn.f.Sync(); err != nil {
 			jn.closed = true
 			return len(jn.buf), false, err

@@ -5,12 +5,15 @@ package coord
 // happened. The equivalence argument, piece by piece:
 //
 //   - applyRecord is the only function that changes the shard table.
-//     Every live operation validates its input, builds its record,
-//     journals it and applies it through commit, under one mutex hold;
-//     replay applies the same records through the same function, so
-//     the journal is a serialization of the live history and replaying
-//     it cannot take a different transition. (Lazy lease expiry is the
-//     one state change outside it; see below.)
+//     Every live operation validates its input, builds its records,
+//     journals them and applies them through commit, under one mutex
+//     hold; replay applies the same records through the same function,
+//     so the journal is a serialization of the live history and
+//     replaying it cannot take a different transition. (Lazy lease
+//     expiry is the one state change outside it; see below.) A batch
+//     complete or a share claim writes the records its shards would
+//     write one by one, so a crash inside a batch recovers the state
+//     the same shards reach one request at a time.
 //   - Lease deadlines are journaled, and held live, as absolute Unix
 //     nanoseconds compared against the wall clock. Recovery does not
 //     expire anything itself: a lease whose deadline passed while the
@@ -145,15 +148,19 @@ func (c *Coordinator) recover() error {
 	return nil
 }
 
-// commit journals r and then applies it: the one way a live operation
-// changes coordinator state. Called under mu. A failed append refuses
-// the operation before anything changes (ErrJournal), so the on-disk
-// history never diverges from what clients observed.
-func (c *Coordinator) commit(r record) error {
-	if err := c.logRecord(&r); err != nil {
+// commit journals recs with one write and at most one fsync, and only
+// then applies them: the one way a live operation changes coordinator
+// state. Called under mu. A failed write or fsync refuses the whole
+// operation before anything changes (ErrJournal), so the on-disk
+// history never diverges from what clients observed, and no request
+// can observe a record that is not yet as durable as its policy says.
+func (c *Coordinator) commit(recs ...record) error {
+	if err := c.logRecords(recs); err != nil {
 		return err
 	}
-	c.applyRecord(&r)
+	for i := range recs {
+		c.applyRecord(&recs[i])
+	}
 	c.maybeSnapshotLocked()
 	return nil
 }
@@ -379,19 +386,19 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// logRecord appends one record to the journal; a no-op for in-memory
+// logRecords appends recs to the journal; a no-op for in-memory
 // coordinators. Called under mu. Errors wrap ErrJournal (the HTTP
-// layer maps it to 500): the mutation the record describes must not
+// layer maps it to 500): the mutation the records describe must not
 // proceed, or replay would diverge from the history a client observed.
-func (c *Coordinator) logRecord(r *record) error {
+func (c *Coordinator) logRecords(recs []record) error {
 	if c.jnl == nil {
 		return nil
 	}
-	n, synced, err := c.jnl.append(r, c.cfg.Now())
+	n, synced, err := c.jnl.append(recs, c.cfg.Now())
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
-	c.stats.JournalAppends++
+	c.stats.JournalAppends += int64(len(recs))
 	c.stats.JournalBytes += int64(n)
 	if synced {
 		c.stats.JournalSyncs++

@@ -412,17 +412,27 @@ func TestSubmitIdempotent(t *testing.T) {
 	}
 }
 
-// propOp drives one random operation against the live coordinator and
-// reports whether it mutated state (and thus appended records).
+// propState drives random operations against a live coordinator.
 type propState struct {
 	rng    *rand.Rand
 	jobIDs []string
 	leases []*Lease // leases "workers" currently hold (may be stale)
+	done   []*Lease // leases completed, for duplicate batch items
+	// batchMerges counts batch completes that finished their job.
+	batchMerges int
 }
 
-func (ps *propState) step(t *testing.T, c *Coordinator, clk *fakeClock) {
+// singles replays an operation one shard at a time: each function is a
+// single Claim or Complete (or the one call of an operation that has a
+// single form), and together, applied in order to a coordinator in the
+// same state, they write the operation's records in the same order.
+type singles []func(*Coordinator)
+
+// step runs one random operation on c and returns it as singles. A
+// clock advance returns none: the clock is shared.
+func (ps *propState) step(t *testing.T, c *Coordinator, clk *fakeClock) singles {
 	t.Helper()
-	switch ps.rng.Intn(12) {
+	switch ps.rng.Intn(16) {
 	case 0, 1:
 		// Keep up to two jobs running; submit a fresh one as they finish.
 		running := 0
@@ -433,31 +443,49 @@ func (ps *propState) step(t *testing.T, c *Coordinator, clk *fakeClock) {
 		}
 		if running < 2 {
 			spec := testJob(2 + ps.rng.Intn(2)) // 2 or 3 shards
+			if ps.rng.Intn(3) == 0 {
+				spec = testJob(8) // room for shares of more than one
+			}
 			id, err := c.Submit(spec)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
 			ps.jobIDs = append(ps.jobIDs, id)
+			return singles{func(s *Coordinator) { s.Submit(spec) }}
 		}
-	case 2, 3, 4:
+	case 2, 3, 4, 12, 13:
 		if len(ps.jobIDs) == 0 {
-			return
+			return nil
 		}
 		target := "" // any-job claim
 		if ps.rng.Intn(2) == 0 {
 			target = ps.jobIDs[ps.rng.Intn(len(ps.jobIDs))]
 		}
-		l, err := c.Claim(target, "w"+string(rune('a'+ps.rng.Intn(3))))
+		worker := "w" + string(rune('a'+ps.rng.Intn(3)))
+		var got []*Lease
+		var err error
+		if share := ps.rng.Intn(2) == 0; share {
+			got, err = c.ClaimShare(target, worker)
+		} else {
+			var l *Lease
+			l, err = c.Claim(target, worker)
+			got = []*Lease{l}
+		}
 		switch {
 		case errors.Is(err, ErrNoWork), errors.Is(err, ErrJobDone):
-			return
+			return singles{func(s *Coordinator) { s.Claim(target, worker) }}
 		case err != nil:
 			t.Fatalf("Claim: %v", err)
 		}
-		ps.leases = append(ps.leases, l)
+		ps.leases = append(ps.leases, got...)
+		var out singles
+		for range got {
+			out = append(out, func(s *Coordinator) { s.Claim(target, worker) })
+		}
+		return out
 	case 5:
 		if len(ps.leases) == 0 {
-			return
+			return nil
 		}
 		l := ps.leases[ps.rng.Intn(len(ps.leases))]
 		// May be stale (expired and re-leased, or completed): both
@@ -465,31 +493,90 @@ func (ps *propState) step(t *testing.T, c *Coordinator, clk *fakeClock) {
 		if _, err := c.Renew(l.Job, l.Shard, l.Token); err != nil && !errors.Is(err, ErrLeaseLost) {
 			t.Fatalf("Renew: %v", err)
 		}
+		return singles{func(s *Coordinator) { s.Renew(l.Job, l.Shard, l.Token) }}
 	case 6, 7, 8:
 		if len(ps.leases) == 0 {
-			return
+			return nil
 		}
 		i := ps.rng.Intn(len(ps.leases))
 		l := ps.leases[i]
 		ps.leases = append(ps.leases[:i], ps.leases[i+1:]...)
-		err := c.Complete(l.Job, l.Shard, l.Token, "w", cachedCells(t, l))
+		ps.done = append(ps.done, l)
+		cells := cachedCells(t, l)
+		err := c.Complete(l.Job, l.Shard, l.Token, "w", cells)
 		if err != nil && !errors.Is(err, ErrLeaseLost) && !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("Complete: %v", err)
 		}
+		return singles{func(s *Coordinator) { s.Complete(l.Job, l.Shard, l.Token, "w", cells) }}
 	case 9:
 		if len(ps.leases) == 0 {
-			return
+			return nil
 		}
 		// Double-complete a lease without forgetting it: exercises the
 		// duplicate path deterministically.
 		l := ps.leases[ps.rng.Intn(len(ps.leases))]
-		err := c.Complete(l.Job, l.Shard, l.Token, "w-dup", cachedCells(t, l))
+		cells := cachedCells(t, l)
+		err := c.Complete(l.Job, l.Shard, l.Token, "w-dup", cells)
 		if err != nil && !errors.Is(err, ErrLeaseLost) && !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("duplicate Complete: %v", err)
 		}
+		return singles{func(s *Coordinator) { s.Complete(l.Job, l.Shard, l.Token, "w-dup", cells) }}
+	case 14, 15:
+		return ps.batchComplete(t, c)
 	case 10, 11:
 		clk.Advance(time.Duration(1+ps.rng.Intn(8)) * time.Second)
 	}
+	return nil
+}
+
+// batchComplete delivers every held lease of one job in one batch,
+// shuffled together with, at random, a duplicate of a completed shard,
+// a stale token and a malformed artifact.
+func (ps *propState) batchComplete(t *testing.T, c *Coordinator) singles {
+	t.Helper()
+	if len(ps.leases) == 0 {
+		return nil
+	}
+	job := ps.leases[ps.rng.Intn(len(ps.leases))].Job
+	var items []ShardResult
+	kept := ps.leases[:0]
+	for _, l := range ps.leases {
+		if l.Job != job {
+			kept = append(kept, l)
+			continue
+		}
+		items = append(items, ShardResult{Shard: l.Shard, Token: l.Token, Cells: cachedCells(t, l)})
+		ps.done = append(ps.done, l)
+	}
+	ps.leases = kept
+	if i := ps.rng.Intn(len(ps.done)); ps.done[i].Job == job {
+		l := ps.done[i]
+		items = append(items, ShardResult{Shard: l.Shard, Token: l.Token, Cells: cachedCells(t, l)})
+	}
+	l := ps.done[len(ps.done)-1]
+	if ps.rng.Intn(2) == 0 {
+		items = append(items, ShardResult{Shard: l.Shard, Token: "t0.0", Cells: cachedCells(t, l)})
+	}
+	if ps.rng.Intn(2) == 0 {
+		items = append(items, ShardResult{Shard: l.Shard, Token: l.Token, Cells: []byte("malformed")})
+	}
+	ps.rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	before, _ := c.Progress(job)
+	errs, err := c.CompleteShards(job, "w", items)
+	if err != nil {
+		t.Fatalf("CompleteShards: %v", err)
+	}
+	if after, _ := c.Progress(job); before.State == "running" && after.State == "done" {
+		ps.batchMerges++
+	}
+	var out singles
+	for i, it := range items {
+		if errs[i] != nil && !errors.Is(errs[i], ErrLeaseLost) && !errors.Is(errs[i], ErrDuplicate) && string(it.Cells) != "malformed" {
+			t.Fatalf("batch item %d: %v", i, errs[i])
+		}
+		out = append(out, func(s *Coordinator) { s.Complete(job, it.Shard, it.Token, "w", it.Cells) })
+	}
+	return out
 }
 
 // journalFrameEnds returns the end offset of every frame in data.
@@ -615,12 +702,15 @@ func driveToGolden(t *testing.T, c *Coordinator, jobIDs []string, golden string)
 // byte-identical to the unsharded golden.
 func TestRestartEquivalenceJournalPrefixes(t *testing.T) {
 	golden := goldenDat(t)
-	dir := t.TempDir()
+	dir, shadowDir := t.TempDir(), t.TempDir()
 	clk := newFakeClock()
 	live := openDurable(t, dir, clk, nil)
+	// The shadow replays every operation one shard at a time, so a crash
+	// inside a share claim or a batch complete has a state to recover.
+	shadow := openDurable(t, shadowDir, clk, nil)
 	ps := &propState{rng: rand.New(rand.NewSource(7))}
 
-	countRecords := func() int {
+	countRecords := func(dir string) int {
 		data, err := os.ReadFile(filepath.Join(dir, journalFileName))
 		if err != nil {
 			t.Fatalf("read journal: %v", err)
@@ -632,17 +722,35 @@ func TestRestartEquivalenceJournalPrefixes(t *testing.T) {
 		return len(recs)
 	}
 
-	bounds := []boundary{{cum: countRecords(), clock: clk.Now(), capture: captureState(t, live)}}
+	bounds := []boundary{{cum: countRecords(shadowDir), clock: clk.Now(), capture: captureState(t, shadow)}}
 	const ops = 80
+	batches := 0
 	for i := 0; i < ops; i++ {
-		ps.step(t, live, clk)
+		ops := ps.step(t, live, clk)
 		observeExpiry(t, live, ps.jobIDs)
-		bounds = append(bounds, boundary{cum: countRecords(), clock: clk.Now(), capture: captureState(t, live)})
+		for _, op := range ops {
+			op(shadow)
+			observeExpiry(t, shadow, ps.jobIDs)
+			bounds = append(bounds, boundary{cum: countRecords(shadowDir), clock: clk.Now(), capture: captureState(t, shadow)})
+		}
+		observeExpiry(t, shadow, ps.jobIDs) // a clock advance has no ops
+		if len(ops) > 1 {
+			batches++
+		}
+		if got, want := captureState(t, live), captureState(t, shadow); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: live state differs from its one-shard replay\n--- live ---\n%s\n--- replay ---\n%s", i, got, want)
+		}
+	}
+	if batches < 5 || ps.batchMerges == 0 {
+		t.Fatalf("%d operations spanned several shards, %d batches finished a job; property too weak", batches, ps.batchMerges)
 	}
 
 	data, err := os.ReadFile(filepath.Join(dir, journalFileName))
 	if err != nil {
 		t.Fatalf("read journal: %v", err)
+	}
+	if replay, err := os.ReadFile(filepath.Join(shadowDir, journalFileName)); err != nil || !bytes.Equal(data, replay) {
+		t.Fatalf("live journal differs from its one-shard replay's (%d vs %d bytes, %v)", len(data), len(replay), err)
 	}
 	ends := journalFrameEnds(t, data)
 	if len(ends) < 20 {
@@ -725,7 +833,7 @@ func TestRestartEquivalenceWithSnapshots(t *testing.T) {
 		return journal, snapshot
 	}
 
-	const ops = 60
+	const ops = 100
 	for i := 0; i < ops; i++ {
 		ps.step(t, live, clk)
 		observeExpiry(t, live, ps.jobIDs)
@@ -741,7 +849,7 @@ func TestRestartEquivalenceWithSnapshots(t *testing.T) {
 			driveToGolden(t, rec, ps.jobIDs, golden)
 		}
 	}
-	if st := live.StatsSnapshot(); st.Snapshots == 0 {
-		t.Fatal("snapshot rotation never triggered; property too weak")
+	if st := live.StatsSnapshot(); st.Snapshots == 0 || ps.batchMerges == 0 {
+		t.Fatalf("%d snapshots, %d batches finished a job; property too weak", st.Snapshots, ps.batchMerges)
 	}
 }

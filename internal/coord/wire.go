@@ -121,11 +121,23 @@ type CompleteRequest struct {
 	Token  string `json:"token"`
 	Worker string `json:"worker,omitempty"`
 	Cells  string `json:"cells"`
+	// Items, when non-empty, makes the request a batch: it delivers
+	// every listed shard of the job in place of Shard, Token and Cells,
+	// which must then be unset. The reply answers each item on its own.
+	Items []CompleteItem `json:"items,omitempty"`
 	// Next, when set, folds the worker's next claim into this round
-	// trip: once the result is accepted (a duplicate included), the
-	// coordinator claims a lease for Worker exactly as a claim request
-	// would, and returns it in CompleteResponse.Next.
+	// trip: once a result is accepted (a duplicate included), the
+	// coordinator claims for Worker exactly as a claim request would,
+	// and returns the lease in CompleteResponse.Next, or with Share the
+	// leases in CompleteResponse.Leases.
 	Next *NextClaim `json:"next,omitempty"`
+}
+
+// CompleteItem is one shard of a batch complete.
+type CompleteItem struct {
+	Shard int    `json:"shard"`
+	Token string `json:"token"`
+	Cells string `json:"cells"`
 }
 
 // NextClaim names where a folded claim draws from.
@@ -133,14 +145,40 @@ type NextClaim struct {
 	// Job pins the claim to one job id; empty claims from any running
 	// job.
 	Job string `json:"job,omitempty"`
+	// Share claims a fair share of one job instead of one lease:
+	// ⌊pending / (2·holders)⌋ shards, at least one (see
+	// Coordinator.ClaimShare).
+	Share bool `json:"share,omitempty"`
+}
+
+// Outcomes of one batch complete item.
+const (
+	OutcomeAccepted  = "accepted"
+	OutcomeDuplicate = "duplicate"
+	OutcomeLeaseLost = "lease_lost"
+	OutcomeInvalid   = "invalid"
+)
+
+// ItemOutcome answers one CompleteItem: accepted, duplicate (benign,
+// as for a single complete), lease_lost (the token is not the shard's
+// lease, or the shard index names none) or invalid (the cells failed
+// their check; Error says why, and the lease stays in place).
+type ItemOutcome struct {
+	Shard   int    `json:"shard"`
+	Outcome string `json:"outcome"`
+	Error   string `json:"error,omitempty"`
 }
 
 // CompleteResponse is its reply. Duplicate is set when the result was
 // discarded because the shard already completed — benign by the
-// determinism contract. It is always sent, false included. Next is the
-// folded claim's lease; it is absent when the request asked for none
-// or nothing was claimable, and the worker then claims on its own.
+// determinism contract. It is always sent, false included; a batch
+// answers in Items instead, one outcome per item in order. Next is the
+// folded claim's lease, and Leases the folded share claim's; they are
+// absent when the request asked for none or nothing was claimable, and
+// the worker then claims on its own.
 type CompleteResponse struct {
-	Duplicate bool   `json:"duplicate"`
-	Next      *Lease `json:"next,omitempty"`
+	Duplicate bool          `json:"duplicate"`
+	Items     []ItemOutcome `json:"items,omitempty"`
+	Next      *Lease        `json:"next,omitempty"`
+	Leases    []*Lease      `json:"leases,omitempty"`
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -46,9 +48,9 @@ type WorkerOptions struct {
 	// NoRenew disables heartbeat renewals, so a slow shard's lease
 	// expires mid-compute and is re-offered.
 	NoRenew bool
-	// AbandonAfterClaims makes the worker return after claiming (and
-	// never completing) this many leases — a worker that dies
-	// mid-shard.
+	// AbandonAfterClaims makes the worker return once it has claimed
+	// this many leases in all, completing none of those it then holds —
+	// a worker that dies mid-shard.
 	AbandonAfterClaims int
 }
 
@@ -73,34 +75,49 @@ func (o WorkerOptions) logf(format string, args ...any) {
 
 // RunWorker claims, computes and completes sweep shards against a
 // coordinator until ctx is cancelled (or, with ExitIdle, until there
-// is no work left). Each complete claims the next lease in the same
-// round trip. A claim that finds no work parks at the coordinator for
-// the current backoff, which doubles after every empty claim; claim
-// failures sleep it out with jitter. While computing, a heartbeat
-// goroutine renews the lease at a third of its TTL, and a lost lease
-// cancels the computation so the worker moves on instead of finishing
-// work someone else now owns. The heartbeat goroutine is joined before
-// the next lease starts, so a returning RunWorker leaves nothing
-// behind.
+// is no work left). It keeps a queue of leases from one job and
+// computes them in order, then delivers all their cells in one
+// complete that claims the next fair share of a job in the same round
+// trip. A claim that finds no work parks at the coordinator for the
+// current backoff, which doubles after every empty claim; claim
+// failures sleep it out with jitter. One heartbeat goroutine renews
+// every held lease at a third of its TTL, and a lost lease is dropped
+// from the queue, its computation cancelled if it is running, so the
+// worker moves on instead of finishing work someone else now owns.
+// The heartbeat is joined before RunWorker returns, so it leaves
+// nothing behind.
 func RunWorker(ctx context.Context, c *Client, opts WorkerOptions) error {
 	opts = opts.withDefaults()
+	hb := &heartbeat{period: make(chan time.Duration, 1)}
+	hbCtx, stopHB := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	if !opts.NoRenew {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hb.run(hbCtx, c, opts)
+		}()
+	}
+	defer func() { stopHB(); wg.Wait() }()
+
 	backoff := opts.Poll
-	claims := 0
-	var lease *Lease // handed over by the last complete, if any
+	leases := 0
+	var queue []*Lease // leases of one job, handed over by the last complete or a claim
+	var enc bytes.Buffer
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if lease == nil {
+		if len(queue) == 0 {
 			wait := min(backoff, MaxClaimWait)
 			if opts.ExitIdle {
 				wait = 0
 			}
 			start := time.Now()
-			var err error
-			lease, err = c.ClaimWait(ctx, opts.Job, opts.Name, wait)
+			lease, err := c.ClaimWait(ctx, opts.Job, opts.Name, wait)
 			switch {
 			case err == nil:
+				queue = []*Lease{lease}
 			case errors.Is(err, ErrJobDone):
 				opts.logf("%s: job %s done, exiting", opts.Name, opts.Job)
 				return nil
@@ -129,87 +146,180 @@ func RunWorker(ctx context.Context, c *Client, opts WorkerOptions) error {
 		}
 		backoff = opts.Poll
 
-		claims++
-		opts.logf("%s: leased shard %d/%d of job %s (%s)", opts.Name, lease.Shard, lease.Shards, lease.Job, lease.Figure)
-		if opts.AbandonAfterClaims > 0 && claims >= opts.AbandonAfterClaims {
-			opts.logf("%s: abandoning lease on shard %d and exiting (fault injection)", opts.Name, lease.Shard)
+		for _, l := range queue {
+			opts.logf("%s: leased shard %d/%d of job %s (%s)", opts.Name, l.Shard, l.Shards, l.Job, l.Figure)
+		}
+		leases += len(queue)
+		if opts.AbandonAfterClaims > 0 && leases >= opts.AbandonAfterClaims {
+			opts.logf("%s: abandoning %d leases and exiting (fault injection)", opts.Name, len(queue))
 			return nil
 		}
-		next, err := runLease(ctx, c, lease, opts)
+		next, err := runBatch(ctx, c, hb, queue, &enc, opts)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			opts.logf("%s: shard %d: %v", opts.Name, lease.Shard, err)
+			opts.logf("%s: job %s: %v", opts.Name, queue[0].Job, err)
 		}
-		lease = next
+		queue = next
 	}
 }
 
-// runLease computes one leased shard under a heartbeat, submits the
-// result and returns the next lease the complete claimed, if any.
-// Lease loss mid-compute cancels the work; a duplicate accept is
-// logged and treated as success (the shard is done either way).
-func runLease(ctx context.Context, c *Client, lease *Lease, opts WorkerOptions) (*Lease, error) {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	hbDone := make(chan struct{})
-	if opts.NoRenew {
-		close(hbDone)
-	} else {
-		go func() {
-			defer close(hbDone)
-			t := time.NewTicker(time.Duration(lease.TTLMS) * time.Millisecond / 3)
-			defer t.Stop()
-			for {
-				select {
-				case <-cctx.Done():
-					return
-				case <-t.C:
-				}
-				if _, err := c.Renew(cctx, lease); err != nil {
-					if errors.Is(err, ErrLeaseLost) {
-						opts.logf("%s: lease on shard %d lost, cancelling compute", opts.Name, lease.Shard)
-						cancel()
-						return
-					}
-					// Transient renew failures are survivable as long as one
-					// succeeds per TTL; keep ticking.
-					opts.logf("%s: renew shard %d: %v", opts.Name, lease.Shard, err)
-				}
+// runBatch computes a queue of leases of one job in order under the
+// worker's heartbeat, delivers their cells in one complete and returns
+// the share of leases that complete claimed. A lease lost before or
+// during its computation is skipped; a duplicate accept is logged and
+// treated as success (the shard is done either way). enc is the
+// worker's encode buffer, kept between batches.
+func runBatch(ctx context.Context, c *Client, hb *heartbeat, queue []*Lease, enc *bytes.Buffer, opts WorkerOptions) ([]*Lease, error) {
+	hb.hold(queue)
+	defer hb.hold(nil)
+	enc.Reset()
+	results := make([]ShardResult, 0, len(queue))
+	ends := make([]int, 0, len(queue))
+	for _, l := range queue {
+		cctx, cancel, ok := hb.start(ctx, l)
+		if !ok {
+			opts.logf("%s: lease on shard %d lost, skipping it", opts.Name, l.Shard)
+			continue
+		}
+		mark := enc.Len()
+		err := computeShard(cctx, l, enc, opts)
+		cancel()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-		}()
+			opts.logf("%s: shard %d: %v", opts.Name, l.Shard, err)
+			enc.Truncate(mark)
+			continue
+		}
+		results = append(results, ShardResult{Shard: l.Shard, Token: l.Token})
+		ends = append(ends, enc.Len())
 	}
-	// Join the heartbeat before returning so RunWorker never stacks
-	// goroutines across leases.
-	defer func() { cancel(); <-hbDone }()
-
-	if opts.SlowShard > 0 {
-		if !sleepCtx(cctx, opts.SlowShard) {
-			return nil, cctx.Err()
+	if len(results) == 0 {
+		return nil, nil
+	}
+	// The buffer may have moved while it grew: slice it once it is whole.
+	start := 0
+	for i, end := range ends {
+		results[i].Cells = enc.Bytes()[start:end]
+		start = end
+	}
+	job := queue[0].Job
+	outcomes, next, err := c.CompleteAndClaimShare(ctx, job, opts.Name, results, opts.Job)
+	if err != nil {
+		return nil, fmt.Errorf("complete: %w", err)
+	}
+	for i, err := range outcomes {
+		switch {
+		case err == nil:
+			opts.logf("%s: completed shard %d of job %s", opts.Name, results[i].Shard, job)
+		case errors.Is(err, ErrDuplicate):
+			opts.logf("%s: shard %d already completed by another worker, result discarded", opts.Name, results[i].Shard)
+		default:
+			opts.logf("%s: complete shard %d: %v", opts.Name, results[i].Shard, err)
 		}
 	}
-	sc, err := experiments.RunFigureShard(cctx, lease.Figure,
-		experiments.Config{Seeds: lease.Seeds, BaseSeed: lease.BaseSeed, Workers: opts.Workers},
-		experiments.Shard{Index: lease.Shard, Count: lease.Shards})
+	return next, nil
+}
+
+// computeShard computes one leased shard and appends its encoded cells
+// to enc.
+func computeShard(ctx context.Context, l *Lease, enc *bytes.Buffer, opts WorkerOptions) error {
+	if opts.SlowShard > 0 && !sleepCtx(ctx, opts.SlowShard) {
+		return ctx.Err()
+	}
+	sc, err := experiments.RunFigureShard(ctx, l.Figure,
+		experiments.Config{Seeds: l.Seeds, BaseSeed: l.BaseSeed, Workers: opts.Workers},
+		experiments.Shard{Index: l.Shard, Count: l.Shards})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var buf bytes.Buffer
-	if err := sc.Encode(&buf); err != nil {
-		return nil, err
+	return sc.Encode(enc)
+}
+
+// heartbeat renews every lease a worker holds from one goroutine per
+// worker. A lease the coordinator calls lost is marked, and its
+// computation cancelled when it is the one running.
+type heartbeat struct {
+	period chan time.Duration // the held batch's renew period, for run
+
+	mu      sync.Mutex
+	held    []*Lease
+	lost    map[*Lease]bool
+	running *Lease
+	cancel  context.CancelFunc // cancels running's computation
+}
+
+// hold makes batch the held leases (nil holds none) and restarts the
+// renew period at a third of the batch's TTL.
+func (h *heartbeat) hold(batch []*Lease) {
+	h.mu.Lock()
+	h.held = batch
+	clear(h.lost)
+	h.mu.Unlock()
+	if len(batch) > 0 {
+		select {
+		case <-h.period:
+		default:
+		}
+		h.period <- time.Duration(batch[0].TTLMS) * time.Millisecond / 3
 	}
-	next, err := c.CompleteAndClaim(ctx, lease, opts.Name, buf.Bytes(), opts.Job)
-	switch {
-	case err == nil:
-		opts.logf("%s: completed shard %d of job %s", opts.Name, lease.Shard, lease.Job)
-		return next, nil
-	case errors.Is(err, ErrDuplicate):
-		opts.logf("%s: shard %d already completed by another worker, result discarded", opts.Name, lease.Shard)
-		return next, nil
-	default:
-		return nil, fmt.Errorf("complete: %w", err)
+}
+
+// start returns the context to compute l under, cancelled if l is lost
+// meanwhile; ok is false when l is already lost.
+func (h *heartbeat) start(ctx context.Context, l *Lease) (cctx context.Context, cancel context.CancelFunc, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.lost[l] {
+		return nil, nil, false
+	}
+	cctx, cancel = context.WithCancel(ctx)
+	h.running, h.cancel = l, cancel
+	return cctx, cancel, true
+}
+
+// lose marks l lost and cancels its computation if it is running.
+func (h *heartbeat) lose(l *Lease) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.lost == nil {
+		h.lost = make(map[*Lease]bool)
+	}
+	h.lost[l] = true
+	if h.running == l {
+		h.cancel()
+	}
+}
+
+// run renews the held leases every period until ctx is cancelled.
+// Transient renew failures are survivable as long as one succeeds per
+// TTL, so they are only logged.
+func (h *heartbeat) run(ctx context.Context, c *Client, opts WorkerOptions) {
+	t := time.NewTicker(time.Hour)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case d := <-h.period:
+			t.Reset(max(d, time.Millisecond))
+			continue
+		case <-t.C:
+		}
+		h.mu.Lock()
+		held := slices.DeleteFunc(slices.Clone(h.held), func(l *Lease) bool { return h.lost[l] })
+		h.mu.Unlock()
+		for _, l := range held {
+			if _, err := c.Renew(ctx, l); errors.Is(err, ErrLeaseLost) {
+				opts.logf("%s: lease on shard %d lost", opts.Name, l.Shard)
+				h.lose(l)
+			} else if err != nil && ctx.Err() == nil {
+				opts.logf("%s: renew shard %d: %v", opts.Name, l.Shard, err)
+			}
+		}
 	}
 }
 

@@ -791,17 +791,15 @@ func (m *Mapping) NumAlive() int {
 }
 
 // ServerLoad returns the total download bandwidth (MB/s) demanded of
-// server l across all processors; constraint (3) bounds it by Bs_l.
+// server l across all processors; constraint (3) bounds it by Bs_l. It
+// adds processors ascending and each one's downloads in object order,
+// one rate at a time as Validate does, so the result is the same to
+// the last bit on every call and equals Validate's.
 func (m *Mapping) ServerLoad(l int) float64 {
 	load := 0.0
 	for p := range m.Procs {
-		if !m.Procs[p].Alive {
-			continue
-		}
-		for k, srv := range m.DL[p] {
-			if srv == l {
-				load += m.Inst.Rate(k)
-			}
+		if m.Procs[p].Alive {
+			load = m.addDownloads(load, l, p)
 		}
 	}
 	return load
@@ -810,11 +808,22 @@ func (m *Mapping) ServerLoad(l int) float64 {
 // ServerLinkLoad returns the download bandwidth on the link from server l
 // to processor p; constraint (4) bounds it by bs.
 func (m *Mapping) ServerLinkLoad(l, p int) float64 {
-	load := 0.0
+	return m.addDownloads(0, l, p)
+}
+
+// addDownloads adds the rates of p's downloads from server l to load
+// in object order, never in map order.
+func (m *Mapping) addDownloads(load float64, l, p int) float64 {
+	var buf [16]int
+	objs := buf[:0]
 	for k, srv := range m.DL[p] {
 		if srv == l {
-			load += m.Inst.Rate(k)
+			objs = append(objs, k)
 		}
+	}
+	slices.Sort(objs)
+	for _, k := range objs {
+		load += m.Inst.Rate(k)
 	}
 	return load
 }

@@ -363,6 +363,33 @@ func TestServerLoadAccounting(t *testing.T) {
 	}
 }
 
+// TestServerLoadBitStable: with several downloads from one server whose
+// sum rounds differently by order, ServerLoad and ServerLinkLoad give
+// the same bits on every call, namely the object-order sum Validate
+// adds. Summing in map order let the last bit vary from call to call.
+func TestServerLoadBitStable(t *testing.T) {
+	in := fixedInstance()
+	in.Holders = [][]int{{0}, {0, 1}, {0, 2}}
+	m := fullValidMapping(t, in)
+	in.Sizes = []float64{0.1, 0.2, 0.3} // (0.1+0.2)+0.3 != 0.1+(0.2+0.3)
+	in.Freqs = []float64{1, 1, 1}
+	if len(m.DL[0]) != 3 {
+		t.Fatalf("%d downloads, want 3", len(m.DL[0]))
+	}
+	want := 0.0
+	for k := range in.NumTypes {
+		want += in.Rate(k)
+	}
+	for i := 0; i < 200; i++ {
+		if got := m.ServerLoad(0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: ServerLoad(0) = %v, want the object-order sum %v", i, got, want)
+		}
+		if got := m.ServerLinkLoad(0, 0); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: ServerLinkLoad(0, 0) = %v, want the object-order sum %v", i, got, want)
+		}
+	}
+}
+
 func TestCompact(t *testing.T) {
 	in := fixedInstance()
 	m := New(in)

@@ -23,19 +23,27 @@ import (
 //	POST /v1/sweep/lease          claim a shard of any running job
 //	POST /v1/sweep/{id}/lease     claim a shard of one job
 //	POST /v1/sweep/{id}/renew     heartbeat a lease
-//	POST /v1/sweep/{id}/complete  deliver a shard's cells (+ next lease)
+//	POST /v1/sweep/{id}/complete  deliver shards' cells (+ next leases)
 //
 // A claim carrying "wait_ms" parks when no shard is claimable, for up
 // to that long (capped at coord.MaxClaimWait), and claims again as soon
 // as a job is submitted or finishes; it answers 204 when the wait runs
-// out. A complete carrying "next" claims the worker's next lease once
-// the result is accepted and returns it as "next" (absent when nothing
-// was claimable). Finished jobs and their results are kept until a
-// submit at the live-jobs bound evicts the oldest one.
+// out. A claim request always grants one lease. A complete carrying
+// "items" is a batch: it delivers every listed shard of the job and
+// answers 200 with one outcome per item (accepted, duplicate,
+// lease_lost or invalid), so a stale item does not refuse the rest; the
+// records are written with one fsync and applied only after it. A
+// complete carrying "next" claims once a result is accepted (a
+// duplicate included): one lease returned as "next", or with
+// "share":true a fair share of one job, ⌊pending / (2·holders)⌋ leases,
+// returned as "leases" (absent when nothing was claimable). A complete
+// without the batch fields answers as it always has. Finished jobs and
+// their results are kept until a submit at the live-jobs bound evicts
+// the oldest one.
 //
 // Status mapping: 204 no claimable work, 404 unknown job, 409 lease
 // lost / result not ready, 410 job finished (per-job claim), 429 too
-// many running jobs.
+// many running jobs, 500 a journal write or fsync failed.
 
 // registerSweep mounts the coordinator routes on the server mux.
 func (s *Server) registerSweep() {
@@ -180,20 +188,66 @@ func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, maxSweepBodyBytes, &req) {
 		return
 	}
-	err := s.coord.Complete(r.PathValue("id"), req.Shard, req.Token, req.Worker, []byte(req.Cells))
-	// A duplicate is benign by the determinism contract: someone else's
-	// identical result was already accepted. 200 with a flag, not an error.
-	dup := errors.Is(err, coord.ErrDuplicate)
-	if err != nil && !dup {
+	batch := len(req.Items) > 0
+	var results []coord.ShardResult
+	switch {
+	case !batch:
+		results = []coord.ShardResult{{Shard: req.Shard, Token: req.Token, Cells: []byte(req.Cells)}}
+	case req.Shard != 0 || req.Token != "" || req.Cells != "":
+		s.clientError(w, http.StatusBadRequest, "a batch complete carries its shards in items only")
+		return
+	default:
+		for _, it := range req.Items {
+			results = append(results, coord.ShardResult{Shard: it.Shard, Token: it.Token, Cells: []byte(it.Cells)})
+		}
+	}
+	errs, err := s.coord.CompleteShards(r.PathValue("id"), req.Worker, results)
+	if err != nil {
 		s.sweepError(w, err)
 		return
 	}
-	resp := coord.CompleteResponse{Duplicate: dup}
-	if req.Next != nil {
-		// The folded claim journals the record a claim request would,
-		// right after the complete's. Whatever stops it leaves Next
-		// empty; the worker's own claim then reports it.
-		resp.Next, _ = s.coord.Claim(req.Next.Job, req.Worker)
+	// A duplicate is benign by the determinism contract: someone else's
+	// identical result was already accepted. 200 with a flag, not an
+	// error. A batch answers every item in the body instead of with the
+	// status, so one stale item does not refuse the rest.
+	var resp coord.CompleteResponse
+	accepted := false
+	if batch {
+		resp.Items = make([]coord.ItemOutcome, len(errs))
+		for i, e := range errs {
+			resp.Items[i] = itemOutcome(results[i].Shard, e)
+			accepted = accepted || e == nil || errors.Is(e, coord.ErrDuplicate)
+		}
+	} else {
+		resp.Duplicate = errors.Is(errs[0], coord.ErrDuplicate)
+		if errs[0] != nil && !resp.Duplicate {
+			s.sweepError(w, errs[0])
+			return
+		}
+		accepted = true
+	}
+	if req.Next != nil && accepted {
+		// The folded claim journals the records a claim request would,
+		// right after the complete's. Whatever stops it leaves Next and
+		// Leases empty; the worker's own claim then reports it.
+		if req.Next.Share {
+			resp.Leases, _ = s.coord.ClaimShare(req.Next.Job, req.Worker)
+		} else {
+			resp.Next, _ = s.coord.Claim(req.Next.Job, req.Worker)
+		}
 	}
 	s.writeOK(w, resp)
+}
+
+// itemOutcome reports one batch item's result on the wire.
+func itemOutcome(shard int, err error) coord.ItemOutcome {
+	switch {
+	case err == nil:
+		return coord.ItemOutcome{Shard: shard, Outcome: coord.OutcomeAccepted}
+	case errors.Is(err, coord.ErrDuplicate):
+		return coord.ItemOutcome{Shard: shard, Outcome: coord.OutcomeDuplicate}
+	case errors.Is(err, coord.ErrLeaseLost):
+		return coord.ItemOutcome{Shard: shard, Outcome: coord.OutcomeLeaseLost, Error: err.Error()}
+	}
+	return coord.ItemOutcome{Shard: shard, Outcome: coord.OutcomeInvalid, Error: err.Error()}
 }

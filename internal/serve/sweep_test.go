@@ -183,7 +183,7 @@ func TestSweepCompleteRejectsIncompleteArtifact(t *testing.T) {
 
 // shardCells computes and encodes one shard of fig2a at 2 seeds, base
 // seed 1, as a worker would.
-func shardCells(t *testing.T, l *coord.Lease) []byte {
+func shardCells(t testing.TB, l *coord.Lease) []byte {
 	t.Helper()
 	sc, err := experiments.RunFigureShard(t.Context(), l.Figure, experiments.Config{Seeds: l.Seeds, BaseSeed: l.BaseSeed},
 		experiments.Shard{Index: l.Shard, Count: l.Shards})
@@ -442,6 +442,103 @@ func FuzzSweepSubmit(f *testing.F) {
 		}
 		if retained > maxJobs {
 			t.Fatalf("%d jobs retained, bound %d", retained, maxJobs)
+		}
+	})
+}
+
+// FuzzSweepComplete posts batch complete bodies against one live job
+// on a durable coordinator. The seeds mix valid, stale, duplicate and
+// malformed items, and a folded share claim. Every body answers 200
+// with one outcome per item, or a 4xx; none panics or answers 5xx, and
+// the job's Progress.Done always equals the items accepted so far.
+func FuzzSweepComplete(f *testing.F) {
+	s, err := Open(Config{Workers: 1, CoordStateDir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	job := parkJob
+	job.Shards = 16
+	id, err := s.coord.Submit(job)
+	if err != nil {
+		f.Fatal(err)
+	}
+	leases, err := s.coord.ClaimShare(id, "w") // shards 0-7
+	if err != nil {
+		f.Fatal(err)
+	}
+	item := func(l *coord.Lease, token, cells string) coord.CompleteItem {
+		return coord.CompleteItem{Shard: l.Shard, Token: token, Cells: cells}
+	}
+	cells := make([]string, 3)
+	for i := range cells {
+		cells[i] = string(shardCells(f, leases[i]))
+	}
+	for _, req := range []coord.CompleteRequest{
+		{Worker: "w", Items: []coord.CompleteItem{item(leases[0], leases[0].Token, cells[0])}},
+		{Worker: "w", Items: []coord.CompleteItem{
+			item(leases[1], leases[1].Token, cells[1]),
+			item(leases[2], "t9.9", cells[2]),
+			item(leases[0], leases[0].Token, cells[0]),
+			item(leases[3], leases[3].Token, "# streamalloc-cells/v1 fig=fig2a shard=3/16 seeds=2 baseseed=1 units=1\n"),
+			item(leases[2], leases[2].Token, cells[1]),
+			{Shard: 99, Token: leases[0].Token, Cells: cells[0]},
+		}},
+		{Worker: "w", Items: []coord.CompleteItem{item(leases[2], leases[2].Token, cells[2])}, Next: &coord.NextClaim{Share: true}},
+		{Shard: leases[2].Shard, Token: leases[2].Token, Cells: cells[2], Items: []coord.CompleteItem{item(leases[2], leases[2].Token, cells[2])}},
+		{Shard: leases[1].Shard, Token: leases[1].Token, Cells: cells[1]},
+		{Items: []coord.CompleteItem{{}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"items":null}`))
+	f.Add([]byte(`{"items":[{"shard":-1}]}`))
+	f.Add([]byte(`not json`))
+	accepted := 0
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(t, s, "POST", "/v1/sweep/"+id+"/complete", body)
+		if rec.Code != http.StatusOK {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("%q: status %d (%s), want 200 or 4xx", body, rec.Code, rec.Body.String())
+			}
+		} else {
+			var req coord.CompleteRequest
+			var resp coord.CompleteResponse
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("%q: answered 200 but does not decode: %v", body, err)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%q: reply %q: %v", body, rec.Body.String(), err)
+			}
+			switch {
+			case len(req.Items) == 0 && !resp.Duplicate:
+				accepted++
+			case len(req.Items) > 0 && len(resp.Items) != len(req.Items):
+				t.Fatalf("%q: %d outcomes for %d items", body, len(resp.Items), len(req.Items))
+			}
+			for i, o := range resp.Items {
+				switch o.Outcome {
+				case coord.OutcomeAccepted:
+					accepted++
+				case coord.OutcomeDuplicate, coord.OutcomeLeaseLost, coord.OutcomeInvalid:
+				default:
+					t.Fatalf("%q: item %d outcome %q", body, i, o.Outcome)
+				}
+				if o.Shard != req.Items[i].Shard {
+					t.Fatalf("%q: outcome %d answers shard %d, want %d", body, i, o.Shard, req.Items[i].Shard)
+				}
+			}
+		}
+		p, err := s.coord.Progress(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Done != accepted {
+			t.Fatalf("%q: %d shards done, %d items accepted", body, p.Done, accepted)
 		}
 	})
 }

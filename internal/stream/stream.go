@@ -135,14 +135,14 @@ func AnalyticMaxThroughput(m *mapping.Mapping) float64 {
 		}
 	}
 	for l := range in.Platform.Servers {
-		if m.ServerLoad(l) > in.Platform.Servers[l].NICMBps+1e-9 {
+		if m.ServerLoad(l) > in.Platform.Servers[l].NICMBps+mapping.Eps {
 			return 0
 		}
 		for p := range m.Procs {
 			if !m.Procs[p].Alive {
 				continue
 			}
-			if m.ServerLinkLoad(l, p) > in.Platform.ServerLinkMBps+1e-9 {
+			if m.ServerLinkLoad(l, p) > in.Platform.ServerLinkMBps+mapping.Eps {
 				return 0
 			}
 		}
