@@ -5,8 +5,10 @@
 // request: ⌊pending / (2·holders)⌋ leases, where holders counts the
 // workers holding a lease on the job, itself included. It computes that
 // queue of leases in order and delivers all their cells in one request,
-// which claims the next share. One heartbeat goroutine renews every
-// held lease while it computes. It exits cleanly on SIGINT/SIGTERM
+// which claims the next share. One heartbeat goroutine per batch
+// renews every held lease while it computes. Against a coordinator
+// that predates batch completes it falls back to one complete per
+// lease. It exits cleanly on SIGINT/SIGTERM
 // without leaking goroutines. Any number of workers may point at the same
 // coordinator; determinism (per-cell seeds are pure functions of grid
 // coordinates) makes every lease idempotent, so workers can die,

@@ -180,16 +180,19 @@ func TestBatchMatchesSingles(t *testing.T) {
 	}
 }
 
-// faultyFile fails the journal's next Write or Sync.
+// faultyFile fails the journal's Writes, once okWrites more have
+// succeeded, or its Syncs.
 type faultyFile struct {
 	walFile
 	failWrite, failSync bool
+	okWrites            int
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
-	if f.failWrite {
+	if f.failWrite && f.okWrites == 0 {
 		return 0, errors.New("injected write failure")
 	}
+	f.okWrites = max(0, f.okWrites-1)
 	return f.walFile.Write(p)
 }
 
@@ -229,6 +232,85 @@ func TestBatchJournalFailureAppliesNothing(t *testing.T) {
 		if _, err := c.ClaimShare(id, "a"); !errors.Is(err, ErrJournal) {
 			t.Fatalf("%+v: claim after the failure: %v, want ErrJournal", fault, err)
 		}
+	}
+}
+
+// TestBatchTrailingDuplicatesBestEffort: a batch that finishes its job
+// journals its duplicates after the last complete once the merge ran.
+// When that append fails the batch still answers each item, since
+// every complete in it was already durable and merged, and the
+// duplicates are counted as a failed merge record is applied.
+func TestBatchTrailingDuplicatesBestEffort(t *testing.T) {
+	c := openDurable(t, t.TempDir(), newFakeClock(), nil)
+	id, err := c.Submit(testJob(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Claim(id, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Claim(id, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(id, a.Shard, a.Token, "a", cachedCells(t, a)); err != nil {
+		t.Fatal(err)
+	}
+	// The batch's complete and the merge record land; the duplicates'
+	// append fails.
+	c.jnl.f = &faultyFile{walFile: c.jnl.f, failWrite: true, okWrites: 2}
+	errs, err := c.CompleteShards(id, "a", results(t, b, a))
+	if err != nil || errs[0] != nil || !errors.Is(errs[1], ErrDuplicate) {
+		t.Fatalf("CompleteShards = %v, %v; want [nil ErrDuplicate], nil", errs, err)
+	}
+	if _, err := c.Result(id); err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	if p, err := c.Progress(id); err != nil || p.Done != 2 || p.Duplicates != 1 {
+		t.Fatalf("Progress: %+v, %v; want 2 done and 1 duplicate", p, err)
+	}
+	if _, err := c.Submit(testJob(1)); !errors.Is(err, ErrJournal) {
+		t.Fatalf("Submit after the failed append: %v, want ErrJournal", err)
+	}
+}
+
+// TestBatchBoundedByShards: a batch may carry at most one result per
+// shard of its job. A larger one is refused whole before any result is
+// checked or journaled; one at the bound made of duplicates, within
+// the batch or of a done shard, answers each of them.
+func TestBatchBoundedByShards(t *testing.T) {
+	c := openDurable(t, t.TempDir(), newFakeClock(), nil)
+	id, err := c.Submit(testJob(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases, err := c.ClaimShare(id, "a") // shards 0 and 1
+	if err != nil || len(leases) != 2 {
+		t.Fatalf("ClaimShare: %d leases, %v", len(leases), err)
+	}
+	before, appends := captureState(t, c), c.StatsSnapshot().JournalAppends
+	over := results(t, leases[0], leases[0], leases[0], leases[0], leases[0])
+	if errs, err := c.CompleteShards(id, "a", over); err == nil || errors.Is(err, ErrJournal) || errs != nil {
+		t.Fatalf("5 results for 4 shards: %v, %v; want a refusal", errs, err)
+	}
+	if after := captureState(t, c); !bytes.Equal(before, after) || c.StatsSnapshot().JournalAppends != appends {
+		t.Fatalf("an oversized batch changed the coordinator\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+
+	errs, err := c.CompleteShards(id, "a", results(t, leases[0], leases[0], leases[0], leases[1]))
+	if err != nil {
+		t.Fatalf("CompleteShards: %v", err)
+	}
+	if errs[0] != nil || errs[3] != nil || !errors.Is(errs[1], ErrDuplicate) || !errors.Is(errs[2], ErrDuplicate) {
+		t.Fatalf("outcomes %v, want [nil dup dup nil]", errs)
+	}
+	errs, err = c.CompleteShards(id, "a", results(t, leases[1], leases[1], leases[1], leases[1]))
+	if err != nil || slices.ContainsFunc(errs, func(e error) bool { return !errors.Is(e, ErrDuplicate) }) {
+		t.Fatalf("four duplicates of a done shard: %v, %v", errs, err)
+	}
+	if p, err := c.Progress(id); err != nil || p.Done != 2 || p.Duplicates != 6 {
+		t.Fatalf("Progress: %+v, %v; want 2 done and 6 duplicates", p, err)
 	}
 }
 

@@ -248,44 +248,74 @@ func (c *Client) Renew(ctx context.Context, l *Lease) (time.Duration, error) {
 // Complete submits a shard's encoded cells under the lease. A
 // duplicate (someone else's result was already accepted) returns
 // ErrDuplicate; ErrLeaseLost means the lease was re-issued and the
-// result was refused.
+// result was refused. It sends the single-shard body every coordinator
+// version accepts.
 func (c *Client) Complete(ctx context.Context, l *Lease, worker string, cells []byte) error {
-	outcomes, _, err := c.completeShards(ctx, l.Job, worker, []ShardResult{{Shard: l.Shard, Token: l.Token, Cells: cells}}, nil)
+	return c.complete(ctx, l.Job, worker, ShardResult{Shard: l.Shard, Token: l.Token, Cells: cells})
+}
+
+func (c *Client) complete(ctx context.Context, jobID, worker string, r ShardResult) error {
+	var out CompleteResponse
+	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+jobID+"/complete",
+		CompleteRequest{Shard: r.Shard, Token: r.Token, Worker: worker, Cells: string(r.Cells)}, &out)
+	switch status {
+	case http.StatusConflict:
+		return ErrLeaseLost
+	case http.StatusNotFound:
+		return ErrUnknownJob
+	}
 	if err != nil {
 		return err
 	}
-	return outcomes[0]
+	if out.Duplicate {
+		return ErrDuplicate
+	}
+	return nil
 }
+
+// errNoBatch: the coordinator answered a batch complete as a single
+// one, because it predates batch completes. It then read shard 0 with
+// an empty token and refused it, or, with shard 0 already done, counted
+// a duplicate; either way none of the batch's results landed.
+var errNoBatch = errors.New("coord: coordinator predates batch completes")
 
 // CompleteAndClaimShare delivers the results of several leases of one
-// job in one request and, once one is accepted (a duplicate included),
-// claims the worker's next fair share in the same round trip — from
-// nextJob when non-empty, otherwise from any running job. outcomes
-// holds each result's own outcome as Complete would return it: nil,
-// ErrDuplicate, ErrLeaseLost, or the coordinator's reason for refusing
-// the cells. next is empty when nothing was claimable; the caller then
-// claims on its own.
+// job in one batch complete and, once one is accepted (a duplicate
+// included), claims the worker's next fair share of a job in the same
+// round trip — from nextJob when non-empty, otherwise from any running
+// job. outcomes holds each result's own outcome as Complete would
+// return it: nil, ErrDuplicate, ErrLeaseLost, or the coordinator's
+// reason for refusing the cells. next is empty when nothing was
+// claimable; the caller then claims on its own. A coordinator that
+// predates batch completes refuses the whole batch with errNoBatch.
 func (c *Client) CompleteAndClaimShare(ctx context.Context, jobID, worker string, results []ShardResult, nextJob string) (outcomes []error, next []*Lease, err error) {
-	return c.completeShards(ctx, jobID, worker, results, &NextClaim{Job: nextJob, Share: true})
-}
-
-func (c *Client) completeShards(ctx context.Context, jobID, worker string, results []ShardResult, next *NextClaim) ([]error, []*Lease, error) {
-	req := CompleteRequest{Worker: worker, Items: make([]CompleteItem, len(results)), Next: next}
+	req := CompleteRequest{Worker: worker, Items: make([]CompleteItem, len(results)), Next: &NextClaim{Job: nextJob}}
 	for i, r := range results {
 		req.Items[i] = CompleteItem{Shard: r.Shard, Token: r.Token, Cells: string(r.Cells)}
 	}
 	var out CompleteResponse
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sweep/"+jobID+"/complete", req, &out)
-	if status == http.StatusNotFound {
+	switch status {
+	case http.StatusConflict:
+		// Only a single complete answers 409.
+		return nil, nil, errNoBatch
+	case http.StatusNotFound:
 		return nil, nil, ErrUnknownJob
 	}
 	if err != nil {
 		return nil, nil, err
 	}
+	if len(out.Items) == 0 {
+		// The old coordinator may have claimed for the folded "next".
+		if out.Next != nil {
+			next = []*Lease{out.Next}
+		}
+		return nil, next, errNoBatch
+	}
 	if len(out.Items) != len(results) {
 		return nil, nil, fmt.Errorf("POST /v1/sweep/%s/complete: reply answers %d of %d items", jobID, len(out.Items), len(results))
 	}
-	outcomes := make([]error, len(results))
+	outcomes = make([]error, len(results))
 	for i, it := range out.Items {
 		switch it.Outcome {
 		case OutcomeAccepted:

@@ -483,10 +483,12 @@ func (c *Coordinator) Complete(jobID string, shardIdx int, token, worker string,
 // error — and a refused result does not refuse the others. The
 // records are those the results would write one Complete at a time,
 // in the same order; they are written with one fsync and applied only
-// after it. err refuses the whole batch: an unknown job, or ErrJournal
-// when the write or fsync failed, in which case nothing changed — bar
-// a batch that finished the job, whose duplicates after the merge may
-// fail to journal once the rest landed.
+// after it. err refuses the whole batch, with nothing changed: an
+// unknown job, more results than the job has shards, or ErrJournal
+// when the write or fsync failed. The one exception is a batch that
+// finishes the job: its duplicates after the last complete are
+// journaled after the merge, where single completes would put them,
+// and like the merge record they are best effort.
 func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult) (errs []error, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -494,16 +496,20 @@ func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult
 	if !ok {
 		return nil, ErrUnknownJob
 	}
+	if len(results) > len(j.Shards) {
+		return nil, fmt.Errorf("coord: %d results for a job of %d shards", len(results), len(j.Shards))
+	}
 	errs = make([]error, len(results))
 	recs := make([]record, 0, len(results))
-	accepted, last := 0, -1 // complete records, and the index of the last
+	completed := make([]bool, len(j.Shards)) // shards this batch completes
+	accepted, last := 0, -1                  // complete records, and the index of the last
 	for i, res := range results {
 		s, err := j.shardAt(res.Shard)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		if s.State == shardDone || slices.ContainsFunc(recs, func(r record) bool { return r.Type == recComplete && r.Shard == res.Shard }) {
+		if s.State == shardDone || completed[res.Shard] {
 			recs = append(recs, record{Type: recDuplicate, Job: j.ID, Shard: res.Shard})
 			errs[i] = ErrDuplicate
 			continue
@@ -524,6 +530,7 @@ func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult
 			continue
 		}
 		recs = append(recs, record{Type: recComplete, Job: j.ID, Shard: res.Shard, Worker: worker, Cells: res.Cells})
+		completed[res.Shard] = true
 		accepted, last = accepted+1, len(recs)-1
 	}
 	if accepted == 0 || j.Done+accepted < len(j.Shards) {
@@ -537,15 +544,15 @@ func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult
 	// This batch lands the last shard: merge inline on this caller's
 	// goroutine. No other complete can race in — every shard is done,
 	// so concurrent completions are duplicates. The duplicates after
-	// the last complete are journaled after the merge, where single
-	// completes would put them.
+	// the last complete only bump counters, so a failed append of
+	// theirs, like the merge record's, applies them unjournaled.
 	if err := c.commit(recs[:last+1]...); err != nil {
 		return nil, err
 	}
 	c.merge(j)
-	if last+1 < len(recs) {
-		if err := c.commit(recs[last+1:]...); err != nil {
-			return nil, err
+	if dups := recs[last+1:]; len(dups) > 0 && c.commit(dups...) != nil {
+		for i := range dups {
+			c.applyRecord(&dups[i])
 		}
 	}
 	return errs, nil

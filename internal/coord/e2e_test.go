@@ -329,3 +329,81 @@ func TestWorkerTakesFairShares(t *testing.T) {
 		t.Fatalf("%d claims and completes of %v shards, want 2 and %v", claims.Load(), batches, want)
 	}
 }
+
+// TestWorkerAtSingleCompleteCoordinator: against a coordinator that
+// predates batch completes, which reads a batch as a single complete
+// of shard 0 with an empty token, a worker's first batch is refused
+// whole: with 409 while shard 0 is leased, or as a duplicate of a done
+// shard 0, whose folded claim the worker then keeps. The worker
+// delivers that batch, and every later lease, in the single form such
+// a coordinator takes, as Client.Complete does, and finishes the job.
+func TestWorkerAtSingleCompleteCoordinator(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		zeroDone                bool // Client.Complete lands shard 0 first
+		claims, completes, dups int64
+	}{
+		// One refused batch, then three single completes each followed
+		// by a plain claim, the last of which finds the job done.
+		{"shard0-leased", false, 4, 4, 0},
+		// The test's own claim and complete of shard 0; the worker's
+		// claim of shard 1, its batch, answered as a duplicate with a
+		// folded lease on shard 2, two single completes and the claim
+		// that finds the job done.
+		{"shard0-done", true, 3, 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := serve.New(serve.Config{Workers: 1})
+			defer pool.Close()
+			var claims, completes atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case strings.HasSuffix(r.URL.Path, "/lease"):
+					claims.Add(1)
+				case strings.HasSuffix(r.URL.Path, "/complete"):
+					completes.Add(1)
+					var req coord.CompleteRequest
+					if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+						t.Errorf("complete body: %v", err)
+					}
+					req.Items = nil // what an older decoder never sees
+					body, _ := json.Marshal(req)
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					r.ContentLength = int64(len(body))
+				}
+				pool.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+
+			c := coord.NewClient(ts.URL)
+			id, err := c.Submit(t.Context(), coord.SweepJob{Figure: "fig2a", Seeds: 2, BaseSeed: 1, Shards: 3})
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if tc.zeroDone {
+				l, err := c.Claim(t.Context(), id, "first")
+				if err != nil {
+					t.Fatalf("Claim: %v", err)
+				}
+				var cells bytes.Buffer
+				sc, err := experiments.RunFigureShard(t.Context(), l.Figure,
+					experiments.Config{Seeds: l.Seeds, BaseSeed: l.BaseSeed}, experiments.Shard{Index: l.Shard, Count: l.Shards})
+				if err != nil || sc.Encode(&cells) != nil {
+					t.Fatalf("shard %d: %v", l.Shard, err)
+				}
+				if err := c.Complete(t.Context(), l, "first", cells.Bytes()); err != nil {
+					t.Fatalf("Complete: %v", err)
+				}
+			}
+			if err := coord.RunWorker(t.Context(), c, coord.WorkerOptions{Name: "w", Job: id, Poll: 10 * time.Millisecond}); err != nil {
+				t.Fatalf("RunWorker: %v", err)
+			}
+			if p, err := c.Progress(t.Context(), id); err != nil || p.State != "done" || int64(p.Duplicates) != tc.dups {
+				t.Fatalf("Progress: %+v %v; want done with %d duplicates", p, err, tc.dups)
+			}
+			if claims.Load() != tc.claims || completes.Load() != tc.completes {
+				t.Fatalf("%d claims and %d completes, want %d and %d", claims.Load(), completes.Load(), tc.claims, tc.completes)
+			}
+		})
+	}
+}

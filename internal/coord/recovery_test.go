@@ -531,7 +531,8 @@ func (ps *propState) step(t *testing.T, c *Coordinator, clk *fakeClock) singles 
 
 // batchComplete delivers every held lease of one job in one batch,
 // shuffled together with, at random, a duplicate of a completed shard,
-// a stale token and a malformed artifact.
+// a stale token and a malformed artifact, as many of these as fit in
+// the job's shard count (the largest batch a coordinator takes).
 func (ps *propState) batchComplete(t *testing.T, c *Coordinator) singles {
 	t.Helper()
 	if len(ps.leases) == 0 {
@@ -549,15 +550,16 @@ func (ps *propState) batchComplete(t *testing.T, c *Coordinator) singles {
 		ps.done = append(ps.done, l)
 	}
 	ps.leases = kept
-	if i := ps.rng.Intn(len(ps.done)); ps.done[i].Job == job {
+	l := ps.done[len(ps.done)-1]
+	fits := func() bool { return len(items) < l.Shards }
+	if i := ps.rng.Intn(len(ps.done)); ps.done[i].Job == job && fits() {
 		l := ps.done[i]
 		items = append(items, ShardResult{Shard: l.Shard, Token: l.Token, Cells: cachedCells(t, l)})
 	}
-	l := ps.done[len(ps.done)-1]
-	if ps.rng.Intn(2) == 0 {
+	if ps.rng.Intn(2) == 0 && fits() {
 		items = append(items, ShardResult{Shard: l.Shard, Token: "t0.0", Cells: cachedCells(t, l)})
 	}
-	if ps.rng.Intn(2) == 0 {
+	if ps.rng.Intn(2) == 0 && fits() {
 		items = append(items, ShardResult{Shard: l.Shard, Token: l.Token, Cells: []byte("malformed")})
 	}
 	ps.rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })

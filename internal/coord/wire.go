@@ -123,13 +123,16 @@ type CompleteRequest struct {
 	Cells  string `json:"cells"`
 	// Items, when non-empty, makes the request a batch: it delivers
 	// every listed shard of the job in place of Shard, Token and Cells,
-	// which must then be unset. The reply answers each item on its own.
+	// which must then be unset. It holds at most as many items as the
+	// job has shards. The reply answers each item on its own.
 	Items []CompleteItem `json:"items,omitempty"`
 	// Next, when set, folds the worker's next claim into this round
 	// trip: once a result is accepted (a duplicate included), the
-	// coordinator claims for Worker exactly as a claim request would,
-	// and returns the lease in CompleteResponse.Next, or with Share the
-	// leases in CompleteResponse.Leases.
+	// coordinator claims for Worker and returns the lease in
+	// CompleteResponse.Next, exactly as a claim request would. A batch
+	// claims a fair share of one job instead, ⌊pending / (2·holders)⌋
+	// leases (see Coordinator.ClaimShare), returned in
+	// CompleteResponse.Leases.
 	Next *NextClaim `json:"next,omitempty"`
 }
 
@@ -145,10 +148,6 @@ type NextClaim struct {
 	// Job pins the claim to one job id; empty claims from any running
 	// job.
 	Job string `json:"job,omitempty"`
-	// Share claims a fair share of one job instead of one lease:
-	// ⌊pending / (2·holders)⌋ shards, at least one (see
-	// Coordinator.ClaimShare).
-	Share bool `json:"share,omitempty"`
 }
 
 // Outcomes of one batch complete item.
@@ -173,9 +172,9 @@ type ItemOutcome struct {
 // discarded because the shard already completed — benign by the
 // determinism contract. It is always sent, false included; a batch
 // answers in Items instead, one outcome per item in order. Next is the
-// folded claim's lease, and Leases the folded share claim's; they are
-// absent when the request asked for none or nothing was claimable, and
-// the worker then claims on its own.
+// folded claim's lease, and Leases a batch's folded share claim's;
+// they are absent when the request asked for none or nothing was
+// claimable, and the worker then claims on its own.
 type CompleteResponse struct {
 	Duplicate bool          `json:"duplicate"`
 	Items     []ItemOutcome `json:"items,omitempty"`

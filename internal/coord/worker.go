@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -76,32 +74,26 @@ func (o WorkerOptions) logf(format string, args ...any) {
 // RunWorker claims, computes and completes sweep shards against a
 // coordinator until ctx is cancelled (or, with ExitIdle, until there
 // is no work left). It keeps a queue of leases from one job and
-// computes them in order, then delivers all their cells in one
+// computes them in order, then delivers all their cells in one batch
 // complete that claims the next fair share of a job in the same round
 // trip. A claim that finds no work parks at the coordinator for the
 // current backoff, which doubles after every empty claim; claim
-// failures sleep it out with jitter. One heartbeat goroutine renews
-// every held lease at a third of its TTL, and a lost lease is dropped
-// from the queue, its computation cancelled if it is running, so the
-// worker moves on instead of finishing work someone else now owns.
-// The heartbeat is joined before RunWorker returns, so it leaves
-// nothing behind.
+// failures sleep it out with jitter. While a queue computes, one
+// heartbeat goroutine renews its leases at a third of their TTL, and
+// a lost lease is skipped, its computation cancelled if it is running,
+// so the worker moves on instead of finishing work someone else now
+// owns. The heartbeat is joined before the next queue starts, so
+// RunWorker leaves nothing behind.
+//
+// Batch completes need a coordinator that understands them. At one
+// that predates them the worker notices the first reply, delivers that
+// queue one shard per request, and from then on completes each lease
+// on its own and claims the next with a plain claim.
 func RunWorker(ctx context.Context, c *Client, opts WorkerOptions) error {
 	opts = opts.withDefaults()
-	hb := &heartbeat{period: make(chan time.Duration, 1)}
-	hbCtx, stopHB := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	if !opts.NoRenew {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			hb.run(hbCtx, c, opts)
-		}()
-	}
-	defer func() { stopHB(); wg.Wait() }()
-
 	backoff := opts.Poll
 	leases := 0
+	single := false    // the coordinator predates batch completes
 	var queue []*Lease // leases of one job, handed over by the last complete or a claim
 	var enc bytes.Buffer
 	for {
@@ -154,7 +146,7 @@ func RunWorker(ctx context.Context, c *Client, opts WorkerOptions) error {
 			opts.logf("%s: abandoning %d leases and exiting (fault injection)", opts.Name, len(queue))
 			return nil
 		}
-		next, err := runBatch(ctx, c, hb, queue, &enc, opts)
+		next, err := runBatch(ctx, c, queue, &enc, &single, opts)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -165,28 +157,49 @@ func RunWorker(ctx context.Context, c *Client, opts WorkerOptions) error {
 	}
 }
 
-// runBatch computes a queue of leases of one job in order under the
-// worker's heartbeat, delivers their cells in one complete and returns
-// the share of leases that complete claimed. A lease lost before or
-// during its computation is skipped; a duplicate accept is logged and
-// treated as success (the shard is done either way). enc is the
-// worker's encode buffer, kept between batches.
-func runBatch(ctx context.Context, c *Client, hb *heartbeat, queue []*Lease, enc *bytes.Buffer, opts WorkerOptions) ([]*Lease, error) {
-	hb.hold(queue)
-	defer hb.hold(nil)
+// runBatch computes a queue of leases of one job in order under one
+// heartbeat, delivers their cells and returns the share of leases the
+// complete claimed. A lease lost before or during its computation is
+// skipped; a duplicate accept is logged and treated as success (the
+// shard is done either way). enc is the worker's encode buffer, kept
+// between batches. *single switches to one complete per shard, for
+// good, once the coordinator answers a batch as a single complete.
+func runBatch(ctx context.Context, c *Client, queue []*Lease, enc *bytes.Buffer, single *bool, opts WorkerOptions) ([]*Lease, error) {
+	// Each lease computes under its own context, which the heartbeat
+	// cancels once the coordinator calls the lease lost.
+	held := make([]context.Context, len(queue))
+	lose := make([]context.CancelFunc, len(queue))
+	for i := range queue {
+		held[i], lose[i] = context.WithCancel(ctx)
+	}
+	hbCtx, stopHB := context.WithCancel(ctx)
+	hbDone := make(chan struct{})
+	if opts.NoRenew {
+		close(hbDone)
+	} else {
+		go func() {
+			defer close(hbDone)
+			renewAll(hbCtx, c, queue, held, lose, opts)
+		}()
+	}
+	defer func() {
+		stopHB()
+		<-hbDone
+		for _, cancel := range lose {
+			cancel()
+		}
+	}()
+
 	enc.Reset()
 	results := make([]ShardResult, 0, len(queue))
 	ends := make([]int, 0, len(queue))
-	for _, l := range queue {
-		cctx, cancel, ok := hb.start(ctx, l)
-		if !ok {
+	for i, l := range queue {
+		if held[i].Err() != nil {
 			opts.logf("%s: lease on shard %d lost, skipping it", opts.Name, l.Shard)
 			continue
 		}
 		mark := enc.Len()
-		err := computeShard(cctx, l, enc, opts)
-		cancel()
-		if err != nil {
+		if err := computeShard(held[i], l, enc, opts); err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -207,7 +220,20 @@ func runBatch(ctx context.Context, c *Client, hb *heartbeat, queue []*Lease, enc
 		start = end
 	}
 	job := queue[0].Job
-	outcomes, next, err := c.CompleteAndClaimShare(ctx, job, opts.Name, results, opts.Job)
+	var outcomes []error
+	var next []*Lease
+	err := errNoBatch
+	if !*single {
+		outcomes, next, err = c.CompleteAndClaimShare(ctx, job, opts.Name, results, opts.Job)
+	}
+	if errors.Is(err, errNoBatch) {
+		*single = true
+		outcomes = make([]error, len(results))
+		for i, r := range results {
+			outcomes[i] = c.complete(ctx, job, opts.Name, r)
+		}
+		err = nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("complete: %w", err)
 	}
@@ -239,83 +265,27 @@ func computeShard(ctx context.Context, l *Lease, enc *bytes.Buffer, opts WorkerO
 	return sc.Encode(enc)
 }
 
-// heartbeat renews every lease a worker holds from one goroutine per
-// worker. A lease the coordinator calls lost is marked, and its
-// computation cancelled when it is the one running.
-type heartbeat struct {
-	period chan time.Duration // the held batch's renew period, for run
-
-	mu      sync.Mutex
-	held    []*Lease
-	lost    map[*Lease]bool
-	running *Lease
-	cancel  context.CancelFunc // cancels running's computation
-}
-
-// hold makes batch the held leases (nil holds none) and restarts the
-// renew period at a third of the batch's TTL.
-func (h *heartbeat) hold(batch []*Lease) {
-	h.mu.Lock()
-	h.held = batch
-	clear(h.lost)
-	h.mu.Unlock()
-	if len(batch) > 0 {
-		select {
-		case <-h.period:
-		default:
-		}
-		h.period <- time.Duration(batch[0].TTLMS) * time.Millisecond / 3
-	}
-}
-
-// start returns the context to compute l under, cancelled if l is lost
-// meanwhile; ok is false when l is already lost.
-func (h *heartbeat) start(ctx context.Context, l *Lease) (cctx context.Context, cancel context.CancelFunc, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lost[l] {
-		return nil, nil, false
-	}
-	cctx, cancel = context.WithCancel(ctx)
-	h.running, h.cancel = l, cancel
-	return cctx, cancel, true
-}
-
-// lose marks l lost and cancels its computation if it is running.
-func (h *heartbeat) lose(l *Lease) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.lost == nil {
-		h.lost = make(map[*Lease]bool)
-	}
-	h.lost[l] = true
-	if h.running == l {
-		h.cancel()
-	}
-}
-
-// run renews the held leases every period until ctx is cancelled.
-// Transient renew failures are survivable as long as one succeeds per
-// TTL, so they are only logged.
-func (h *heartbeat) run(ctx context.Context, c *Client, opts WorkerOptions) {
-	t := time.NewTicker(time.Hour)
+// renewAll is a batch's heartbeat: every third of the leases' TTL it
+// renews each lease whose context is live, until ctx is cancelled, and
+// cancels the context of a lease the coordinator calls lost. Transient
+// renew failures are survivable as long as one succeeds per TTL, so
+// they are only logged.
+func renewAll(ctx context.Context, c *Client, queue []*Lease, held []context.Context, lose []context.CancelFunc, opts WorkerOptions) {
+	t := time.NewTicker(time.Duration(queue[0].TTLMS) * time.Millisecond / 3)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case d := <-h.period:
-			t.Reset(max(d, time.Millisecond))
-			continue
 		case <-t.C:
 		}
-		h.mu.Lock()
-		held := slices.DeleteFunc(slices.Clone(h.held), func(l *Lease) bool { return h.lost[l] })
-		h.mu.Unlock()
-		for _, l := range held {
+		for i, l := range queue {
+			if held[i].Err() != nil {
+				continue
+			}
 			if _, err := c.Renew(ctx, l); errors.Is(err, ErrLeaseLost) {
 				opts.logf("%s: lease on shard %d lost", opts.Name, l.Shard)
-				h.lose(l)
+				lose[i]()
 			} else if err != nil && ctx.Err() == nil {
 				opts.logf("%s: renew shard %d: %v", opts.Name, l.Shard, err)
 			}

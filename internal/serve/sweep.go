@@ -29,15 +29,16 @@ import (
 // to that long (capped at coord.MaxClaimWait), and claims again as soon
 // as a job is submitted or finishes; it answers 204 when the wait runs
 // out. A claim request always grants one lease. A complete carrying
-// "items" is a batch: it delivers every listed shard of the job and
-// answers 200 with one outcome per item (accepted, duplicate,
-// lease_lost or invalid), so a stale item does not refuse the rest; the
-// records are written with one fsync and applied only after it. A
-// complete carrying "next" claims once a result is accepted (a
-// duplicate included): one lease returned as "next", or with
-// "share":true a fair share of one job, ⌊pending / (2·holders)⌋ leases,
-// returned as "leases" (absent when nothing was claimable). A complete
-// without the batch fields answers as it always has. Finished jobs and
+// "items" is a batch: it delivers every listed shard of the job, in at
+// most as many items as the job has shards, and answers 200 with one
+// outcome per item (accepted, duplicate, lease_lost or invalid), so a
+// stale item does not refuse the rest; the records are written with
+// one fsync and applied only after it. A complete carrying "next"
+// claims once a result is accepted (a duplicate included): one lease
+// returned as "next", or for a batch a fair share of one job,
+// ⌊pending / (2·holders)⌋ leases, returned as "leases" (absent when
+// nothing was claimable). A complete without the batch fields answers
+// as it always has. Finished jobs and
 // their results are kept until a submit at the live-jobs bound evicts
 // the oldest one.
 //
@@ -230,7 +231,7 @@ func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 		// The folded claim journals the records a claim request would,
 		// right after the complete's. Whatever stops it leaves Next and
 		// Leases empty; the worker's own claim then reports it.
-		if req.Next.Share {
+		if batch {
 			resp.Leases, _ = s.coord.ClaimShare(req.Next.Job, req.Worker)
 		} else {
 			resp.Next, _ = s.coord.Claim(req.Next.Job, req.Worker)

@@ -484,10 +484,11 @@ func FuzzSweepComplete(f *testing.F) {
 			item(leases[2], leases[2].Token, cells[1]),
 			{Shard: 99, Token: leases[0].Token, Cells: cells[0]},
 		}},
-		{Worker: "w", Items: []coord.CompleteItem{item(leases[2], leases[2].Token, cells[2])}, Next: &coord.NextClaim{Share: true}},
+		{Worker: "w", Items: []coord.CompleteItem{item(leases[2], leases[2].Token, cells[2])}, Next: &coord.NextClaim{}},
 		{Shard: leases[2].Shard, Token: leases[2].Token, Cells: cells[2], Items: []coord.CompleteItem{item(leases[2], leases[2].Token, cells[2])}},
 		{Shard: leases[1].Shard, Token: leases[1].Token, Cells: cells[1]},
 		{Items: []coord.CompleteItem{{}}},
+		{Worker: "w", Items: slices.Repeat([]coord.CompleteItem{item(leases[4], leases[4].Token, cells[0])}, job.Shards+1)},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -541,6 +542,65 @@ func FuzzSweepComplete(f *testing.F) {
 			t.Fatalf("%q: %d shards done, %d items accepted", body, p.Done, accepted)
 		}
 	})
+}
+
+// TestSweepBatchCompleteWire: a batch complete answers one outcome per
+// item and its folded claim as a fair share in "leases"; a single
+// complete's folded claim still answers one lease in "next". A batch
+// with more items than the job has shards, or with the single-form
+// fields set, is a 400 that changes nothing.
+func TestSweepBatchCompleteWire(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	job := parkJob
+	job.Shards = 8
+	id, err := s.coord.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(req coord.CompleteRequest) (*httptest.ResponseRecorder, coord.CompleteResponse) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := do(t, s, "POST", "/v1/sweep/"+id+"/complete", body)
+		var resp coord.CompleteResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("reply %q: %v", rec.Body.String(), err)
+			}
+		}
+		return rec, resp
+	}
+	l, err := s.coord.Claim(id, "w") // shard 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := coord.CompleteItem{Shard: l.Shard, Token: l.Token, Cells: string(shardCells(t, l))}
+	for _, req := range []coord.CompleteRequest{
+		{Worker: "w", Items: slices.Repeat([]coord.CompleteItem{it}, job.Shards+1)},
+		{Worker: "w", Token: l.Token, Items: []coord.CompleteItem{it}},
+	} {
+		if rec, _ := post(req); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%d items: status %d (%s), want 400", len(req.Items), rec.Code, rec.Body.String())
+		}
+	}
+	if p, err := s.coord.Progress(id); err != nil || p.Done != 0 || p.Duplicates != 0 {
+		t.Fatalf("refused batches changed the job: %+v, %v", p, err)
+	}
+
+	// Shard 0 and a duplicate of it; the share for a lone holder of 7
+	// pending shards is ⌊7/2⌋ = 3.
+	rec, resp := post(coord.CompleteRequest{Worker: "w", Items: []coord.CompleteItem{it, it}, Next: &coord.NextClaim{Job: id}})
+	if rec.Code != http.StatusOK || resp.Next != nil || len(resp.Leases) != 3 ||
+		len(resp.Items) != 2 || resp.Items[0].Outcome != coord.OutcomeAccepted || resp.Items[1].Outcome != coord.OutcomeDuplicate {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.String())
+	}
+	l = resp.Leases[0]
+	rec, resp = post(coord.CompleteRequest{Worker: "w", Shard: l.Shard, Token: l.Token, Cells: string(shardCells(t, l)), Next: &coord.NextClaim{Job: id}})
+	if rec.Code != http.StatusOK || resp.Next == nil || resp.Leases != nil || resp.Items != nil {
+		t.Fatalf("single: %d %s", rec.Code, rec.Body.String())
+	}
 }
 
 // TestFoldedClaimJournalIdentical drives one scripted history twice
