@@ -30,17 +30,19 @@ race:
 # journals' rollback and decode paths, and the shard-cell artifacts
 # workers hand to the sweep coordinator's Complete. A failing
 # input is written under the package's testdata/fuzz for replay by
-# `make test`.
+# `make test`. -fuzzminimizetime=1x minimizes a new interesting input
+# with one run instead of up to a minute of them, which otherwise eats
+# a target's whole ten seconds at 0 execs/s.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzScenarioEvent$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzSweepSubmit$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzSweepComplete$$' -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s ./internal/mapping
-	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s ./internal/mapping
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s ./internal/coord
-	$(GO) test -run='^$$' -fuzz='^FuzzCompleteCells$$' -fuzztime=10s ./internal/coord
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRequests$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzScenarioSpec$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzScenarioEvent$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepSubmit$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepComplete$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalRollback$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/mapping
+	$(GO) test -run='^$$' -fuzz='^FuzzProbeEstimates$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/mapping
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalDecode$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/coord
+	$(GO) test -run='^$$' -fuzz='^FuzzCompleteCells$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/coord
 
 # The JSON perf harness over the canonical pinned-seed corpus; see
 # README "Performance" for the schema and the regression-gating rules.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -333,8 +334,21 @@ func (c *Client) CompleteAndClaimShare(ctx context.Context, jobID, worker string
 // Result fetches the merged figure's .dat text; ErrNotDone while
 // shards are still outstanding.
 func (c *Client) Result(ctx context.Context, jobID string) (string, error) {
+	return c.resultWait(ctx, jobID, 0)
+}
+
+// resultWait is Result that, while the job runs, asks the coordinator
+// to park the request for up to wait (whole milliseconds, rounded up;
+// capped at MaxClaimWait) until the job finishes. It returns ErrNotDone
+// when the wait runs out, and at once from a coordinator that predates
+// the wait.
+func (c *Client) resultWait(ctx context.Context, jobID string, wait time.Duration) (string, error) {
+	path := "/v1/sweep/" + jobID + "/result"
+	if wait > 0 {
+		path += "?wait_ms=" + strconv.FormatInt(int64((wait+time.Millisecond-1)/time.Millisecond), 10)
+	}
 	resp, err := c.send(ctx, func(base string) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/sweep/"+jobID+"/result", nil)
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 	})
 	if err != nil {
 		return "", err
@@ -361,29 +375,25 @@ func (c *Client) Result(ctx context.Context, jobID string) (string, error) {
 	return "", fmt.Errorf("GET /v1/sweep/%s/result: status %d", jobID, resp.StatusCode)
 }
 
-// Await polls a job until it finishes (default every 250ms) and
-// returns the merged .dat text. It respects ctx for cancellation.
+// Await waits for a job to finish and returns the merged .dat text. It
+// long-polls the result: each request parks at the coordinator for up
+// to MaxClaimWait and answers the moment the job merges. A coordinator
+// that predates the long poll answers at once while the job runs;
+// Await then asks again poll (default 250ms) after its previous
+// request started, so it never spins. A failed job returns its merge
+// error. It respects ctx for cancellation.
 func (c *Client) Await(ctx context.Context, jobID string, poll time.Duration) (string, error) {
 	if poll <= 0 {
 		poll = 250 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
 	for {
-		p, err := c.Progress(ctx, jobID)
-		if err != nil {
-			return "", err
+		start := time.Now()
+		dat, err := c.resultWait(ctx, jobID, MaxClaimWait)
+		if !errors.Is(err, ErrNotDone) {
+			return dat, err
 		}
-		switch p.State {
-		case "done":
-			return c.Result(ctx, jobID)
-		case "failed":
-			return "", fmt.Errorf("coord: job %s failed: %s", jobID, p.Error)
-		}
-		select {
-		case <-ctx.Done():
+		if d := poll - time.Since(start); d > 0 && !sleepCtx(ctx, d) {
 			return "", ctx.Err()
-		case <-t.C:
 		}
 	}
 }

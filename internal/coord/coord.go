@@ -28,10 +28,11 @@
 // The Coordinator is purely reactive bookkeeping: it owns no
 // goroutines and no timers (lease expiry is evaluated lazily on every
 // claim/progress/renew), so a server embedding one has nothing extra
-// to drain on shutdown. A claimer that wants to wait for work parks on
-// WorkChanged in its own goroutine. internal/serve mounts the
-// coordinator under POST /v1/sweep and friends; Client and RunWorker
-// are the matching worker side.
+// to drain on shutdown. A claimer that wants to wait for work, or a
+// client waiting for a result, parks on WorkChanged in its own
+// goroutine. internal/serve mounts the coordinator under POST
+// /v1/sweep and friends; Client and RunWorker are the matching worker
+// side.
 package coord
 
 import (
@@ -391,10 +392,11 @@ func (j *job) share(worker string) int {
 }
 
 // WorkChanged returns a channel that is closed the next time a job is
-// submitted or finishes. A claimer that got ErrNoWork can wait on it
-// and claim again; taking the channel before the Claim means no wake-up
-// falls between the two. The coordinator itself still never blocks:
-// the waiting, and its timeout, belong to the caller.
+// submitted or finishes. A claimer that got ErrNoWork, or a result
+// request that got ErrNotDone, can wait on it and ask again; taking the
+// channel before asking means no wake-up falls between the two. The
+// coordinator itself still never blocks: the waiting, and its timeout,
+// belong to the caller.
 func (c *Coordinator) WorkChanged() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -529,7 +531,7 @@ func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult
 			errs[i] = fmt.Errorf("coord: shard %d cells: %w", res.Shard, err)
 			continue
 		}
-		recs = append(recs, record{Type: recComplete, Job: j.ID, Shard: res.Shard, Worker: worker, Cells: res.Cells})
+		recs = append(recs, record{Type: recComplete, Job: j.ID, Shard: res.Shard, Worker: worker, Cells: res.Cells, decoded: sc})
 		completed[res.Shard] = true
 		accepted, last = accepted+1, len(recs)-1
 	}
@@ -562,13 +564,14 @@ func (c *Coordinator) CompleteShards(jobID, worker string, results []ShardResult
 // the outcome. Called under mu, which it drops while folding so
 // progress polls stay responsive.
 func (c *Coordinator) merge(j *job) {
-	parts := make([][]byte, len(j.Shards))
+	decoded := make([]*experiments.ShardCells, len(j.Shards))
+	raw := make([][]byte, len(j.Shards))
 	for i := range j.Shards {
-		parts[i] = j.Shards[i].Cells
+		decoded[i], raw[i] = j.Shards[i].decoded, j.Shards[i].Cells
 	}
 	c.mu.Unlock()
 	start := c.cfg.Now()
-	dat, err := mergeParts(j, parts)
+	dat, err := mergeParts(j, decoded, raw)
 	r := record{Type: recMerge, Job: j.ID, Dat: dat, MergeNS: int64(c.cfg.Now().Sub(start))}
 	if err != nil {
 		r.Failed = err.Error()
@@ -582,13 +585,16 @@ func (c *Coordinator) merge(j *job) {
 	}
 }
 
-// mergeParts decodes every shard's cells and folds them into the
-// figure's .dat bytes — byte-identical to an unsharded BuildFigure run
-// by the MergeFigure contract.
-func mergeParts(j *job, parts [][]byte) ([]byte, error) {
-	decoded := make([]*experiments.ShardCells, len(parts))
-	for i, raw := range parts {
-		sc, err := experiments.DecodeShardCells(bytes.NewReader(raw))
+// mergeParts folds every shard's cells into the figure's .dat bytes —
+// byte-identical to an unsharded BuildFigure run by the MergeFigure
+// contract. decoded holds the cells each complete already decoded; a
+// shard without them (restored by recovery) is decoded from raw.
+func mergeParts(j *job, decoded []*experiments.ShardCells, raw [][]byte) ([]byte, error) {
+	for i, sc := range decoded {
+		if sc != nil {
+			continue
+		}
+		sc, err := experiments.DecodeShardCells(bytes.NewReader(raw[i]))
 		if err != nil {
 			return nil, fmt.Errorf("re-decoding shard %d: %w", i, err)
 		}

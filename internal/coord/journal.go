@@ -49,6 +49,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 const (
@@ -103,6 +105,9 @@ type record struct {
 	Deadline int64 `json:"deadline,omitempty"`
 
 	Cells []byte `json:"cells,omitempty"` // recComplete: the accepted shard artifact
+	// decoded is Cells as CompleteShards decoded them to check them
+	// (recComplete, live only). Replayed records leave it nil.
+	decoded *experiments.ShardCells
 
 	Dat     []byte `json:"dat,omitempty"`      // recMerge: merged figure bytes
 	Failed  string `json:"failed,omitempty"`   // recMerge: merge error, if any
@@ -305,6 +310,10 @@ type shard struct {
 	Renewals int    `json:"renewals,omitempty"`
 	Cells    []byte `json:"cells,omitempty"`   // encoded ShardCells once done, until the job finishes
 	DoneBy   string `json:"done_by,omitempty"` // worker whose result was accepted
+	// decoded is Cells decoded, kept in memory only from the complete
+	// that checked them until the job finishes; nil for cells restored
+	// from a snapshot or the journal, which the merge decodes itself.
+	decoded *experiments.ShardCells
 }
 
 // writeSnapshot atomically replaces dir/snapshot.json with doc:

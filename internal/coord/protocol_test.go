@@ -152,6 +152,55 @@ func TestMergeReleasesCells(t *testing.T) {
 	}
 }
 
+// TestMergeFromDecodedCells: the merge folds the cells each complete
+// decoded to check them, and decodes only the shards a reopen restored
+// as bytes; both are released with the raw cells once the job merges.
+func TestMergeFromDecodedCells(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	c := openDurable(t, dir, clk, nil)
+	id, err := c.Submit(testJob(3))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	complete := func(c *Coordinator) {
+		t.Helper()
+		l, err := c.Claim(id, "w")
+		if err != nil {
+			t.Fatalf("Claim: %v", err)
+		}
+		if err := c.Complete(id, l.Shard, l.Token, "w", cachedCells(t, l)); err != nil {
+			t.Fatalf("Complete: %v", err)
+		}
+	}
+	complete(c) // shard 0, restored as bytes by the reopen
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	c = openDurable(t, dir, clk, nil)
+	complete(c) // shard 1, decoded by its complete
+	c.mu.Lock()
+	sh := c.jobs[id].Shards
+	if sh[0].decoded != nil || sh[1].decoded == nil {
+		c.mu.Unlock()
+		t.Fatalf("decoded cells: restored shard %v, completed shard %v; want nil, set", sh[0].decoded != nil, sh[1].decoded != nil)
+	}
+	// The merge must not read shard 1's raw cells.
+	sh[1].Cells = []byte("not cells")
+	c.mu.Unlock()
+	complete(c) // shard 2 merges
+	if got, err := c.Result(id); err != nil || string(got) != goldenDat(t) {
+		t.Fatalf("Result: %v (matches golden: %v)", err, string(got) == goldenDat(t))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, s := range c.jobs[id].Shards {
+		if s.Cells != nil || s.decoded != nil {
+			t.Fatalf("shard %d keeps cells after the merge: raw %v, decoded %v", i, s.Cells != nil, s.decoded != nil)
+		}
+	}
+}
+
 // TestOldSnapshotDropsMergedCells: a snapshot written before merges
 // released their cells still loads, and the finished job's cells are
 // dropped on the way in.

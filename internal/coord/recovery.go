@@ -223,6 +223,7 @@ func (c *Coordinator) applyRecord(r *record) {
 		s.State = shardDone
 		s.Token = ""
 		s.Cells = r.Cells
+		s.decoded = r.decoded
 		s.DoneBy = r.Worker
 		j.Done++
 		c.stats.ShardsCompleted++
@@ -278,12 +279,13 @@ func (c *Coordinator) evict(id string) {
 	}
 }
 
-// releaseCells drops a finished job's shard cells: the merged result,
-// or its failure, supersedes them. Memory and snapshots then grow with
-// unfinished jobs' cells only.
+// releaseCells drops a finished job's shard cells, raw and decoded:
+// the merged result, or its failure, supersedes them. Memory and
+// snapshots then grow with unfinished jobs' cells only.
 func releaseCells(j *job) {
 	for i := range j.Shards {
 		j.Shards[i].Cells = nil
+		j.Shards[i].decoded = nil
 	}
 }
 

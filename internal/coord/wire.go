@@ -86,9 +86,10 @@ type SubmitResponse struct {
 	ID string `json:"id"`
 }
 
-// MaxClaimWait caps ClaimRequest.WaitMS: a parked claim answers 204
-// after at most this long, so the worker's next claim re-reads its
-// pinned job and lease expiries.
+// MaxClaimWait caps ClaimRequest.WaitMS, and the wait_ms of a result
+// request: a parked claim answers 204, and a parked result 409, after
+// at most this long, so the worker's next claim re-reads its pinned job
+// and lease expiries.
 const MaxClaimWait = time.Second
 
 // ClaimRequest is the body of POST /v1/sweep/lease and
@@ -115,16 +116,17 @@ type RenewResponse struct {
 
 // CompleteRequest is the body of POST /v1/sweep/{id}/complete. Cells
 // carries the shard's encoded cell artifact (the streamalloc-cells/v1
-// text format) verbatim.
+// text format) verbatim. An absent Shard means shard 0.
 type CompleteRequest struct {
-	Shard  int    `json:"shard"`
-	Token  string `json:"token"`
+	Shard  int    `json:"shard,omitempty"`
+	Token  string `json:"token,omitempty"`
 	Worker string `json:"worker,omitempty"`
-	Cells  string `json:"cells"`
+	Cells  string `json:"cells,omitempty"`
 	// Items, when non-empty, makes the request a batch: it delivers
 	// every listed shard of the job in place of Shard, Token and Cells,
-	// which must then be unset. It holds at most as many items as the
-	// job has shards. The reply answers each item on its own.
+	// which must then be absent from the body, zero values included. It
+	// holds at most as many items as the job has shards. The reply
+	// answers each item on its own.
 	Items []CompleteItem `json:"items,omitempty"`
 	// Next, when set, folds the worker's next claim into this round
 	// trip: once a result is accepted (a duplicate included), the

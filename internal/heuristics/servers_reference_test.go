@@ -10,6 +10,7 @@ package heuristics
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/mapping"
@@ -37,7 +38,7 @@ func newRefSelectionState(m *mapping.Mapping) *refSelectionState {
 		if !m.Procs[p].Alive {
 			continue
 		}
-		for _, k := range m.NeededObjects(p) {
+		for _, k := range neededObjects(m, p) {
 			st.pending[[2]int{p, k}] = true
 		}
 	}
@@ -190,4 +191,20 @@ func refSelectServersRandom(m *mapping.Mapping, r *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// neededObjects is the sorted set of object types the operators on p
+// download, recounted from the placement: a test-only stand-in for the
+// query the mapping package no longer carries.
+func neededObjects(m *mapping.Mapping, p int) []int {
+	var out []int
+	for _, op := range m.OpsOn(p) {
+		for _, li := range m.Inst.Tree.Ops[op].Leaves {
+			if k := m.Inst.Tree.Leaves[li].Object; !slices.Contains(out, k) {
+				out = append(out, k)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -161,7 +161,7 @@ func TestSelectionCoversExactlyNeededObjects(t *testing.T) {
 		if !m.Procs[p].Alive {
 			continue
 		}
-		needed := m.NeededObjects(p)
+		needed := neededObjects(m, p)
 		if len(needed) != len(m.DL[p]) {
 			t.Fatalf("proc %d: %d needed objects, %d downloads", p, len(needed), len(m.DL[p]))
 		}

@@ -28,8 +28,8 @@
 //
 // Each update is O(degree) — a sorted insert or delete plus at most two
 // leaf refcount bumps. Every load query (ComputeLoad, DownloadLoad,
-// CommLoad, NICLoad, LinkTraffic, NeededObjects) then folds over this
-// per-processor state in O(|ops on p|) instead of O(N). ProcFeasible, the
+// CommLoad, NICLoad) then folds over this per-processor state in
+// O(|ops on p|) instead of O(N). ProcFeasible, the
 // one exact per-processor walk, folds p's loads and checks all (5)-links
 // touching p in one pass over opsOn[p] instead of an O(P·N) all-pairs
 // scan, and answers an allocation-free verdict; only Validate words the

@@ -398,24 +398,11 @@ func (m *Mapping) ComputeLoad(p int) float64 {
 	return load
 }
 
-// NeededObjects returns the de-duplicated sorted object types the
-// operators on p must download (union of Leaf(i) over i in a¯(p)).
-func (m *Mapping) NeededObjects(p int) []int {
-	var out []int
-	base := p * m.Inst.NumTypes
-	for k := 0; k < m.Inst.NumTypes; k++ {
-		if m.objRef[base+k] > 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // DownloadLoad returns the NIC bandwidth p spends on basic-object
 // downloads: sum of rate_k over its needed objects (each object is
 // downloaded once per processor regardless of how many local operators
 // share it — the paper's DL(u) is a set). The sum runs in ascending
-// object order over the refcounts, matching NeededObjects.
+// object order over the refcounts.
 func (m *Mapping) DownloadLoad(p int) float64 {
 	load := 0.0
 	base := p * m.Inst.NumTypes
@@ -514,35 +501,13 @@ func (m *Mapping) StaticNICReq(ops ...int) float64 {
 // communication); constraint (2) requires it not to exceed Bp.
 func (m *Mapping) NICLoad(p int) float64 { return m.DownloadLoad(p) + m.CommLoad(p) }
 
-// LinkTraffic returns the traffic on the bidirectional link between
-// processors p and q: the sum of rho*delta over tree edges with one
-// endpoint on each; constraint (5) bounds it by bp.
-func (m *Mapping) LinkTraffic(p, q int) float64 {
-	if p == q {
-		return 0
-	}
-	load := 0.0
-	tree := m.Inst.Tree
-	for _, op := range m.opsOn[p] {
-		for _, c := range tree.Ops[op].ChildOps {
-			if m.Assign[c] == q {
-				load += m.Inst.EdgeTraffic(c)
-			}
-		}
-		if par := tree.Ops[op].Parent; par != apptree.NoParent && m.Assign[par] == q {
-			load += m.Inst.EdgeTraffic(op)
-		}
-	}
-	return load
-}
-
 // gatherLinks accumulates the (5)-link traffic of every processor
 // adjacent to p into the link scratch and returns the touched processor
 // list (unsorted) together with p's communication total. It walks the
 // crossing edges CommLoad walks, under the same condition and in the
 // same order — operators ascending, child edges then parent edge — so
-// comm is bit-identical to CommLoad(p) and each s.linkAmt[q] to
-// LinkTraffic(p, q). The caller clears s.linkOn for every returned q and
+// comm is bit-identical to CommLoad(p) and each s.linkAmt[q] to the
+// traffic of the (5)-link between p and q. The caller clears s.linkOn for every returned q and
 // truncates s.linkTo.
 func (m *Mapping) gatherLinks(p int, s *scratch) (touched []int, comm float64) {
 	touched = s.linkTo[:0]

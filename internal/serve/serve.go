@@ -133,8 +133,8 @@ type Server struct {
 	// coord schedules distributed sweep jobs (see sweep.go). It owns no
 	// goroutines — lease expiry is lazy — so Close only has to flush its
 	// durable state (final snapshot + journal fsync), never to drain.
-	// Claims parked on it live on their HTTP goroutines; parkStop,
-	// closed by StopParking, sends them home.
+	// Claims and results parked on it live on their HTTP goroutines;
+	// parkStop, closed by StopParking, sends them home.
 	coord    *coord.Coordinator
 	parkStop chan struct{}
 	parkOnce sync.Once
@@ -228,10 +228,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// StopParking answers every parked sweep claim with 204 at once and
-// makes later claims answer without parking. Register it with
-// http.Server.RegisterOnShutdown, so a drain never waits out a parked
-// claim; Close calls it too. Safe to call more than once.
+// StopParking answers every parked sweep claim with 204, and every
+// parked result with 409, at once, and makes later ones answer without
+// parking. Register it with http.Server.RegisterOnShutdown, so a drain
+// never waits out a parked request; Close calls it too. Safe to call
+// more than once.
 func (s *Server) StopParking() {
 	s.parkOnce.Do(func() { close(s.parkStop) })
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/coord"
@@ -19,7 +20,7 @@ import (
 //
 //	POST /v1/sweep                submit a job            -> {"id": ...}
 //	GET  /v1/sweep/{id}           progress snapshot
-//	GET  /v1/sweep/{id}/result    merged .dat text (409 until done)
+//	GET  /v1/sweep/{id}/result    merged .dat text (409 until done; ?wait_ms=N parks)
 //	POST /v1/sweep/lease          claim a shard of any running job
 //	POST /v1/sweep/{id}/lease     claim a shard of one job
 //	POST /v1/sweep/{id}/renew     heartbeat a lease
@@ -28,12 +29,16 @@ import (
 // A claim carrying "wait_ms" parks when no shard is claimable, for up
 // to that long (capped at coord.MaxClaimWait), and claims again as soon
 // as a job is submitted or finishes; it answers 204 when the wait runs
-// out. A claim request always grants one lease. A complete carrying
-// "items" is a batch: it delivers every listed shard of the job, in at
-// most as many items as the job has shards, and answers 200 with one
-// outcome per item (accepted, duplicate, lease_lost or invalid), so a
-// stale item does not refuse the rest; the records are written with
-// one fsync and applied only after it. A complete carrying "next"
+// out. A result request with the query parameter wait_ms parks the
+// same way while its job runs and answers the moment the job merges,
+// or 409 when the wait runs out. A claim request always grants one
+// lease. A complete carrying "items" is a batch: it delivers every
+// listed shard of the job, in at most as many items as the job has
+// shards, and answers 200 with one outcome per item (accepted,
+// duplicate, lease_lost or invalid), so a stale item does not refuse
+// the rest; the records are written with one fsync and applied only
+// after it. A batch that also carries "shard", "token" or "cells" is a
+// 400. A complete carrying "next"
 // claims once a result is accepted (a duplicate included): one lease
 // returned as "next", or for a batch a fair share of one job,
 // ⌊pending / (2·holders)⌋ leases, returned as "leases" (absent when
@@ -109,7 +114,23 @@ func (s *Server) handleSweepProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	dat, err := s.coord.Result(r.PathValue("id"))
+	var waitMS uint64
+	if q := r.URL.Query(); q.Has("wait_ms") {
+		// Past the uint64 range ParseUint answers the maximum, which the
+		// cap below takes in as any other long wait.
+		var err error
+		if waitMS, err = strconv.ParseUint(q.Get("wait_ms"), 10, 64); err != nil && !errors.Is(err, strconv.ErrRange) {
+			s.clientError(w, http.StatusBadRequest, "wait_ms must be a non-negative integer of milliseconds")
+			return
+		}
+	}
+	wait := time.Duration(min(waitMS, uint64(coord.MaxClaimWait.Milliseconds()))) * time.Millisecond
+	id := r.PathValue("id")
+	var dat []byte
+	err := s.park(r.Context(), wait, coord.ErrNotDone, func() (err error) {
+		dat, err = s.coord.Result(id)
+		return err
+	})
 	if err != nil {
 		s.sweepError(w, err)
 		return
@@ -125,7 +146,11 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 		return
 	}
 	wait := time.Duration(min(req.WaitMS, coord.MaxClaimWait.Milliseconds())) * time.Millisecond
-	lease, err := s.claimWait(r.Context(), jobID, req.Worker, wait)
+	var lease *coord.Lease
+	err := s.park(r.Context(), wait, coord.ErrNoWork, func() (err error) {
+		lease, err = s.coord.Claim(jobID, req.Worker)
+		return err
+	})
 	switch {
 	case errors.Is(err, coord.ErrNoWork):
 		w.WriteHeader(http.StatusNoContent)
@@ -137,22 +162,24 @@ func (s *Server) handleSweepClaim(w http.ResponseWriter, r *http.Request, jobID 
 	s.writeOK(w, lease)
 }
 
-// claimWait claims like Coordinator.Claim. When nothing is claimable it
-// parks for up to wait and claims again each time a job is submitted or
-// finishes. When the wait runs out it
-// claims once more, so a lease that expired meanwhile is picked up
-// then. It answers ErrNoWork at once when the client goes away or the
-// server stops parking claims (StopParking).
-func (s *Server) claimWait(ctx context.Context, jobID, worker string, wait time.Duration) (*coord.Lease, error) {
+// park runs try, and while it answers notYet parks for up to wait and
+// tries again each time a job is submitted or finishes: the one wait
+// behind parked claims (notYet is ErrNoWork) and parked results
+// (ErrNotDone). When the wait runs out it tries once more, so a lease
+// that expired meanwhile is claimed then. It answers try's error at
+// once when the client goes away or the server stops parking
+// (StopParking). The coordinator owns no goroutine for this: the
+// waiting happens on the request's own.
+func (s *Server) park(ctx context.Context, wait time.Duration, notYet error, try func() error) error {
 	var expired <-chan time.Time
 	for {
 		var changed <-chan struct{}
 		if wait > 0 {
 			changed = s.coord.WorkChanged()
 		}
-		lease, err := s.coord.Claim(jobID, worker)
-		if wait <= 0 || !errors.Is(err, coord.ErrNoWork) {
-			return lease, err
+		err := try()
+		if wait <= 0 || !errors.Is(err, notYet) {
+			return err
 		}
 		if expired == nil {
 			t := time.NewTimer(wait)
@@ -164,9 +191,9 @@ func (s *Server) claimWait(ctx context.Context, jobID, worker string, wait time.
 		case <-expired:
 			wait = 0
 		case <-ctx.Done():
-			return nil, err
+			return err
 		case <-s.parkStop:
-			return nil, err
+			return err
 		}
 	}
 }
@@ -184,8 +211,27 @@ func (s *Server) handleSweepRenew(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, coord.RenewResponse{TTLMS: ttlMS})
 }
 
+// completeBody is a complete request as the handler decodes it: the
+// single-form fields shadow coord.CompleteRequest's as pointers, so a
+// batch that also carries one of them, a zero value included, is told
+// apart and refused.
+type completeBody struct {
+	coord.CompleteRequest
+	Shard *int    `json:"shard"`
+	Token *string `json:"token"`
+	Cells *string `json:"cells"`
+}
+
+// deref is *p, or the zero value for an absent field.
+func deref[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
+	}
+	return v
+}
+
 func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
-	var req coord.CompleteRequest
+	var req completeBody
 	if !s.decode(w, r, maxSweepBodyBytes, &req) {
 		return
 	}
@@ -193,8 +239,8 @@ func (s *Server) handleSweepComplete(w http.ResponseWriter, r *http.Request) {
 	var results []coord.ShardResult
 	switch {
 	case !batch:
-		results = []coord.ShardResult{{Shard: req.Shard, Token: req.Token, Cells: []byte(req.Cells)}}
-	case req.Shard != 0 || req.Token != "" || req.Cells != "":
+		results = []coord.ShardResult{{Shard: deref(req.Shard), Token: deref(req.Token), Cells: []byte(deref(req.Cells))}}
+	case req.Shard != nil || req.Token != nil || req.Cells != nil:
 		s.clientError(w, http.StatusBadRequest, "a batch complete carries its shards in items only")
 		return
 	default:

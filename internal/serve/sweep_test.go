@@ -320,10 +320,146 @@ func TestParkedClaimTimesOut(t *testing.T) {
 	}
 }
 
-// TestShutdownWakesParkedClaims: with a claim parked, an http.Server
-// wired as cmd/serve wires it drains in well under the claim's wait,
-// the claim answers 204, later claims do not park, and nothing
-// outlives the drain.
+// TestSweepResultWaitParam: wait_ms on the result route must be a
+// non-negative integer, or the request is a 400 in the error envelope;
+// any larger wait, one past the integer range included, is capped at
+// MaxClaimWait; and a job that is already done answers at once.
+func TestSweepResultWaitParam(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/sweep/" + id + "/result"
+	for _, v := range []string{"", "-1", "+5", "1.5", "1e3", "abc", "0x10", "1_000"} {
+		rec := do(t, s, "GET", path+"?wait_ms="+v, nil)
+		var e errorResponse
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Fatalf("wait_ms=%q: %d %q, want 400 with an error envelope", v, rec.Code, rec.Body.String())
+		}
+	}
+	for _, v := range []string{"0", "1"} {
+		if rec := do(t, s, "GET", path+"?wait_ms="+v, nil); rec.Code != http.StatusConflict {
+			t.Fatalf("wait_ms=%s on a running job: %d, want 409", v, rec.Code)
+		}
+	}
+	start := time.Now()
+	rec := do(t, s, "GET", path+"?wait_ms=99999999999999999999999", nil)
+	if d := time.Since(start); rec.Code != http.StatusConflict || d < coord.MaxClaimWait || d > 3*coord.MaxClaimWait {
+		t.Fatalf("huge wait_ms: %d after %v, want 409 after the %v cap", rec.Code, d, coord.MaxClaimWait)
+	}
+	if rec := do(t, s, "GET", "/v1/sweep/j99/result?wait_ms=1000", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown job: %d, want 404 at once", rec.Code)
+	}
+	l, err := s.coord.Claim(id, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.coord.Complete(id, l.Shard, l.Token, "w", shardCells(t, l)); err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if rec := do(t, s, "GET", path+"?wait_ms=1000", nil); rec.Code != http.StatusOK || time.Since(start) > coord.MaxClaimWait/2 {
+		t.Fatalf("done job: %d after %v, want 200 at once", rec.Code, time.Since(start))
+	}
+}
+
+// TestParkedResultWakesOnMerge: Await parks on the result route and
+// answers within milliseconds of the merge, with the merged text, even
+// at a poll interval far longer than the test.
+func TestParkedResultWakesOnMerge(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.coord.Claim(id, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := shardCells(t, l)
+	type awaited struct {
+		dat string
+		err error
+		at  time.Time
+	}
+	// A result that does not park would leave Await asleep for its
+	// poll; the deadline turns that into a failure.
+	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+	defer cancel()
+	got := make(chan awaited, 1)
+	go func() {
+		dat, err := coord.NewClient(ts.URL).Await(ctx, id, time.Hour)
+		got <- awaited{dat, err, time.Now()}
+	}()
+	time.Sleep(parkSettle)
+	merged := time.Now()
+	if err := s.coord.Complete(id, l.Shard, l.Token, "w", cells); err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	want, err := s.coord.Result(id)
+	if r.err != nil || r.dat != string(want) {
+		t.Fatalf("Await: %v (merged text equal %v)", r.err, r.dat == string(want))
+	}
+	if d := r.at.Sub(merged); d > coord.MaxClaimWait/4 {
+		t.Fatalf("parked result answered %v after the merge", d)
+	}
+}
+
+// TestParkedResultReleased: a parked result answers 409 at once when
+// its client goes away or the server stops parking, and later result
+// requests no longer park.
+func TestParkedResultReleased(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/sweep/" + id + "/result?wait_ms=1000"
+	// park serves one parked result request on its own goroutine and
+	// returns when it answered, after checking it is still parked.
+	park := func(ctx context.Context) <-chan int {
+		t.Helper()
+		done := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, "GET", path, nil))
+			done <- rec.Code
+		}()
+		time.Sleep(parkSettle)
+		select {
+		case code := <-done:
+			t.Fatalf("result answered %d before anything happened", code)
+		default:
+		}
+		return done
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	done := park(ctx)
+	start := time.Now()
+	cancel()
+	if code := <-done; code != http.StatusConflict || time.Since(start) > coord.MaxClaimWait/4 {
+		t.Fatalf("disconnected result: %d after %v, want 409 at once", code, time.Since(start))
+	}
+	done = park(t.Context())
+	start = time.Now()
+	s.StopParking()
+	if code := <-done; code != http.StatusConflict || time.Since(start) > coord.MaxClaimWait/4 {
+		t.Fatalf("result at StopParking: %d after %v, want 409 at once", code, time.Since(start))
+	}
+	start = time.Now()
+	if rec := do(t, s, "GET", path, nil); rec.Code != http.StatusConflict || time.Since(start) > coord.MaxClaimWait/4 {
+		t.Fatalf("result after StopParking: %d after %v, want 409 at once", rec.Code, time.Since(start))
+	}
+}
+
+// TestShutdownWakesParkedClaims: with a claim and a result parked, an
+// http.Server wired as cmd/serve wires it drains in well under their
+// wait, the claim answers 204 and the result 409, later claims do not
+// park, and nothing outlives the drain.
 func TestShutdownWakesParkedClaims(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Workers: 1})
@@ -338,16 +474,36 @@ func TestShutdownWakesParkedClaims(t *testing.T) {
 	tr := &http.Transport{}
 	cl := &coord.Client{BaseURL: "http://" + ln.Addr().String(), HTTPClient: &http.Client{Transport: tr}}
 
-	got := parkClaim(t, t.Context(), cl, "", coord.MaxClaimWait)
+	id, err := s.coord.Submit(parkJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.coord.Claim(id, "dead"); err != nil {
+		t.Fatal(err)
+	}
+	result := make(chan int, 1)
+	go func() {
+		resp, err := cl.HTTPClient.Get(cl.BaseURL + "/v1/sweep/" + id + "/result?wait_ms=1000")
+		if err != nil {
+			result <- 0
+			return
+		}
+		resp.Body.Close()
+		result <- resp.StatusCode
+	}()
+	got := parkClaim(t, t.Context(), cl, id, coord.MaxClaimWait)
 	start := time.Now()
 	if err := hs.Shutdown(t.Context()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	if d := time.Since(start); d > coord.MaxClaimWait/2 {
-		t.Fatalf("Shutdown took %v with a claim parked", d)
+		t.Fatalf("Shutdown took %v with a claim and a result parked", d)
 	}
 	if r := <-got; !errors.Is(r.err, coord.ErrNoWork) {
 		t.Fatalf("parked claim at shutdown: lease %+v err %v, want ErrNoWork", r.lease, r.err)
+	}
+	if code := <-result; code != http.StatusConflict {
+		t.Fatalf("parked result at shutdown: status %d, want 409", code)
 	}
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		t.Fatalf("Serve: %v", err)
@@ -496,6 +652,7 @@ func FuzzSweepComplete(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	f.Add([]byte(`{"worker":"w","shard":0,"items":[{"shard":5,"token":"t9.9","cells":""}]}`))
 	f.Add([]byte(`{"items":null}`))
 	f.Add([]byte(`{"items":[{"shard":-1}]}`))
 	f.Add([]byte(`not json`))
@@ -583,6 +740,18 @@ func TestSweepBatchCompleteWire(t *testing.T) {
 	} {
 		if rec, _ := post(req); rec.Code != http.StatusBadRequest {
 			t.Fatalf("%d items: status %d (%s), want 400", len(req.Items), rec.Code, rec.Body.String())
+		}
+	}
+	// A single-form field beside items is refused by its presence, its
+	// zero value included.
+	items, err := json.Marshal([]coord.CompleteItem{it})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"shard":0`, `"token":""`, `"cells":""`} {
+		body := `{"worker":"w",` + field + `,"items":` + string(items) + `}`
+		if rec := do(t, s, "POST", "/v1/sweep/"+id+"/complete", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("batch with %s: status %d (%s), want 400", field, rec.Code, rec.Body.String())
 		}
 	}
 	if p, err := s.coord.Progress(id); err != nil || p.Done != 0 || p.Duplicates != 0 {

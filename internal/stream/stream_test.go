@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func onePlacement(in *instance.Instance) *mapping.Mapping {
 	for op := range in.Tree.Ops {
 		m.Place(op, p)
 	}
-	for _, k := range m.NeededObjects(p) {
+	for _, k := range neededObjects(m, p) {
 		m.SelectServer(p, k, in.Holders[k][0])
 	}
 	return m
@@ -89,7 +90,7 @@ func twoProcPlacement(in *instance.Instance) *mapping.Mapping {
 	}
 	m.Place(2, q)
 	for _, pp := range []int{p, q} {
-		for _, k := range m.NeededObjects(pp) {
+		for _, k := range neededObjects(m, pp) {
 			m.SelectServer(pp, k, in.Holders[k][0])
 		}
 	}
@@ -416,4 +417,20 @@ func TestNonFiniteWorkOrSize(t *testing.T) {
 			}
 		})
 	}
+}
+
+// neededObjects is the sorted set of object types the operators on p
+// download, recounted from the placement: a test-only stand-in for the
+// query the mapping package no longer carries.
+func neededObjects(m *mapping.Mapping, p int) []int {
+	var out []int
+	for _, op := range m.OpsOn(p) {
+		for _, li := range m.Inst.Tree.Ops[op].Leaves {
+			if k := m.Inst.Tree.Leaves[li].Object; !slices.Contains(out, k) {
+				out = append(out, k)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -45,9 +45,11 @@ func SubmitSweep(ctx context.Context, baseURL string, job SweepJob) (string, err
 	return coord.NewClient(baseURL).Submit(ctx, job)
 }
 
-// AwaitSweep polls the job until every shard has landed and returns
-// the merged figure's .dat text — byte-identical to the same figure
-// built by SweepFigureCtx in one process. It blocks until the job
+// AwaitSweep waits until every shard has landed and returns the
+// merged figure's .dat text — byte-identical to the same figure built
+// by SweepFigureCtx in one process. It long-polls the result, so it
+// returns the moment the job merges; against a daemon that predates
+// the long poll it asks every 250ms. It blocks until the job
 // finishes, ctx is cancelled, or the job fails.
 func AwaitSweep(ctx context.Context, baseURL, jobID string) (string, error) {
 	return coord.NewClient(baseURL).Await(ctx, jobID, 250*time.Millisecond)
