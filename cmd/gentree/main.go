@@ -1,6 +1,7 @@
 // Command gentree generates random problem instances with the paper's
-// Section 5 methodology and writes them as JSON for cmd/streamalloc and
-// cmd/simverify, plus optional Graphviz output of the operator tree.
+// Section 5 methodology and writes them as JSON for cmd/streamalloc
+// (-in FILE, with -verify to run the mapping on the stream engine), plus
+// optional Graphviz output of the operator tree.
 //
 // Usage:
 //

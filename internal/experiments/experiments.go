@@ -82,11 +82,11 @@ type Series struct {
 // VerifySummary aggregates the stream-engine verification column of a
 // figure run with Config.Verify: every feasible cell's mapping was
 // executed and its measured steady-state throughput compared against
-// the instance's QoS target rho (with the standard 10% simulation
-// tolerance) and against the analytic bound.
+// the instance's QoS target rho (by stream.MeetsTarget) and against the
+// analytic bound.
 type VerifySummary struct {
 	Cells    int     // feasible cells executed on the stream engine
-	MeetRho  int     // cells whose measured throughput reached 0.9*rho
+	MeetRho  int     // cells whose measured throughput meets rho (MeetsRho)
 	SimFails int     // stream-engine failures (event budget, etc.)
 	MinRatio float64 // min measured/rho over simulated cells (+Inf when none)
 	MaxDrift float64 // max |measured-analytic|/analytic over simulated cells

@@ -162,10 +162,10 @@ type Cell struct {
 func (c *Cell) Feasible() bool { return c.Err == nil }
 
 // MeetsRho reports whether the cell's simulated throughput sustains the
-// instance's QoS target (with the repository's standard 10% simulation
-// tolerance). Only meaningful when the grid ran with a Verify column.
+// instance's QoS target by stream.MeetsTarget. Only meaningful when the
+// grid ran with a Verify column.
 func (c *Cell) MeetsRho() bool {
-	return c.Err == nil && c.VerifyErr == nil && c.Measured >= 0.9*c.Rho
+	return c.Err == nil && c.VerifyErr == nil && stream.MeetsTarget(c.Measured, c.Rho)
 }
 
 // Grid is a declarative sweep over (heuristic x instance x seed): every

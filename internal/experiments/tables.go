@@ -214,7 +214,7 @@ func ThroughputValidation(cfg Config) *Table {
 				if minAnalytic < 0 || c.Analytic < minAnalytic {
 					minAnalytic = c.Analytic
 				}
-				if c.Measured < 0.9*c.Rho {
+				if !stream.MeetsTarget(c.Measured, c.Rho) {
 					allMeet = false
 				}
 			}

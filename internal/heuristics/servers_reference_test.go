@@ -198,7 +198,7 @@ func refSelectServersRandom(m *mapping.Mapping, r *rand.Rand) error {
 // query the mapping package no longer carries.
 func neededObjects(m *mapping.Mapping, p int) []int {
 	var out []int
-	for _, op := range m.OpsOn(p) {
+	for _, op := range m.AppendOpsOn(nil, p) {
 		for _, li := range m.Inst.Tree.Ops[op].Leaves {
 			if k := m.Inst.Tree.Leaves[li].Object; !slices.Contains(out, k) {
 				out = append(out, k)

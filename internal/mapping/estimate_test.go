@@ -220,7 +220,7 @@ func FuzzProbeEstimates(f *testing.F) {
 			case 5:
 				if len(alive) >= 2 {
 					from, to := pick(), pick()
-					want := from != to && m.Clone().referenceTryPlace(to, m.OpsOn(from))
+					want := from != to && m.Clone().referenceTryPlace(to, m.AppendOpsOn(nil, from))
 					if got := m.MoveAll(from, to); got != want {
 						t.Fatalf("step %d: MoveAll(%d, %d) = %v, reference %v", step, from, to, got, want)
 					}
@@ -287,7 +287,7 @@ func checkEvalMove(m *Mapping, r *rand.Rand, alive []int) error {
 		if from == p {
 			return nil
 		}
-		ops = m.OpsOn(from)
+		ops = m.AppendOpsOn(nil, from)
 		ev = m.EvalMerge(from, p, cfg)
 	}
 	if after := fmt.Sprint(m.Assign, m.Procs, m.opsOn, m.objRef); after != before {

@@ -352,14 +352,6 @@ func (m *Mapping) Unplace(op int) {
 // OpProc returns the processor hosting op, or Unassigned.
 func (m *Mapping) OpProc(op int) int { return m.Assign[op] }
 
-// OpsOn returns the operators currently assigned to p, ascending.
-func (m *Mapping) OpsOn(p int) []int {
-	if len(m.opsOn[p]) == 0 {
-		return nil
-	}
-	return append([]int(nil), m.opsOn[p]...)
-}
-
 // NumOpsOn returns how many operators are assigned to p without
 // materializing the list.
 func (m *Mapping) NumOpsOn(p int) int { return len(m.opsOn[p]) }
@@ -984,7 +976,7 @@ func (m *Mapping) Compact() (procs []Proc, ops [][]int, dl []map[int]int) {
 			continue
 		}
 		procs = append(procs, m.Procs[p])
-		ops = append(ops, m.OpsOn(p))
+		ops = append(ops, m.AppendOpsOn(nil, p))
 		d := map[int]int{}
 		for k, v := range m.DL[p] {
 			d[k] = v

@@ -75,8 +75,8 @@ func TestBuySellPlace(t *testing.T) {
 	}
 	m.Place(0, p)
 	m.Place(1, p)
-	if got := m.OpsOn(p); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("OpsOn = %v", got)
+	if got := m.AppendOpsOn(nil, p); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("AppendOpsOn = %v", got)
 	}
 	if m.Complete() {
 		t.Fatal("mapping should not be complete")
@@ -437,13 +437,13 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 					t.Fatalf("N=%d seed=%d after %s: %v", n, seed, step, err)
 				}
 				for p := range m.Procs {
-					if got, want := m.NumOpsOn(p), len(m.OpsOn(p)); got != want {
-						t.Fatalf("N=%d seed=%d after %s: NumOpsOn(%d)=%d, OpsOn len %d", n, seed, step, p, got, want)
+					if got, want := m.NumOpsOn(p), len(m.AppendOpsOn(nil, p)); got != want {
+						t.Fatalf("N=%d seed=%d after %s: NumOpsOn(%d)=%d, AppendOpsOn len %d", n, seed, step, p, got, want)
 					}
 					// NeededObjects must match a fresh recount of the
 					// leaf objects of the operators on p.
 					fresh := map[int]bool{}
-					for _, op := range m.OpsOn(p) {
+					for _, op := range m.AppendOpsOn(nil, p) {
 						for _, k := range in.Tree.LeafObjects(op) {
 							fresh[k] = true
 						}

@@ -167,9 +167,9 @@ func (m *Mapping) EvalMove(p int, cfg platform.Config, ops []int) MoveEval {
 	return ev
 }
 
-// EvalMerge is EvalMove(to, cfg, OpsOn(from)), the merge of every
-// operator of processor from onto processor to, which sells from. It
-// first judges to's compute alone, in O(1): the compute estimate after
+// EvalMerge is EvalMove(to, cfg, AppendOpsOn(nil, from)), the merge of
+// every operator of processor from onto processor to, which sells from.
+// It first judges to's compute alone, in O(1): the compute estimate after
 // the merge is from's added onto to's, as one more term whose own drift
 // (from's err) joins the sum's. Most merges of two loaded processors
 // overflow there. An empty from is left Undecided, since the merge

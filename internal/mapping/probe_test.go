@@ -373,7 +373,7 @@ func checkBoundary(t *testing.T, name string, h heuristics.Heuristic, seed int64
 	}
 	// Re-probe the loaded processor's last operator whose move changes
 	// the boundary load (for a link, one with an edge to q).
-	ops := m.OpsOn(p)
+	ops := m.AppendOpsOn(nil, p)
 	op := ops[len(ops)-1]
 	if p != q {
 		for _, o := range ops {

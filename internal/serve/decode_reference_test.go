@@ -9,13 +9,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // The request parsers as they stood before inline instances decoded in
 // the body's own pass: the exported SolveRequest and VerifyRequest
 // decode their instance through instance.Instance's UnmarshalJSON,
 // which ignores unknown fields inside it. They are kept test-only as the
-// reference TestInlineDecodeMatchesReference holds the parsers to.
+// reference TestInlineDecodeMatchesReference holds the parsers to, with
+// the verify results bound the parser gained later.
 
 func refParseSolveRequest(body []byte, maxOps int) (*solveRequest, *httpError) {
 	var wire SolveRequest
@@ -51,6 +54,9 @@ func refParseVerifyRequest(body []byte, maxOps int) (*verifyRequest, *httpError)
 	}
 	if wire.Results < 0 {
 		return nil, &httpError{http.StatusBadRequest, "results must be >= 0"}
+	}
+	if err := (stream.Options{Results: wire.Results}).Check(); err != nil {
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return &verifyRequest{
 		inst:      wire.Instance,

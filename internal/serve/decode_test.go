@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/instance"
+	"repro/internal/stream"
 )
 
 // tinyPlatform is a one-server, one-configuration platform in the wire
@@ -83,9 +87,84 @@ func nestedUnknownBodies(tb testing.TB) [][]byte {
 	return out
 }
 
+// oversizedResults are verify results counts above the stream engine's
+// default event budget: a run asking for them could never finish, and
+// the larger one is past what the daemon could allocate.
+var oversizedResults = []int64{100_000_000, 1_099_511_627_776}
+
+// withResults is the committed verify request with a results count.
+func withResults(tb testing.TB, results int64) []byte {
+	data, err := os.ReadFile(filepath.Join("testdata", "verify_request.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []byte(strings.Replace(string(data), "{", fmt.Sprintf(`{"results":%d,`, results), 1))
+}
+
+// TestVerifyResultsBeyondEventBudgetIs400 pins the bound on a verify's
+// results count: each oversized body answers 400 before admission,
+// without sizing a buffer for it, and the server goes on answering.
+func TestVerifyResultsBeyondEventBudgetIs400(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, n := range oversizedResults {
+		if rec := do(t, s, "POST", "/v1/verify", withResults(t, n)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("results %d: status %d, want 400 (%s)", n, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, s, "POST", "/v1/verify", withResults(t, 60)); rec.Code != http.StatusOK {
+		t.Fatalf("verify after the refused bodies: %d %s", rec.Code, rec.Body.String())
+	}
+	if st := statsz(t, s); st.PerWorker[0].Jobs != 1 {
+		t.Fatalf("arena jobs = %d, want only the valid verify admitted", st.PerWorker[0].Jobs)
+	}
+}
+
+// TestUnknownFieldIs400OnEveryRoute sends each route that reads a body
+// a valid body plus a field its request type does not have: every one
+// answers 400 naming the field, and none of them acts.
+func TestUnknownFieldIs400OnEveryRoute(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	rec := do(t, s, "POST", "/v1/sweep", []byte(`{"figure":"fig2a","seeds":2,"base_seed":1,"shards":1}`))
+	var sub coord.SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+	}
+	st := scenarioStatus(t, do(t, s, "POST", "/v1/scenario",
+		[]byte(`{"scenario":{"min_ops":4,"max_ops":6},"seed":1}`)).Body.Bytes())
+	verify := string(withResults(t, 60))
+	for _, c := range []struct{ route, path, body string }{
+		{"solve", "/v1/solve", `{"ref":{"n":5,"seed":1},"bogus":1}`},
+		{"verify", "/v1/verify", strings.Replace(verify, "{", `{"bogus":1,`, 1)},
+		{"sweep submit", "/v1/sweep", `{"figure":"fig2a","seeds":2,"shards":1,"bogus":1}`},
+		{"sweep claim any", "/v1/sweep/lease", `{"worker":"a","bogus":1}`},
+		{"sweep claim", "/v1/sweep/" + sub.ID + "/lease", `{"worker":"a","bogus":1}`},
+		{"sweep renew", "/v1/sweep/" + sub.ID + "/renew", `{"shard":0,"token":"t","bogus":1}`},
+		{"sweep complete", "/v1/sweep/" + sub.ID + "/complete", `{"shard":0,"token":"t","cells":"","bogus":1}`},
+		{"sweep batch complete", "/v1/sweep/" + sub.ID + "/complete", `{"items":[{"shard":0,"token":"t","cells":"","bogus":1}]}`},
+		{"scenario create", "/v1/scenario", `{"scenario":{"min_ops":4,"max_ops":6},"seed":1,"bogus":1}`},
+		{"scenario create spec", "/v1/scenario", `{"scenario":{"min_ops":4,"max_ops":6,"bogus":1},"seed":1}`},
+		{"scenario event", "/v1/scenario/" + st.ID + "/event", `{"kind":"drift","slot":0,"factor":1.1,"bogus":1}`},
+	} {
+		t.Run(c.route, func(t *testing.T) {
+			rec := do(t, s, "POST", c.path, []byte(c.body))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"bogus\"`) {
+				t.Fatalf("status %d (%s), want 400 naming the unknown field", rec.Code, rec.Body.String())
+			}
+		})
+	}
+	sz := statsz(t, s)
+	if sz.Sweep.JobsSubmitted != 1 || sz.Sweep.LeasesGranted != 0 || sz.PerWorker[0].Jobs != 0 {
+		t.Fatalf("a refused body acted: sweep %+v, arena jobs %d", sz.Sweep, sz.PerWorker[0].Jobs)
+	}
+	if rec := do(t, s, "GET", "/v1/scenario/"+st.ID, nil); scenarioStatus(t, rec.Body.Bytes()).Events != 0 {
+		t.Fatalf("a refused event was applied: %s", rec.Body.String())
+	}
+}
+
 // fuzzSeeds is FuzzParseRequests' seed corpus: the committed request
-// testdata, the malformed and nested-unknown-field inline bodies, and
-// one small generated inline instance.
+// testdata, the malformed and nested-unknown-field inline bodies, the
+// oversized verify results counts, and one small generated inline
+// instance.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var out [][]byte
 	for _, name := range []string{"solve_request.json", "verify_request.json"} {
@@ -101,6 +180,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}
 	}
 	out = append(out, nestedUnknownBodies(tb)...)
+	for _, n := range oversizedResults {
+		out = append(out, withResults(tb, n))
+	}
 	return append(out, []byte(`{"instance":`+string(genInstanceJSON(tb, 3, 0.9, 1))+`}`))
 }
 
@@ -135,6 +217,9 @@ func FuzzParseRequests(f *testing.F) {
 		vreq, herr := parseVerifyRequest(body, maxOps)
 		if herr == nil {
 			inst = vreq.inst
+			if err := (stream.Options{Results: vreq.Results}).Check(); err != nil {
+				t.Fatalf("verify: accepted results %d the engine refuses: %v", vreq.Results, err)
+			}
 		}
 		check("verify", inst, herr)
 	})

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -173,7 +172,7 @@ type scenarioCreate struct {
 // generation or solve.
 func parseScenarioCreate(body []byte, maxOps int) (*scenarioCreate, *httpError) {
 	sc := &scenarioCreate{}
-	if err := json.Unmarshal(body, &sc.req); err != nil {
+	if err := decodeStrict(body, &sc.req); err != nil {
 		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err)}
 	}
 	var herr *httpError

@@ -42,6 +42,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -408,7 +409,24 @@ func readBody(r *http.Request, limit int) ([]byte, *httpError) {
 	return body, nil
 }
 
-// decode is readBody followed by a JSON decode into dst. On failure it
+// decodeStrict is the one JSON decoder behind every request body: it
+// refuses unknown fields and trailing data, so a typo'd request fails
+// loudly instead of running with defaults.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// Only whitespace may follow. (Decoder.More is no test here: it
+	// answers false before a stray '}' or ']'.)
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON body")
+	}
+	return nil
+}
+
+// decode is readBody followed by decodeStrict into dst. On failure it
 // answers readBody's status, or 400 when the body is not valid JSON for
 // dst, and returns false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int, dst any) bool {
@@ -417,7 +435,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int, dst a
 		s.clientError(w, herr.status, herr.msg)
 		return false
 	}
-	if err := json.Unmarshal(body, dst); err != nil {
+	if err := decodeStrict(body, dst); err != nil {
 		s.clientError(w, http.StatusBadRequest, fmt.Sprintf("decoding JSON: %v", err))
 		return false
 	}

@@ -212,6 +212,8 @@ func TestSolveBadRequests(t *testing.T) {
 		{"empty", `{}`, http.StatusBadRequest},
 		{"both ref and instance", `{"ref":{"n":5,"seed":1},"instance":{}}`, http.StatusBadRequest},
 		{"malformed JSON", `{"ref":`, http.StatusBadRequest},
+		{"trailing value", `{"ref":{"n":5,"seed":1}} {}`, http.StatusBadRequest},
+		{"trailing brace", `{"ref":{"n":5,"seed":1}}}`, http.StatusBadRequest},
 		{"unknown field", `{"ref":{"n":5,"seed":1},"heuristics":"all"}`, http.StatusBadRequest},
 		{"unknown heuristic", `{"ref":{"n":5,"seed":1},"heuristic":"Simulated-Annealing"}`, http.StatusBadRequest},
 		{"n too small", `{"ref":{"n":0,"seed":1}}`, http.StatusBadRequest},

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -165,9 +163,9 @@ type verifyRequest struct {
 }
 
 // VerifyResponse is the POST /v1/verify answer: the stream engine's
-// measurement plus the pass verdict (measured throughput within 10% of
-// the instance's QoS target, matching streamalloc.Verify). Simulated time is
-// virtual, so the body is deterministic like SolveResponse's.
+// measurement plus the pass verdict (stream.MeetsTarget, the verdict of
+// streamalloc.Verify). Simulated time is virtual, so the body is
+// deterministic like SolveResponse's.
 type VerifyResponse struct {
 	OK         bool    `json:"ok"`
 	Throughput float64 `json:"throughput"`
@@ -176,20 +174,6 @@ type VerifyResponse struct {
 	Completed  int     `json:"completed"`
 	SimTime    float64 `json:"sim_time"`
 	Events     int64   `json:"events"`
-}
-
-// decodeStrict unmarshals JSON rejecting unknown fields, so typo'd
-// requests fail loudly instead of solving with defaults.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	return nil
 }
 
 // checkInstanceSpec validates the shared ref-or-inline instance choice.
@@ -255,6 +239,9 @@ func parseVerifyRequest(body []byte, maxOps int) (*verifyRequest, *httpError) {
 	}
 	if wire.Results < 0 {
 		return nil, &httpError{http.StatusBadRequest, "results must be >= 0"}
+	}
+	if err := (stream.Options{Results: wire.Results}).Check(); err != nil {
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return &verifyRequest{
 		inst:      inst,
@@ -388,7 +375,7 @@ func (e *env) runVerify(req *verifyRequest) (*VerifyResponse, *httpError) {
 		return nil, &httpError{http.StatusUnprocessableEntity, fmt.Sprintf("simulation failed: %v", err)}
 	}
 	resp := VerifyResponse{
-		OK:         rep.Throughput >= 0.9*in.Rho,
+		OK:         stream.MeetsTarget(rep.Throughput, in.Rho),
 		Throughput: rep.Throughput,
 		Target:     in.Rho,
 		Analytic:   rep.Analytic,

@@ -656,6 +656,7 @@ func FuzzSweepComplete(f *testing.F) {
 	f.Add([]byte(`{"items":null}`))
 	f.Add([]byte(`{"items":[{"shard":-1}]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{}}`)) // trailing data after a valid body
 	accepted := 0
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := do(t, s, "POST", "/v1/sweep/"+id+"/complete", body)

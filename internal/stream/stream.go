@@ -76,7 +76,20 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxEvents <= 0 {
 		o.MaxEvents = 2_000_000
 	}
+	// Every root result costs at least one event, so a run asking for
+	// more results than its event budget can never finish; refuse it
+	// before bind sizes a buffer for Results completions.
+	if int64(o.Results) > o.MaxEvents {
+		return o, fmt.Errorf("stream: Results %d exceed the event budget of %d events", o.Results, o.MaxEvents)
+	}
 	return o, nil
+}
+
+// Check reports whether Simulate refuses these options, without running
+// anything, so a caller can refuse a request up front.
+func (o Options) Check() error {
+	_, err := o.withDefaults()
+	return err
 }
 
 // Report is the outcome of a simulation.
@@ -87,6 +100,11 @@ type Report struct {
 	SimTime    float64 // virtual seconds elapsed
 	Events     int64   // simulator events processed
 }
+
+// MeetsTarget is the one QoS verdict on a simulation: the measured
+// steady-state throughput sustains the target rho, with a 10% tolerance
+// for the error of a finite run's measurement.
+func MeetsTarget(measured, rho float64) bool { return measured >= 0.9*rho }
 
 // AnalyticMaxThroughput returns the largest rho' at which the mapping's
 // constraint system still holds, treating download rates as fixed (they do

@@ -134,8 +134,8 @@ func TestMeetsRhoOnHeuristicMappings(t *testing.T) {
 			if rep.Analytic < in.Rho-1e-6 {
 				t.Fatalf("%s seed %d: analytic max %v below rho %v", h.Name(), seed, rep.Analytic, in.Rho)
 			}
-			if rep.Throughput < 0.9*in.Rho {
-				t.Fatalf("%s seed %d: measured throughput %v below 0.9*rho", h.Name(), seed, rep.Throughput)
+			if !MeetsTarget(rep.Throughput, in.Rho) {
+				t.Fatalf("%s seed %d: measured throughput %v misses rho %v", h.Name(), seed, rep.Throughput, in.Rho)
 			}
 		}
 	}
@@ -253,6 +253,48 @@ func TestContradictoryWarmupRejected(t *testing.T) {
 	}
 	if _, err := Simulate(m, Options{Results: 50, Warmup: 49}); err != nil {
 		t.Fatalf("Warmup just under Results rejected: %v", err)
+	}
+}
+
+// TestResultsBeyondEventBudgetRejected pins that Options refuse a run
+// that could never finish: every result costs an event, so Results
+// above MaxEvents (default 2,000,000) is an error from Check and from
+// Simulate, before any buffer is sized for it.
+func TestResultsBeyondEventBudgetRejected(t *testing.T) {
+	m := onePlacement(paperInstance())
+	for _, opt := range []Options{
+		{Results: 2_000_001},
+		{Results: 1 << 40},
+		{Results: 60, MaxEvents: 59},
+	} {
+		if err := opt.Check(); err == nil {
+			t.Fatalf("Options %+v passed Check; want event-budget error", opt)
+		}
+		if _, err := Simulate(m, opt); err == nil {
+			t.Fatalf("Options %+v simulated; want event-budget error", opt)
+		}
+	}
+	for _, opt := range []Options{{}, {Results: 2_000_000}, {Results: 60, MaxEvents: 60}} {
+		if err := opt.Check(); err != nil {
+			t.Fatalf("Options %+v refused: %v", opt, err)
+		}
+	}
+}
+
+// TestMeetsTargetBoundary pins the QoS verdict's exact boundary: a
+// measurement of exactly 0.9*rho passes and the next float below fails.
+func TestMeetsTargetBoundary(t *testing.T) {
+	for _, rho := range []float64{1, 0.3, 2.5, 17} {
+		edge := 0.9 * rho
+		if !MeetsTarget(edge, rho) {
+			t.Errorf("rho %v: %v misses, want it to pass", rho, edge)
+		}
+		if below := math.Nextafter(edge, 0); MeetsTarget(below, rho) {
+			t.Errorf("rho %v: %v passes, want it to miss", rho, below)
+		}
+		if !MeetsTarget(math.Inf(1), rho) {
+			t.Errorf("rho %v: an unbounded measurement misses", rho)
+		}
 	}
 }
 
@@ -424,7 +466,7 @@ func TestNonFiniteWorkOrSize(t *testing.T) {
 // query the mapping package no longer carries.
 func neededObjects(m *mapping.Mapping, p int) []int {
 	var out []int
-	for _, op := range m.OpsOn(p) {
+	for _, op := range m.AppendOpsOn(nil, p) {
 		for _, li := range m.Inst.Tree.Ops[op].Leaves {
 			if k := m.Inst.Tree.Leaves[li].Object; !slices.Contains(out, k) {
 				out = append(out, k)
